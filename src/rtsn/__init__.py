@@ -13,7 +13,6 @@ from .corpus import (
     compute_norm_stats,
     load_corpus,
     load_norm_stats,
-    mix_at_snr,
     mix_with_reference,
     normalize,
     parse_manifest,
@@ -87,7 +86,6 @@ __all__ = [
     "log_spectral_distance",
     "lps_from_magnitude",
     "magnitude_from_lps",
-    "mix_at_snr",
     "mix_with_reference",
     "mol_loss",
     "normalize",

@@ -30,68 +30,19 @@ from .model import (
     load_checkpoint,
     save_checkpoint,
 )
+from .settings import build, parse_settings, schema
 from .trainer import TrainConfig, train
 
-_MODEL_KEYS = {
-    "lookahead": int,
-    "prior_weight": float,
-    "lstm_units": int,
-    "lstm_layers": int,
-    "conv_kernel": int,
-    "conv_channels": lambda s: tuple(int(x) for x in s.split(",")),
-    "gla_iters": int,
-}
-_STFT_KEYS = {"frame_len": int, "hop": int, "fft_size": int}
-_TRAIN_KEYS = {
-    "unroll_steps": int,
-    "utterances_per_batch": int,
-    "learning_rate": float,
-    "max_epochs": int,
-    "patience": int,
-}
-
-
-def parse_config_file(path: str) -> dict[str, str]:
-    """Parse `key = value` lines; `#` starts a comment; unknown keys error."""
-    known = set(_MODEL_KEYS) | set(_STFT_KEYS) | set(_TRAIN_KEYS)
-    values: dict[str, str] = {}
-    text = Path(path).read_text(encoding="utf-8")
-    for ln, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        key, sep, value = line.partition("=")
-        key, value = key.strip(), value.strip()
-        if not sep or not key or not value:
-            raise ValueError(f"{path} line {ln}: expected `key = value`, got {raw!r}")
-        if key not in known:
-            raise ValueError(f"{path} line {ln}: unknown config key {key!r}")
-        if key in values:
-            raise ValueError(f"{path} line {ln}: duplicate key {key!r}")
-        values[key] = value
-    return values
-
-
-def _typed(values: dict[str, str], schema: dict, path: str) -> dict:
-    out = {}
-    for key, convert in schema.items():
-        if key in values:
-            try:
-                out[key] = convert(values[key])
-            except ValueError:
-                raise ValueError(
-                    f"{path}: bad value {values[key]!r} for key {key!r}"
-                ) from None
-    return out
+# A config file sets every config field except n_bins, which follows from
+# fft_size, and seed, which is the --seed flag.
+CONFIG_KEYS = schema(StftConfig, RtsnConfig, TrainConfig, skip=("n_bins", "seed"))
 
 
 def load_train_setup(path: str, seed: int) -> tuple[RtsnConfig, StftConfig, TrainConfig]:
-    values = parse_config_file(path)
-    stft_config = StftConfig(**_typed(values, _STFT_KEYS, path))
-    model_kwargs = _typed(values, _MODEL_KEYS, path)
-    model_config = RtsnConfig(n_bins=stft_config.n_bins, **model_kwargs)
-    train_config = TrainConfig(seed=seed, **_typed(values, _TRAIN_KEYS, path))
-    return model_config, stft_config, train_config
+    values = parse_settings(Path(path).read_text(encoding="utf-8"), CONFIG_KEYS, path)
+    stft_config = build(StftConfig, values)
+    model_config = build(RtsnConfig, values, n_bins=stft_config.n_bins)
+    return model_config, stft_config, build(TrainConfig, values, seed=seed)
 
 
 # ---------------------------------------------------------------------------

@@ -146,11 +146,6 @@ def mix_with_reference(
     return Waveform(mixture, rate), Waveform(clean, rate)
 
 
-def mix_at_snr(speech: Waveform, noise: Waveform, snr_db: float, seed: int) -> Waveform:
-    """Mixture half of :func:`mix_with_reference`."""
-    return mix_with_reference(speech, noise, snr_db, seed)[0]
-
-
 # ---------------------------------------------------------------------------
 # normalization statistics
 # ---------------------------------------------------------------------------

@@ -36,7 +36,6 @@ class StftConfig:
     frame_len: int = 200
     hop: int = 80
     fft_size: int = 256
-    window: str = "hann_periodic"
 
     def __post_init__(self) -> None:
         if self.hop < 1:
@@ -48,8 +47,6 @@ class StftConfig:
             )
         if self.fft_size & (self.fft_size - 1) != 0:
             raise ValueError(f"fft_size must be a power of two, got {self.fft_size}")
-        if self.window != "hann_periodic":
-            raise ValueError(f"unsupported window {self.window!r}")
 
     @property
     def n_bins(self) -> int:

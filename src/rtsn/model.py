@@ -28,6 +28,7 @@ from .dsp import (
     stft,
 )
 from .gla import GlaConfig, griffin_lim
+from .settings import build, format_settings, parse_settings, schema
 
 CHECKPOINT_MAGIC = b"RTSNCKPT"
 CHECKPOINT_VERSION = 1
@@ -221,10 +222,6 @@ def count_parameters(params: RtsnParams) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _values(lps) -> np.ndarray:
-    return lps.values if isinstance(lps, LpsSequence) else np.asarray(lps)
-
-
 def input_windows(values: np.ndarray, lookahead: int) -> np.ndarray:
     """Per-step prior input: frames t..t+lookahead flattened, edge-replicated."""
     t = values.shape[0]
@@ -239,55 +236,6 @@ def frame_stack(values: np.ndarray, lookahead: int) -> np.ndarray:
     idx = np.arange(t)[:, None] + np.arange(-lookahead, lookahead + 1)[None, :]
     idx = np.clip(idx, 0, t - 1)
     return values[idx]
-
-
-def assemble_pri_input(lps, t: int, lookahead: int) -> np.ndarray:
-    """Prior-network input vector for step t: frames t..t+lookahead."""
-    values = _values(lps)
-    if not 0 <= t < values.shape[0]:
-        raise IndexError(f"frame {t} out of range for {values.shape[0]} frames")
-    idx = np.clip(np.arange(t, t + lookahead + 1), 0, values.shape[0] - 1)
-    return values[idx].reshape(-1)
-
-
-def gather_mbps(pri_outputs: np.ndarray, t: int) -> np.ndarray:
-    """All base predictions of frame t, ordered by offset ascending.
-
-    The offset-m prediction of frame t lives in the stack emitted at step
-    t-m (row m+lookahead); steps outside the sequence are edge-replicated.
-    """
-    pri_outputs = np.asarray(pri_outputs)
-    total, rows, _ = pri_outputs.shape
-    if not 0 <= t < total:
-        raise IndexError(f"frame {t} out of range for {total} frames")
-    lookahead = (rows - 1) // 2
-    offsets = np.arange(-lookahead, lookahead + 1)
-    steps = np.clip(t - offsets, 0, total - 1)
-    return pri_outputs[steps, np.arange(rows)]
-
-
-def assemble_posterior_input(pri_outputs: np.ndarray, noisy, t: int) -> np.ndarray:
-    """Posterior channel stack for frame t.
-
-    Channels are every row of the stacks emitted at steps t-lookahead..
-    t+lookahead (step ascending, row ascending within a step) followed by
-    the noisy frames t-lookahead..t+lookahead; all indices edge-replicated.
-    """
-    pri_outputs = np.asarray(pri_outputs)
-    noisy_values = _values(noisy)
-    total, rows, bins = pri_outputs.shape
-    if noisy_values.shape != (total, bins):
-        raise ValueError(
-            f"noisy shape {noisy_values.shape} incompatible with "
-            f"prior outputs {pri_outputs.shape}"
-        )
-    if not 0 <= t < total:
-        raise IndexError(f"frame {t} out of range for {total} frames")
-    lookahead = (rows - 1) // 2
-    offsets = np.arange(-lookahead, lookahead + 1)
-    steps = np.clip(t + offsets, 0, total - 1)
-    stacks = pri_outputs[steps].reshape(rows * rows, bins)
-    return np.concatenate([stacks, noisy_values[steps]], axis=0)
 
 
 def gather_index(num_steps: int, lookahead: int, valid: int | None = None) -> np.ndarray:
@@ -332,6 +280,19 @@ class ChunkData:
     clean_frame: np.ndarray | None = None
     clean_stack: np.ndarray | None = None
     mask: np.ndarray | None = None
+
+
+def utterance_chunk(lookahead: int, windows: np.ndarray, noisy_ctx: np.ndarray,
+                    clean_frame: np.ndarray | None = None,
+                    clean_stack: np.ndarray | None = None) -> ChunkData:
+    """One whole utterance as a batch-of-one chunk; targets are optional."""
+    return ChunkData(
+        windows=windows[None],
+        noisy_ctx=noisy_ctx[None],
+        gather_idx=gather_index(windows.shape[0], lookahead)[None],
+        clean_frame=None if clean_frame is None else clean_frame[None],
+        clean_stack=None if clean_stack is None else clean_stack[None],
+    )
 
 
 @dataclass
@@ -435,35 +396,12 @@ def mol_loss(pred_frames, target_frames, pred_stacks, target_stacks,
     )
 
 
-def pri_forward(params: RtsnParams, lps,
-                state: tuple[list, list] | None = None
-                ) -> tuple[np.ndarray, tuple[list, list]]:
-    """Prior-stage output stacks for a whole utterance: (T, R, N)."""
-    values = _values(lps).astype(params.dtype, copy=False)
-    windows = input_windows(values, params.config.lookahead)
-    x_bar, state_out = _pri_graph(params, windows[None], state or zero_state(params, 1))
-    return x_bar.data[0], state_out
-
-
-def post_forward(params: RtsnParams, v: np.ndarray) -> np.ndarray:
-    """Posterior-stage output for one assembled channel stack: (N,)."""
-    v = np.asarray(v, dtype=params.dtype)
-    expected = (params.config.posterior_channels, params.config.n_bins)
-    if v.shape != expected:
-        raise ValueError(f"posterior input shape {v.shape}, expected {expected}")
-    return _conv_stack(params, nn.Tensor(v[None])).data[0, 0]
-
-
 def enhance_lps(params: RtsnParams, norm_values: np.ndarray) -> np.ndarray:
     """Full-sequence two-stage forward on normalized LPS values."""
     values = np.asarray(norm_values, dtype=params.dtype)
-    steps = values.shape[0]
     lookahead = params.config.lookahead
-    data = ChunkData(
-        windows=input_windows(values, lookahead)[None],
-        noisy_ctx=frame_stack(values, lookahead)[None],
-        gather_idx=gather_index(steps, lookahead)[None],
-    )
+    data = utterance_chunk(lookahead, input_windows(values, lookahead),
+                           frame_stack(values, lookahead))
     return forward_chunk(params, data).x_hat.data[0]
 
 
@@ -471,14 +409,11 @@ def enhance_utterance(
     params: RtsnParams,
     noisy: Waveform,
     gla_iters: int | None = None,
-    network_fn=None,
 ) -> tuple[Waveform, LpsSequence]:
     """Enhance a noisy waveform; returns (waveform, enhanced LPS).
 
     gla_iters overrides the configured iteration count; 0 keeps the noisy
-    phase as-is.  network_fn, when given, replaces the network forward with
-    a callable mapping normalized LPS values to normalized LPS values
-    (useful for pipeline tests).
+    phase as-is.
     """
     if params.norm is None:
         raise ValueError("model has no normalization statistics")
@@ -486,10 +421,7 @@ def enhance_utterance(
     magnitude, phase = decompose(spec)
     noisy_lps = lps_from_magnitude(magnitude)
     norm_values = normalize(noisy_lps, params.norm).values
-    if network_fn is not None:
-        enhanced_norm = np.asarray(network_fn(norm_values), dtype=np.float64)
-    else:
-        enhanced_norm = enhance_lps(params, norm_values).astype(np.float64)
+    enhanced_norm = enhance_lps(params, norm_values).astype(np.float64)
     enhanced = denormalize(LpsSequence(enhanced_norm), params.norm)
     mag_hat = magnitude_from_lps(enhanced)
     iters = params.config.gla_iters if gla_iters is None else gla_iters
@@ -501,63 +433,6 @@ def enhance_utterance(
 # checkpoint serialization
 # ---------------------------------------------------------------------------
 
-_CONFIG_KEYS = (
-    "lookahead", "prior_weight", "n_bins", "lstm_layers", "lstm_units",
-    "conv_kernel", "conv_channels", "gla_iters", "frame_len", "hop", "fft_size",
-)
-
-
-def _config_text(params: RtsnParams) -> str:
-    c, s = params.config, params.stft
-    values = {
-        "lookahead": c.lookahead,
-        "prior_weight": repr(c.prior_weight),
-        "n_bins": c.n_bins,
-        "lstm_layers": c.lstm_layers,
-        "lstm_units": c.lstm_units,
-        "conv_kernel": c.conv_kernel,
-        "conv_channels": ",".join(str(x) for x in c.conv_channels),
-        "gla_iters": c.gla_iters,
-        "frame_len": s.frame_len,
-        "hop": s.hop,
-        "fft_size": s.fft_size,
-    }
-    return "\n".join(f"{k}={values[k]}" for k in _CONFIG_KEYS)
-
-
-def _parse_config_text(text: str) -> tuple[RtsnConfig, StftConfig]:
-    fields: dict[str, str] = {}
-    for line in text.splitlines():
-        line = line.strip()
-        if not line:
-            continue
-        key, sep, value = line.partition("=")
-        if not sep:
-            raise ValueError(f"bad checkpoint config line {line!r}")
-        fields[key.strip()] = value.strip()
-    missing = [k for k in _CONFIG_KEYS if k not in fields]
-    if missing:
-        raise ValueError(f"checkpoint config missing keys {missing}")
-    unknown = sorted(set(fields) - set(_CONFIG_KEYS))
-    if unknown:
-        raise ValueError(f"unknown checkpoint config keys {unknown}")
-    config = RtsnConfig(
-        lookahead=int(fields["lookahead"]),
-        prior_weight=float(fields["prior_weight"]),
-        n_bins=int(fields["n_bins"]),
-        lstm_layers=int(fields["lstm_layers"]),
-        lstm_units=int(fields["lstm_units"]),
-        conv_kernel=int(fields["conv_kernel"]),
-        conv_channels=tuple(int(x) for x in fields["conv_channels"].split(",")),
-        gla_iters=int(fields["gla_iters"]),
-    )
-    stft_config = StftConfig(
-        frame_len=int(fields["frame_len"]),
-        hop=int(fields["hop"]),
-        fft_size=int(fields["fft_size"]),
-    )
-    return config, stft_config
-
 
 def save_checkpoint(params: RtsnParams, path) -> None:
     """Binary checkpoint: magic, version, config text, named f32 tensors."""
@@ -567,7 +442,7 @@ def save_checkpoint(params: RtsnParams, path) -> None:
         ("norm.mean", nn.Tensor(params.norm.mean.astype(np.float32))),
         ("norm.std", nn.Tensor(params.norm.std.astype(np.float32))),
     ]
-    config_bytes = _config_text(params).encode("utf-8")
+    config_bytes = format_settings(params.config, params.stft).encode("utf-8")
     chunks = [
         CHECKPOINT_MAGIC,
         struct.pack("<I", CHECKPOINT_VERSION),
@@ -607,9 +482,13 @@ def load_checkpoint(path) -> RtsnParams:
     if version != CHECKPOINT_VERSION:
         raise ValueError(f"{path}: unsupported checkpoint version {version}")
     (config_len,) = struct.unpack("<I", take(4, "header"))
-    config, stft_config = _parse_config_text(
-        bytes(take(config_len, "config text")).decode("utf-8")
-    )
+    keys = schema(RtsnConfig, StftConfig)
+    values = parse_settings(bytes(take(config_len, "config text")).decode("utf-8"),
+                            keys, path)
+    missing = [k for k in keys if k not in values]
+    if missing:
+        raise ValueError(f"{path}: checkpoint config missing keys {missing}")
+    config, stft_config = build(RtsnConfig, values), build(StftConfig, values)
     if config.n_bins != stft_config.n_bins:
         raise ValueError(
             f"{path}: config n_bins {config.n_bins} does not match "

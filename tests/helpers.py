@@ -1,7 +1,15 @@
-"""Shared test oracles, reimplemented independently of the package internals."""
+"""Shared test oracles.
+
+The signal oracles are reimplemented independently of the package; the
+per-frame model oracles route single frames through its public layers.
+"""
 import math
 
 import numpy as np
+
+import rtsn.neural as nn
+from rtsn.dsp import LpsSequence
+from rtsn.model import forward_chunk, frame_stack, input_windows, utterance_chunk
 
 SAMPLE_RATE = 8000
 
@@ -90,3 +98,96 @@ def synth_noise(seed: int, num_samples: int) -> np.ndarray:
     rng = np.random.default_rng(seed)
     x = rng.standard_normal(num_samples)
     return 0.35 * x / np.max(np.abs(x))
+
+
+# ---------------------------------------------------------------------------
+# per-frame model oracles: the whole-utterance forward must agree with these
+# ---------------------------------------------------------------------------
+
+
+def _values(lps) -> np.ndarray:
+    return lps.values if isinstance(lps, LpsSequence) else np.asarray(lps)
+
+
+def assemble_pri_input(lps, t: int, lookahead: int) -> np.ndarray:
+    """Prior-network input vector for step t: frames t..t+lookahead."""
+    values = _values(lps)
+    if not 0 <= t < values.shape[0]:
+        raise IndexError(f"frame {t} out of range for {values.shape[0]} frames")
+    idx = np.clip(np.arange(t, t + lookahead + 1), 0, values.shape[0] - 1)
+    return values[idx].reshape(-1)
+
+
+def gather_mbps(pri_outputs: np.ndarray, t: int) -> np.ndarray:
+    """All base predictions of frame t, ordered by offset ascending.
+
+    The offset-m prediction of frame t lives in the stack emitted at step
+    t-m (row m+lookahead); steps outside the sequence are edge-replicated.
+    """
+    pri_outputs = np.asarray(pri_outputs)
+    total, rows, _ = pri_outputs.shape
+    if not 0 <= t < total:
+        raise IndexError(f"frame {t} out of range for {total} frames")
+    lookahead = (rows - 1) // 2
+    offsets = np.arange(-lookahead, lookahead + 1)
+    steps = np.clip(t - offsets, 0, total - 1)
+    return pri_outputs[steps, np.arange(rows)]
+
+
+def assemble_posterior_input(pri_outputs: np.ndarray, noisy, t: int) -> np.ndarray:
+    """Posterior channel stack for frame t.
+
+    Channels are every row of the stacks emitted at steps t-lookahead..
+    t+lookahead (step ascending, row ascending within a step) followed by
+    the noisy frames t-lookahead..t+lookahead; all indices edge-replicated.
+    """
+    pri_outputs = np.asarray(pri_outputs)
+    noisy_values = _values(noisy)
+    total, rows, bins = pri_outputs.shape
+    if noisy_values.shape != (total, bins):
+        raise ValueError(
+            f"noisy shape {noisy_values.shape} incompatible with "
+            f"prior outputs {pri_outputs.shape}"
+        )
+    if not 0 <= t < total:
+        raise IndexError(f"frame {t} out of range for {total} frames")
+    lookahead = (rows - 1) // 2
+    offsets = np.arange(-lookahead, lookahead + 1)
+    steps = np.clip(t + offsets, 0, total - 1)
+    stacks = pri_outputs[steps].reshape(rows * rows, bins)
+    return np.concatenate([stacks, noisy_values[steps]], axis=0)
+
+
+def pri_forward(params, lps) -> np.ndarray:
+    """Prior-stage output stacks for a whole utterance: (T, R, N)."""
+    values = _values(lps).astype(params.dtype, copy=False)
+    lookahead = params.config.lookahead
+    data = utterance_chunk(lookahead, input_windows(values, lookahead),
+                           frame_stack(values, lookahead))
+    return forward_chunk(params, data).x_bar.data[0]
+
+
+def post_forward(params, v: np.ndarray) -> np.ndarray:
+    """Posterior-stage output for one assembled channel stack: (N,)."""
+    v = np.asarray(v, dtype=params.dtype)
+    expected = (params.config.posterior_channels, params.config.n_bins)
+    if v.shape != expected:
+        raise ValueError(f"posterior input shape {v.shape}, expected {expected}")
+    out = nn.Tensor(v[None])
+    for i, conv in enumerate(params.convs):
+        out = nn.conv1d_freq(out, conv.kernels, conv.bias)
+        if i < len(params.convs) - 1:
+            out = nn.selu(out)
+    return out.data[0, 0]
+
+
+def evaluate_pri(params, utterances) -> float:
+    """Frame-weighted mean unweighted prior-stack error over utterances."""
+    total = 0.0
+    frames = 0
+    for utt in utterances:
+        data = utterance_chunk(params.config.lookahead, utt.windows, utt.noisy_ctx,
+                               utt.clean_frame, utt.clean_stack)
+        total += forward_chunk(params, data).loss.pri * utt.num_frames
+        frames += utt.num_frames
+    return total / frames

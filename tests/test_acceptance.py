@@ -26,12 +26,11 @@ from rtsn.model import (
     enhance_utterance,
     forward_chunk,
     gather_index,
-    gather_mbps,
     init_params,
 )
-from rtsn.trainer import TrainConfig, evaluate_pri, prepare_utterance, train
+from rtsn.trainer import TrainConfig, prepare_utterance, train
 
-from helpers import rel_err, synth_noise, synth_voice
+from helpers import evaluate_pri, gather_mbps, rel_err, synth_noise, synth_voice
 
 RATE = 8000
 DEFAULT_STFT = StftConfig()

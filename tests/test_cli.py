@@ -1,6 +1,8 @@
 import os
+import re
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -8,6 +10,7 @@ import pytest
 from rtsn import cli
 from rtsn.corpus import read_wav, write_wav
 from rtsn.dsp import Waveform
+from rtsn.settings import parse_settings
 
 from helpers import synth_noise, synth_voice
 
@@ -194,23 +197,35 @@ def test_enhance_gla_override(tmp_path, capsys):
 # ---------------------------------------------------------------------------
 
 
+def read_config(path):
+    return parse_settings(path.read_text(), cli.CONFIG_KEYS, path)
+
+
+def test_config_keys_match_readme_table():
+    readme = (Path(__file__).parents[1] / "README.md").read_text()
+    table = readme.split("## Config file", 1)[1].split("\n## ", 1)[0]
+    keys = [k for k in re.findall(r"^\| (\w+) \|", table, re.M) if k != "key"]
+    assert len(keys) == 15
+    assert sorted(keys) == sorted(cli.CONFIG_KEYS)
+
+
 def test_config_parser_accepts_comments_and_spacing(tmp_path):
     p = tmp_path / "c.cfg"
     p.write_text("# heading\n  lookahead = 2  # trailing comment\n\nhop=8\n")
-    assert cli.parse_config_file(str(p)) == {"lookahead": "2", "hop": "8"}
+    assert read_config(p) == {"lookahead": 2, "hop": 8}
 
 
 def test_config_parser_errors_name_lines(tmp_path):
     p = tmp_path / "c.cfg"
     p.write_text("lookahead = 2\nwhatever = 3\n")
     with pytest.raises(ValueError, match="line 2: unknown config key 'whatever'"):
-        cli.parse_config_file(str(p))
+        read_config(p)
     p.write_text("lookahead\n")
     with pytest.raises(ValueError, match="line 1"):
-        cli.parse_config_file(str(p))
+        read_config(p)
     p.write_text("hop = 8\nhop = 9\n")
     with pytest.raises(ValueError, match="line 2: duplicate"):
-        cli.parse_config_file(str(p))
+        read_config(p)
 
 
 def test_train_bad_config_value(tmp_path, capsys):

@@ -11,7 +11,6 @@ from rtsn.corpus import (
     denormalize,
     load_corpus,
     load_norm_stats,
-    mix_at_snr,
     mix_with_reference,
     normalize,
     parse_manifest,
@@ -173,9 +172,9 @@ def test_mix_peak_rescale_preserves_snr():
 def test_mix_seed_determinism():
     speech = Waveform(synth_voice(8, 2000))
     noise = Waveform(synth_noise(9, 6000))
-    a = mix_at_snr(speech, noise, 5.0, seed=3)
-    b = mix_at_snr(speech, noise, 5.0, seed=3)
-    c = mix_at_snr(speech, noise, 5.0, seed=4)
+    a = mix_with_reference(speech, noise, 5.0, seed=3)[0]
+    b = mix_with_reference(speech, noise, 5.0, seed=3)[0]
+    c = mix_with_reference(speech, noise, 5.0, seed=4)[0]
     assert np.array_equal(a.samples, b.samples)
     assert not np.array_equal(a.samples, c.samples)
 
@@ -183,11 +182,11 @@ def test_mix_seed_determinism():
 def test_mix_input_validation():
     speech = Waveform(synth_voice(1, 500))
     with pytest.raises(ValueError, match="silent speech"):
-        mix_at_snr(Waveform(np.zeros(100)), speech, 0.0, 0)
+        mix_with_reference(Waveform(np.zeros(100)), speech, 0.0, 0)
     with pytest.raises(ValueError, match="empty"):
-        mix_at_snr(Waveform(np.zeros(0)), speech, 0.0, 0)
+        mix_with_reference(Waveform(np.zeros(0)), speech, 0.0, 0)
     with pytest.raises(ValueError, match="sample rate"):
-        mix_at_snr(speech, Waveform(np.ones(10), sample_rate_hz=16000), 0.0, 0)
+        mix_with_reference(speech, Waveform(np.ones(10), sample_rate_hz=16000), 0.0, 0)
 
 
 # ---------------------------------------------------------------------------

@@ -108,8 +108,6 @@ def test_config_validation():
         StftConfig(frame_len=300, hop=80, fft_size=256)
     with pytest.raises(ValueError, match="power of two"):
         StftConfig(frame_len=200, hop=80, fft_size=300)
-    with pytest.raises(ValueError, match="window"):
-        StftConfig(window="hamming")
 
 
 def test_istft_zero_normalization_raises():

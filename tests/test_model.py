@@ -1,35 +1,44 @@
+import re
 import struct
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from numpy.testing import assert_allclose
 
+import rtsn.model
 import rtsn.neural as nn
 from rtsn.corpus import NormStats
 from rtsn.dsp import LpsSequence, StftConfig, Waveform
 from rtsn.model import (
     ChunkData,
     RtsnConfig,
-    assemble_posterior_input,
-    assemble_pri_input,
     count_parameters,
     enhance_lps,
     enhance_utterance,
     forward_chunk,
     frame_stack,
     gather_index,
-    gather_mbps,
     init_params,
     input_windows,
     load_checkpoint,
     mol_loss,
-    post_forward,
-    pri_forward,
     save_checkpoint,
     zero_state,
 )
+from rtsn.settings import format_settings
 
-from helpers import rel_err, synth_voice
+from helpers import (
+    assemble_posterior_input,
+    assemble_pri_input,
+    gather_mbps,
+    post_forward,
+    pri_forward,
+    rel_err,
+    synth_voice,
+)
 
 TINY_STFT = StftConfig(frame_len=16, hop=8, fft_size=16)
 TINY = RtsnConfig(lookahead=1, n_bins=9, lstm_layers=2, lstm_units=8,
@@ -346,7 +355,7 @@ def test_pri_post_routes_match_full_forward():
     values = rng.standard_normal((9, 9))
 
     fast = enhance_lps(params, values)
-    stacks, _ = pri_forward(params, values)
+    stacks = pri_forward(params, values)
     for t in range(9):
         v = assemble_posterior_input(stacks, values, t)
         slow = post_forward(params, v)
@@ -359,11 +368,11 @@ def test_post_forward_shape_validation():
         post_forward(params, np.zeros((5, 9)))
 
 
-def test_enhance_utterance_identity_network():
+def test_enhance_utterance_identity_network(monkeypatch):
     params = tiny_params()
     noisy = Waveform(synth_voice(20, 600))
-    out, lps = enhance_utterance(params, noisy, gla_iters=0,
-                                 network_fn=lambda v: v)
+    monkeypatch.setattr(rtsn.model, "enhance_lps", lambda params, values: values)
+    out, lps = enhance_utterance(params, noisy, gla_iters=0)
     # identity network and zero GLA iterations reproduce the input up to the
     # log-power floor
     assert out.samples.shape == noisy.samples.shape
@@ -426,6 +435,78 @@ def _saved_blob(tmp_path):
     p = tmp_path / "m.ckpt"
     save_checkpoint(params, p)
     return p, bytearray(p.read_bytes())
+
+
+def _header(blob) -> str:
+    size = struct.unpack_from("<I", blob, 12)[0]
+    return bytes(blob[16 : 16 + size]).decode("utf-8")
+
+
+def _write_with_header(p, blob, text: str) -> None:
+    size = struct.unpack_from("<I", blob, 12)[0]
+    new = text.encode("utf-8")
+    p.write_bytes(bytes(blob[:12]) + struct.pack("<I", len(new)) + new
+                  + bytes(blob[16 + size :]))
+
+
+def test_checkpoint_header_format_is_stable(tmp_path):
+    # key order and value formatting are part of the file format
+    _, blob = _saved_blob(tmp_path)
+    assert _header(blob) == (
+        "lookahead=1\nprior_weight=10.0\nn_bins=9\nlstm_layers=2\n"
+        "lstm_units=8\nconv_kernel=3\nconv_channels=4,3,2,1\ngla_iters=3\n"
+        "frame_len=16\nhop=8\nfft_size=16"
+    )
+
+
+def test_checkpoint_header_bad_value_named(tmp_path):
+    p, blob = _saved_blob(tmp_path)
+    _write_with_header(p, blob, _header(blob).replace("lookahead=1", "lookahead=x"))
+    with pytest.raises(ValueError, match=re.escape(
+            f"{p} line 1: bad value 'x' for key 'lookahead'")):
+        load_checkpoint(p)
+
+
+def test_checkpoint_header_duplicate_key_rejected(tmp_path):
+    p, blob = _saved_blob(tmp_path)
+    _write_with_header(p, blob, _header(blob) + "\nhop=8")
+    with pytest.raises(ValueError, match=re.escape(f"{p} line 12: duplicate key 'hop'")):
+        load_checkpoint(p)
+
+
+@st.composite
+def model_configs(draw):
+    fft_size = draw(st.sampled_from([2, 4, 8, 16, 32]))
+    hop = draw(st.integers(1, fft_size))
+    stft_config = StftConfig(frame_len=draw(st.integers(hop, fft_size)), hop=hop,
+                             fft_size=fft_size)
+    config = RtsnConfig(
+        lookahead=draw(st.integers(1, 3)),
+        prior_weight=draw(st.floats(min_value=0.0, allow_nan=False)),
+        n_bins=stft_config.n_bins,
+        lstm_layers=draw(st.integers(1, 3)),
+        lstm_units=draw(st.integers(1, 4)),
+        conv_kernel=draw(st.sampled_from([1, 3, 5])),
+        conv_channels=tuple(draw(st.lists(st.integers(1, 4), max_size=3))) + (1,),
+        gla_iters=draw(st.integers(0, 100)),
+    )
+    return config, stft_config
+
+
+@settings(max_examples=40, deadline=None)
+@given(model_configs())
+def test_checkpoint_config_round_trip_property(configs):
+    config, stft_config = configs
+    n = stft_config.n_bins
+    params = init_params(config, stft_config, NormStats(np.zeros(n), np.ones(n)))
+    with tempfile.TemporaryDirectory() as d:
+        p = Path(d) / "m.ckpt"
+        save_checkpoint(params, p)
+        blob = p.read_bytes()
+        loaded = load_checkpoint(p)
+    assert _header(blob) == format_settings(config, stft_config)
+    assert loaded.config == config
+    assert loaded.stft == stft_config
 
 
 def test_checkpoint_corruption_errors(tmp_path):

@@ -11,14 +11,13 @@ from rtsn.trainer import (
     TrainConfig,
     UtteranceData,
     evaluate,
-    evaluate_pri,
     make_chunks,
     prepare_utterance,
     sequence_loss,
     train,
 )
 
-from helpers import synth_noise, synth_voice
+from helpers import evaluate_pri, synth_noise, synth_voice
 
 TINY_STFT = StftConfig(frame_len=16, hop=8, fft_size=16)
 TINY = RtsnConfig(lookahead=1, n_bins=9, lstm_layers=2, lstm_units=8,
@@ -219,6 +218,16 @@ def test_train_rejects_empty_sets():
         train(params, (utts, []), cfg)
     with pytest.raises(ValueError, match="at least one"):
         train(params, ([], utts), cfg)
+
+
+def test_train_rejects_non_finite_inputs():
+    cfg = TrainConfig(unroll_steps=16, utterances_per_batch=2, max_epochs=1)
+    utts = make_utts(2, 800)
+    utts[0].windows[3, 0] = np.nan
+    with pytest.raises(FloatingPointError):
+        train(tiny_params(), (utts[:1], utts[1:]), cfg)
+    with pytest.raises(FloatingPointError):
+        train(tiny_params(), (utts[1:], utts[:1]), cfg)
 
 
 def test_train_from_corpus(tmp_path):
