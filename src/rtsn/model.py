@@ -7,6 +7,13 @@ posterior network) collects every stack overlapping frame t together with
 the noisy frames themselves into a channel image and reduces it to one
 enhanced frame with 1-D convolutions over frequency.  Training minimizes
 the posterior error plus prior_weight times the stack error.
+
+There is one forward, forward_chunk, for training, validation and
+enhancement.  Training runs it over parameters that record an autodiff
+graph; validation and enhancement run it over params.frozen(), constants
+sharing the same arrays, so no graph is kept.  The posterior runs over
+blocks of at most POST_BLOCK_FRAMES frames, so enhancement memory stays
+bounded apart from the O(frames) inputs, prior outputs and result.
 """
 from __future__ import annotations
 
@@ -32,6 +39,10 @@ from .settings import build, format_settings, parse_settings, schema
 
 CHECKPOINT_MAGIC = b"RTSNCKPT"
 CHECKPOINT_VERSION = 1
+# Most frames (batch x steps) the posterior convolves at once.  Its peak is
+# conv1's im2col copy: 256 frames x 256 ch x 129 bins x 5 taps x 4 B, 169 MB
+# at the default config.
+POST_BLOCK_FRAMES = 256
 
 # ---------------------------------------------------------------------------
 # configuration and parameters
@@ -123,20 +134,28 @@ class RtsnParams:
             out.append((f"conv{i}.bias", conv.bias))
         return out
 
-    def copy(self) -> "RtsnParams":
-        dup = lambda t: nn.parameter(t.data.copy(), t.name)
+    def _map(self, fn) -> "RtsnParams":
         return RtsnParams(
             config=self.config,
             stft=self.stft,
             lstm=[
-                LstmLayerParams(dup(l.w_in), dup(l.w_rec), dup(l.bias))
+                LstmLayerParams(fn(l.w_in), fn(l.w_rec), fn(l.bias))
                 for l in self.lstm
             ],
-            proj_w=dup(self.proj_w),
-            proj_b=dup(self.proj_b),
-            convs=[Conv1dParams(dup(c.kernels), dup(c.bias)) for c in self.convs],
+            proj_w=fn(self.proj_w),
+            proj_b=fn(self.proj_b),
+            convs=[Conv1dParams(fn(c.kernels), fn(c.bias)) for c in self.convs],
             norm=self.norm,
         )
+
+    def copy(self) -> "RtsnParams":
+        return self._map(lambda t: nn.parameter(t.data.copy(), t.name))
+
+    def frozen(self) -> "RtsnParams":
+        """The same arrays as named constants, not copied: a forward over
+        them records no graph, so it holds no intermediate it no longer
+        needs."""
+        return self._map(lambda t: nn.Tensor(t.data, name=t.name))
 
 
 def _expected_shapes(config: RtsnConfig) -> dict[str, tuple[int, ...]]:
@@ -303,7 +322,7 @@ class ChunkResult:
     loss: LossOut | None
 
 
-def _pri_graph(params: RtsnParams, windows: np.ndarray,
+def _prior(params: RtsnParams, windows: np.ndarray,
                state: tuple[list, list]) -> tuple[nn.Tensor, tuple[list, list]]:
     batch, steps, _ = windows.shape
     h = [nn.Tensor(a) for a in state[0]]
@@ -339,20 +358,35 @@ def _conv_stack(params: RtsnParams, v: nn.Tensor) -> nn.Tensor:
 
 def forward_chunk(params: RtsnParams, data: ChunkData,
                   state: tuple[list, list] | None = None) -> ChunkResult:
-    """Run both stages over one batched chunk, optionally with the loss."""
+    """Run both stages over one batched chunk, optionally with the loss.
+
+    The prior runs over the whole chunk; the posterior (gather, concat,
+    conv stack) then runs over consecutive blocks of steps holding at most
+    POST_BLOCK_FRAMES frames (batch x steps; one step per block when the
+    batch alone is larger), and the block outputs are concatenated into
+    x_hat.  With params.frozen() nothing is recorded, so a block's
+    intermediates are freed before the next block starts and the memory
+    beyond the O(steps) inputs and outputs does not grow with the chunk.
+    """
     dtype = params.dtype
     windows = data.windows.astype(dtype, copy=False)
     batch, steps, _ = windows.shape
     if state is None:
         state = zero_state(params, batch)
-    x_bar, state_out = _pri_graph(params, windows, state)
-    gathered = nn.gather_steps(x_bar, data.gather_idx)
-    ctx = nn.Tensor(data.noisy_ctx.astype(dtype, copy=False))
-    v = nn.concat([gathered, ctx], axis=2)
+    x_bar, state_out = _prior(params, windows, state)
     channels = params.config.posterior_channels
-    flat = nn.reshape(v, (batch * steps, channels, params.config.n_bins))
-    conv_out = _conv_stack(params, flat)
-    x_hat = nn.reshape(conv_out, (batch, steps, params.config.n_bins))
+    n_bins = params.config.n_bins
+    block = max(1, POST_BLOCK_FRAMES // batch)
+    blocks = []
+    for start in range(0, steps, block):
+        rows = slice(start, start + block)
+        gathered = nn.gather_steps(x_bar, data.gather_idx[:, rows])
+        ctx = nn.Tensor(data.noisy_ctx[:, rows].astype(dtype, copy=False))
+        v = nn.concat([gathered, ctx], axis=2)
+        size = v.shape[1]
+        flat = nn.reshape(v, (batch * size, channels, n_bins))
+        blocks.append(nn.reshape(_conv_stack(params, flat), (batch, size, n_bins)))
+    x_hat = nn.concat(blocks, axis=1)
     loss = None
     if data.clean_frame is not None:
         loss = mol_loss(x_hat, data.clean_frame, x_bar, data.clean_stack,
@@ -397,12 +431,16 @@ def mol_loss(pred_frames, target_frames, pred_stacks, target_stacks,
 
 
 def enhance_lps(params: RtsnParams, norm_values: np.ndarray) -> np.ndarray:
-    """Full-sequence two-stage forward on normalized LPS values."""
+    """Full-sequence two-stage forward on normalized LPS values.
+
+    Graph-free over frozen parameters and block-bounded in the posterior,
+    so memory beyond the O(frames) arrays does not grow with length.
+    """
     values = np.asarray(norm_values, dtype=params.dtype)
     lookahead = params.config.lookahead
     data = utterance_chunk(lookahead, input_windows(values, lookahead),
                            frame_stack(values, lookahead))
-    return forward_chunk(params, data).x_hat.data[0]
+    return forward_chunk(params.frozen(), data).x_hat.data[0]
 
 
 def enhance_utterance(

@@ -8,14 +8,12 @@ from .engine import (
     backward,
     concat,
     grads_for,
-    matmul,
     mul,
     parameter,
     reshape,
     slice_,
     square,
     sub,
-    tmean,
     tsum,
 )
 from .layers import (
@@ -43,7 +41,6 @@ __all__ = [
     "grads_for",
     "linear",
     "lstm_cell",
-    "matmul",
     "mul",
     "parameter",
     "reshape",
@@ -51,6 +48,5 @@ __all__ = [
     "slice_",
     "square",
     "sub",
-    "tmean",
     "tsum",
 ]

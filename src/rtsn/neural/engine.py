@@ -1,8 +1,10 @@
 """Reverse-mode automatic differentiation over numpy arrays.
 
 Graphs are built eagerly: every operation returns a Tensor holding its
-value, its parents, and a closure that routes the output gradient to those
-parents.  backward() walks the graph once in reverse topological order, so
+value and, when any input requires a gradient, its parents and a closure
+that routes the output gradient to those parents.  Over constant inputs
+nothing is recorded, so each intermediate is freed once it goes out of
+scope.  backward() walks the graph once in reverse topological order, so
 accumulation order is deterministic run to run.  Storage follows the input
 dtype: float32 for training, float64 when tests need tight finite-difference
 agreement.
@@ -63,9 +65,6 @@ class Tensor:
     def __rmul__(self, other):
         return mul(self, other)
 
-    def __matmul__(self, other):
-        return matmul(self, other)
-
     def __getitem__(self, key):
         return slice_(self, key)
 
@@ -83,9 +82,12 @@ def as_tensor(x, dtype=None) -> Tensor:
     return Tensor(arr)
 
 
-def _node(data, parents, backward, name=None) -> Tensor:
+def _node(data, parents, backward, op: str) -> Tensor:
+    """The output of op; it records parents and backward only when some
+    parent requires a gradient, and is named after op so a non-finite
+    value names the op that produced it."""
     requires = any(p.requires_grad for p in parents)
-    return Tensor(data, requires_grad=requires, name=name,
+    return Tensor(data, requires_grad=requires, name=op,
                   parents=tuple(parents) if requires else (),
                   backward=backward if requires else None)
 
@@ -118,7 +120,7 @@ def add(a, b) -> Tensor:
         _accum(a, _unbroadcast(g, a.data.shape))
         _accum(b, _unbroadcast(g, b.data.shape))
 
-    return _node(a.data + b.data, (a, b), backward)
+    return _node(a.data + b.data, (a, b), backward, "add")
 
 
 def sub(a, b) -> Tensor:
@@ -128,7 +130,7 @@ def sub(a, b) -> Tensor:
         _accum(a, _unbroadcast(g, a.data.shape))
         _accum(b, -_unbroadcast(g, b.data.shape))
 
-    return _node(a.data - b.data, (a, b), backward)
+    return _node(a.data - b.data, (a, b), backward, "sub")
 
 
 def mul(a, b) -> Tensor:
@@ -138,17 +140,7 @@ def mul(a, b) -> Tensor:
         _accum(a, _unbroadcast(g * b.data, a.data.shape))
         _accum(b, _unbroadcast(g * a.data, b.data.shape))
 
-    return _node(a.data * b.data, (a, b), backward)
-
-
-def matmul(a, b) -> Tensor:
-    a, b = as_tensor(a), as_tensor(b)
-
-    def backward(g):
-        _accum(a, g @ b.data.T)
-        _accum(b, a.data.T @ g)
-
-    return _node(a.data @ b.data, (a, b), backward)
+    return _node(a.data * b.data, (a, b), backward, "mul")
 
 
 def square(a) -> Tensor:
@@ -157,7 +149,7 @@ def square(a) -> Tensor:
     def backward(g):
         _accum(a, g * (2.0 * a.data))
 
-    return _node(a.data * a.data, (a,), backward)
+    return _node(a.data * a.data, (a,), backward, "square")
 
 
 def tsum(a, axis=None, keepdims: bool = False) -> Tensor:
@@ -170,17 +162,7 @@ def tsum(a, axis=None, keepdims: bool = False) -> Tensor:
             gg = np.expand_dims(g, axis)
         _accum(a, np.broadcast_to(gg, a.data.shape))
 
-    return _node(out, (a,), backward)
-
-
-def tmean(a) -> Tensor:
-    a = as_tensor(a)
-    n = a.data.size
-
-    def backward(g):
-        _accum(a, np.broadcast_to(g / n, a.data.shape))
-
-    return _node(a.data.mean(), (a,), backward)
+    return _node(out, (a,), backward, "tsum")
 
 
 def reshape(a, shape) -> Tensor:
@@ -189,7 +171,7 @@ def reshape(a, shape) -> Tensor:
     def backward(g):
         _accum(a, g.reshape(a.data.shape))
 
-    return _node(a.data.reshape(shape), (a,), backward)
+    return _node(a.data.reshape(shape), (a,), backward, "reshape")
 
 
 def slice_(a, key) -> Tensor:
@@ -202,7 +184,7 @@ def slice_(a, key) -> Tensor:
             full[key] = g
             _accum(a, full)
 
-    return _node(a.data[key].copy(), (a,), backward)
+    return _node(a.data[key].copy(), (a,), backward, "slice_")
 
 
 def concat(tensors, axis: int = 0) -> Tensor:
@@ -215,7 +197,7 @@ def concat(tensors, axis: int = 0) -> Tensor:
             _accum(t, piece)
 
     return _node(np.concatenate([t.data for t in tensors], axis=axis),
-                 tuple(tensors), backward)
+                 tuple(tensors), backward, "concat")
 
 
 # ---------------------------------------------------------------------------

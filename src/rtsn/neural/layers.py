@@ -35,7 +35,7 @@ def selu(x) -> Tensor:
         local = np.where(x.data > 0, SELU_SCALE, SELU_SCALE * SELU_ALPHA * expneg)
         _accum(x, g * local)
 
-    return _node(out.astype(x.data.dtype, copy=False), (x,), backward)
+    return _node(out.astype(x.data.dtype, copy=False), (x,), backward, "selu")
 
 
 def linear(x, weight, bias=None) -> Tensor:
@@ -54,7 +54,7 @@ def linear(x, weight, bias=None) -> Tensor:
         if bias is not None:
             _accum(bias, g.sum(axis=0))
 
-    return _node(out, parents, backward)
+    return _node(out, parents, backward, "linear")
 
 
 def lstm_cell(x, h, c, w_in, w_rec, bias) -> Tensor:
@@ -96,7 +96,7 @@ def lstm_cell(x, h, c, w_in, w_rec, bias) -> Tensor:
         _accum(bias, dz.sum(axis=0))
 
     out = np.concatenate([h_new, c_new], axis=1)
-    return _node(out, (x, h, c, w_in, w_rec, bias), backward)
+    return _node(out, (x, h, c, w_in, w_rec, bias), backward, "lstm_cell")
 
 
 def conv1d_freq(x, kernels, bias) -> Tensor:
@@ -130,30 +130,32 @@ def conv1d_freq(x, kernels, bias) -> Tensor:
                 gpad[:, :, j : j + n] += contrib[:, :, :, j]
             _accum(x, gpad[:, :, half : half + n] if half else gpad)
 
-    return _node(out.astype(x.data.dtype, copy=False), (x, kernels, bias), backward)
+    return _node(out.astype(x.data.dtype, copy=False), (x, kernels, bias), backward,
+                 "conv1d_freq")
 
 
 def gather_steps(x, idx: np.ndarray) -> Tensor:
     """Gather whole rows of a (B, T, R, N) tensor along the step axis.
 
-    idx is an integer array (B, T, M) of step indices; the result is
-    (B, T, M*R, N) with out[b, t, m*R + r] = x[b, idx[b, t, m], r].
+    idx is an integer array (B, U, M) of step indices into x for any U, so
+    one call can serve a block of U output rows; the result is
+    (B, U, M*R, N) with out[b, u, m*R + r] = x[b, idx[b, u, m], r].
     """
     x = as_tensor(x)
     b, t, r, n = x.data.shape
     idx = np.asarray(idx)
-    if idx.shape[:2] != (b, t):
+    if idx.ndim != 3 or idx.shape[0] != b:
         raise ValueError(f"idx shape {idx.shape} incompatible with {x.data.shape}")
     if idx.size and (idx.min() < 0 or idx.max() >= t):
         raise ValueError("gather index out of range")
-    m = idx.shape[2]
+    u, m = idx.shape[1:]
     b_idx = np.arange(b)[:, None, None]
-    out = x.data[b_idx, idx]  # (B, T, M, R, N)
+    out = x.data[b_idx, idx]  # (B, U, M, R, N)
 
     def backward(g):
         if x.requires_grad:
             gx = np.zeros_like(x.data)
-            np.add.at(gx, (b_idx, idx), g.reshape(b, t, m, r, n))
+            np.add.at(gx, (b_idx, idx), g.reshape(b, u, m, r, n))
             _accum(x, gx)
 
-    return _node(out.reshape(b, t, m * r, n), (x,), backward)
+    return _node(out.reshape(b, u, m * r, n), (x,), backward, "gather_steps")

@@ -162,7 +162,7 @@ def sequence_loss(params: RtsnParams, utt: UtteranceData) -> tuple[float, int]:
     """Full-sequence loss for one utterance: (mean loss, frame count)."""
     data = utterance_chunk(params.config.lookahead, utt.windows, utt.noisy_ctx,
                            utt.clean_frame, utt.clean_stack)
-    return forward_chunk(params, data).loss.total.item(), utt.num_frames
+    return forward_chunk(params.frozen(), data).loss.total.item(), utt.num_frames
 
 
 def evaluate(params: RtsnParams, utterances: list[UtteranceData]) -> float:

@@ -1,7 +1,8 @@
 """Shared test oracles.
 
 The signal oracles are reimplemented independently of the package; the
-per-frame model oracles route single frames through its public layers.
+per-frame model oracles route single frames through its public layers;
+matmul and tmean are graph primitives that only the tests compose with.
 """
 import math
 
@@ -10,6 +11,7 @@ import numpy as np
 import rtsn.neural as nn
 from rtsn.dsp import LpsSequence
 from rtsn.model import forward_chunk, frame_stack, input_windows, utterance_chunk
+from rtsn.neural.engine import _accum, _node
 
 SAMPLE_RATE = 8000
 
@@ -72,6 +74,28 @@ def fd_gradient(f, x: np.ndarray, eps: float = 1e-5) -> np.ndarray:
         flat[i] = keep
         gflat[i] = (hi - lo) / (2.0 * eps)
     return grad
+
+
+def matmul(a, b) -> nn.Tensor:
+    """a @ b as a graph node; the package's layers fuse their own products."""
+    a, b = nn.as_tensor(a), nn.as_tensor(b)
+
+    def backward(g):
+        _accum(a, g @ b.data.T)
+        _accum(b, a.data.T @ g)
+
+    return _node(a.data @ b.data, (a, b), backward, "matmul")
+
+
+def tmean(a) -> nn.Tensor:
+    """Mean of every element as a graph node."""
+    a = nn.as_tensor(a)
+    n = a.data.size
+
+    def backward(g):
+        _accum(a, np.broadcast_to(g / n, a.data.shape))
+
+    return _node(a.data.mean(), (a,), backward, "tmean")
 
 
 def synth_voice(seed: int, num_samples: int = SAMPLE_RATE,
@@ -167,18 +191,33 @@ def pri_forward(params, lps) -> np.ndarray:
     return forward_chunk(params, data).x_bar.data[0]
 
 
+def _posterior_convs(params, v: np.ndarray) -> np.ndarray:
+    """Conv stack over a batch of channel stacks (F, C, N) in one call: (F, N)."""
+    out = nn.Tensor(np.asarray(v, dtype=params.dtype))
+    for i, conv in enumerate(params.convs):
+        out = nn.conv1d_freq(out, conv.kernels, conv.bias)
+        if i < len(params.convs) - 1:
+            out = nn.selu(out)
+    return out.data[:, 0]
+
+
 def post_forward(params, v: np.ndarray) -> np.ndarray:
     """Posterior-stage output for one assembled channel stack: (N,)."""
     v = np.asarray(v, dtype=params.dtype)
     expected = (params.config.posterior_channels, params.config.n_bins)
     if v.shape != expected:
         raise ValueError(f"posterior input shape {v.shape}, expected {expected}")
-    out = nn.Tensor(v[None])
-    for i, conv in enumerate(params.convs):
-        out = nn.conv1d_freq(out, conv.kernels, conv.bias)
-        if i < len(params.convs) - 1:
-            out = nn.selu(out)
-    return out.data[0, 0]
+    return _posterior_convs(params, v[None])[0]
+
+
+def enhance_one_block(params, lps) -> np.ndarray:
+    """enhance_lps with the whole utterance in one posterior block: every
+    frame's assemble_posterior_input stack through the conv stack at once."""
+    values = _values(lps).astype(params.dtype, copy=False)
+    stacks = pri_forward(params, values)
+    v = np.stack([assemble_posterior_input(stacks, values, t)
+                  for t in range(values.shape[0])])
+    return _posterior_convs(params, v)
 
 
 def evaluate_pri(params, utterances) -> float:

@@ -1,6 +1,7 @@
 import re
 import struct
 import tempfile
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -13,6 +14,7 @@ import rtsn.neural as nn
 from rtsn.corpus import NormStats
 from rtsn.dsp import LpsSequence, StftConfig, Waveform
 from rtsn.model import (
+    POST_BLOCK_FRAMES,
     ChunkData,
     RtsnConfig,
     count_parameters,
@@ -33,6 +35,7 @@ from rtsn.settings import format_settings
 from helpers import (
     assemble_posterior_input,
     assemble_pri_input,
+    enhance_one_block,
     gather_mbps,
     post_forward,
     pri_forward,
@@ -393,6 +396,86 @@ def test_params_copy_is_deep():
     assert params.proj_w.data[0, 0] != dup.proj_w.data[0, 0]
     assert dup.norm is params.norm
     assert [n for n, _ in dup.named_tensors()] == [n for n, _ in params.named_tensors()]
+
+
+def test_frozen_params_share_arrays_as_named_constants():
+    params = tiny_params()
+    frozen = params.frozen()
+    assert frozen.config is params.config and frozen.norm is params.norm
+    for (name, t), (fname, f) in zip(params.named_tensors(), frozen.named_tensors()):
+        assert fname == name and f.name == name
+        assert f.data is t.data and not f.requires_grad
+
+
+BLOCK = POST_BLOCK_FRAMES
+
+
+@pytest.mark.parametrize("batch,steps", [
+    (1, 3 * BLOCK - 1), (1, 3 * BLOCK + 1), (2, 3 * (BLOCK // 2) + 1),
+])
+def test_frozen_forward_agrees_with_graph_forward(batch, steps):
+    # At least three posterior blocks, the last one partial.  Both runs do
+    # the same arithmetic on the same arrays and differ only in what they
+    # record, so they must agree bit for bit.
+    params = tiny_params(seed=3, dtype=np.float32)
+    data = random_chunk(TINY, batch, steps, seed=13)
+    data.mask[:, -5:] = 0.0
+    graph = forward_chunk(params, data)
+    frozen = forward_chunk(params.frozen(), data)
+    assert graph.x_hat.requires_grad and graph.x_hat._parents
+    assert not frozen.x_hat.requires_grad and not frozen.x_hat._parents
+    assert np.array_equal(frozen.x_hat.data, graph.x_hat.data)
+    assert np.array_equal(frozen.x_bar.data, graph.x_bar.data)
+    assert float(frozen.loss.total.data) == float(graph.loss.total.data)
+    assert (frozen.loss.post, frozen.loss.pri) == (graph.loss.post, graph.loss.pri)
+
+
+@pytest.mark.parametrize("frames", [3 * BLOCK - 1, 3 * BLOCK + 1])
+def test_enhance_lps_matches_one_block_oracle(frames):
+    # Splitting the posterior into blocks changes only how many frames one
+    # GEMM covers, which may reorder each output's length-K reduction
+    # (K = in channels x taps): at most about K float32 roundings apart.
+    params = tiny_params(seed=4, dtype=np.float32)
+    k = max(c.kernels.shape[1] * c.kernels.shape[2] for c in params.convs)
+    tol = k * np.finfo(np.float32).eps
+    values = np.random.default_rng(14).standard_normal((frames, 9))
+    got = enhance_lps(params, values)
+    assert got.shape == (frames, 9) and got.dtype == np.float32
+    assert_allclose(got, enhance_one_block(params, values), rtol=tol, atol=tol)
+
+
+def test_enhance_memory_does_not_grow_with_length():
+    # Traced allocation peaks of enhance_lps at 4 and 16 posterior blocks.
+    # Past the whole-utterance arrays (prior inputs and gather indices,
+    # noisy context, prior stacks, the block outputs and their
+    # concatenation) the peak may grow by a fixed slack only; a forward
+    # that keeps a graph grows by every conv activation of every frame.
+    stft_config = StftConfig(frame_len=128, hop=64, fft_size=128)
+    cfg = RtsnConfig(lookahead=2, n_bins=65, lstm_layers=1, lstm_units=8,
+                     conv_kernel=3, conv_channels=(32, 16, 1))
+    params = init_params(cfg, stft_config, seed=0)
+    itemsize = np.dtype(params.dtype).itemsize
+
+    def peak_and_budget(frames):
+        values = np.random.default_rng(frames).standard_normal(
+            (frames, cfg.n_bins)).astype(params.dtype)
+        whole = (input_windows(values, cfg.lookahead).nbytes
+                 + 2 * frame_stack(values, cfg.lookahead).nbytes  # context, stacks
+                 + gather_index(frames, cfg.lookahead).nbytes
+                 + 2 * frames * cfg.n_bins * itemsize)  # blocks, x_hat
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            enhance_lps(params, values)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        return peak, whole
+
+    short_peak, short_whole = peak_and_budget(4 * BLOCK)
+    long_peak, long_whole = peak_and_budget(16 * BLOCK)
+    slack = 2 * 2**20
+    assert long_peak - short_peak <= long_whole - short_whole + slack
 
 
 # ---------------------------------------------------------------------------

@@ -6,7 +6,7 @@ from numpy.testing import assert_allclose
 
 import rtsn.neural as nn
 
-from helpers import fd_gradient, rel_err
+from helpers import fd_gradient, matmul, rel_err, tmean
 
 FD_TOL = 1e-6
 
@@ -46,6 +46,15 @@ def test_tensor_rejects_nonfinite():
         nn.Tensor(np.array([np.nan]), name="myname")
 
 
+def test_nonfinite_op_output_names_the_op():
+    big = nn.Tensor(np.full((1, 2), 1e30, dtype=np.float32))
+    with np.errstate(over="ignore"):
+        with pytest.raises(FloatingPointError, match="non-finite values in tensor linear"):
+            nn.linear(big, big)
+        with pytest.raises(FloatingPointError, match="tensor mul"):
+            nn.mul(big, big)
+
+
 def test_tensor_dtypes():
     assert nn.Tensor(np.arange(3)).dtype == np.float64
     assert nn.Tensor(np.zeros(3, dtype=np.float32)).dtype == np.float32
@@ -77,7 +86,7 @@ def test_matmul_gradient():
     rng = np.random.default_rng(2)
     a = rng.standard_normal((3, 5))
     b = rng.standard_normal((5, 4))
-    check_grads(lambda x, y: _proj(nn.matmul(x, y), 4), [a, b])
+    check_grads(lambda x, y: _proj(matmul(x, y), 4), [a, b])
 
 
 def test_square_gradient():
@@ -97,7 +106,7 @@ def test_sum_gradient_axes(axis, keepdims):
 
 def test_mean_gradient():
     rng = np.random.default_rng(7)
-    check_grads(lambda x: nn.tmean(nn.square(x)), [rng.standard_normal((3, 5))])
+    check_grads(lambda x: tmean(nn.square(x)), [rng.standard_normal((3, 5))])
 
 
 def test_reshape_gradient():
@@ -256,22 +265,36 @@ def test_conv1d_validation():
         nn.conv1d_freq(x, nn.Tensor(np.zeros((1, 3, 3))), nn.Tensor(np.zeros(1)))
 
 
+def assert_gather_matches_loop(x, idx):
+    b, u, m = idx.shape
+    r, n = x.shape[2:]
+    got = nn.gather_steps(nn.Tensor(x), idx).data
+    assert got.shape == (b, u, m * r, n)
+    for bi in range(b):
+        for ui in range(u):
+            for mi in range(m):
+                for ri in range(r):
+                    assert_allclose(
+                        got[bi, ui, mi * r + ri],
+                        x[bi, idx[bi, ui, mi], ri],
+                        rtol=0, atol=0,
+                    )
+
+
 def test_gather_steps_matches_loop():
     rng = np.random.default_rng(17)
     b, t, r, n, m = 2, 5, 3, 4, 3
     x = rng.standard_normal((b, t, r, n))
-    idx = rng.integers(0, t, size=(b, t, m))
-    got = nn.gather_steps(nn.Tensor(x), idx).data
-    assert got.shape == (b, t, m * r, n)
-    for bi in range(b):
-        for ti in range(t):
-            for mi in range(m):
-                for ri in range(r):
-                    assert_allclose(
-                        got[bi, ti, mi * r + ri],
-                        x[bi, idx[bi, ti, mi], ri],
-                        rtol=0, atol=0,
-                    )
+    assert_gather_matches_loop(x, rng.integers(0, t, size=(b, t, m)))
+
+
+def test_gather_steps_block_rows_match_loop():
+    # a block of u output rows may gather from any of the t steps
+    rng = np.random.default_rng(22)
+    b, t, r, n, m = 2, 7, 3, 4, 3
+    x = rng.standard_normal((b, t, r, n))
+    for u in (1, 3, 9):
+        assert_gather_matches_loop(x, rng.integers(0, t, size=(b, u, m)))
 
 
 def test_gather_steps_gradient_with_repeats():
@@ -281,6 +304,26 @@ def test_gather_steps_gradient_with_repeats():
     idx = rng.integers(0, t, size=(b, t, m))
     idx[0, 0, :] = 1  # repeated index exercises gradient accumulation
     check_grads(lambda xx: _proj(nn.gather_steps(xx, idx), 20), [x])
+
+
+def test_gather_steps_block_rows_gradient():
+    # two blocks of rows gathering from one tensor, as the posterior does:
+    # gradients from both accumulate into it, steps no row reads get zero
+    rng = np.random.default_rng(23)
+    b, t, r, n, m = 2, 6, 2, 3, 3
+    x = rng.standard_normal((b, t, r, n))
+    first = rng.integers(0, 4, size=(b, 2, m))
+    second = rng.integers(2, 4, size=(b, 3, m))
+    second[1, 0, :] = 3  # repeated index inside a block
+
+    def build(xx):
+        return nn.add(_proj(nn.gather_steps(xx, first), 24),
+                      _proj(nn.gather_steps(xx, second), 25))
+
+    check_grads(build, [x])
+    p = nn.parameter(x.copy(), "x")
+    (g,) = nn.grads_for(build(p), [p])
+    assert not np.any(g[:, 4:])
 
 
 def test_gather_steps_index_validation():
@@ -318,7 +361,7 @@ def test_backward_deterministic():
         rng = np.random.default_rng(19)
         p = nn.parameter(rng.standard_normal((8, 8)), "p")
         x = nn.Tensor(rng.standard_normal((8, 8)))
-        loss = nn.tsum(nn.square(nn.matmul(nn.selu(nn.mul(p, x)), p)))
+        loss = nn.tsum(nn.square(matmul(nn.selu(nn.mul(p, x)), p)))
         (g,) = nn.grads_for(loss, [p])
         return g
 
