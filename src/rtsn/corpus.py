@@ -7,6 +7,7 @@ noisy log-power spectra only, so a validation file change never moves them.
 from __future__ import annotations
 
 import csv
+import math
 import os
 import struct
 import tempfile
@@ -114,6 +115,8 @@ def mix_with_reference(
     the mixture and the clean reference are rescaled by the same factor so
     the mixture peaks at 0.999; the pair therefore stays at the target SNR.
     """
+    if not math.isfinite(snr_db):
+        raise ValueError(f"non-finite snr_db {snr_db}")
     if speech.sample_rate_hz != noise.sample_rate_hz:
         raise ValueError(
             f"sample rate mismatch: speech {speech.sample_rate_hz}, "
@@ -166,7 +169,11 @@ class NormStats:
                 f"mean/std must be equal-length vectors, got "
                 f"{self.mean.shape} and {self.std.shape}"
             )
-        if self.std.size and self.std.min() <= 0:
+        if self.mean.size == 0:
+            raise ValueError("mean/std have no bins")
+        if not (np.all(np.isfinite(self.mean)) and np.all(np.isfinite(self.std))):
+            raise ValueError("non-finite mean/std")
+        if self.std.min() <= 0:
             raise ValueError("non-positive std")
 
 
@@ -234,7 +241,10 @@ def load_norm_stats(path: str | os.PathLike) -> NormStats:
         raise ValueError(f"{path}: truncated stats payload")
     n = len(body) // 16
     values = np.frombuffer(body, dtype="<f8")
-    return NormStats(values[:n].copy(), values[n:].copy())
+    try:
+        return NormStats(values[:n].copy(), values[n:].copy())
+    except ValueError as e:
+        raise ValueError(f"{path}: {e}") from None
 
 
 # ---------------------------------------------------------------------------
@@ -260,12 +270,13 @@ def clean_path_for(output_path: str) -> str:
 
 
 def parse_manifest(path: str | os.PathLike) -> list[MixtureSpec]:
-    """Parse manifest CSV lines: speech,noise,snr_db,seed,output."""
+    """Parse manifest lines speech,noise,snr_db,seed,output; skip blank and # lines."""
     specs = []
     with open(path, newline="", encoding="utf-8") as f:
-        for ln, row in enumerate(csv.reader(f), start=1):
-            if not row or (len(row) == 1 and not row[0].strip()):
+        for ln, line in enumerate(f, start=1):
+            if not line.strip() or line.lstrip().startswith("#"):
                 continue
+            row = next(csv.reader([line]))
             if len(row) != 5:
                 raise ValueError(
                     f"manifest line {ln}: expected 5 fields, got {len(row)}"
@@ -274,16 +285,14 @@ def parse_manifest(path: str | os.PathLike) -> list[MixtureSpec]:
             try:
                 snr_db = float(snr)
             except ValueError:
-                raise ValueError(
-                    f"manifest line {ln}: bad snr_db {snr!r}"
-                ) from None
-            try:
-                seed_val = int(seed)
-            except ValueError:
-                raise ValueError(f"manifest line {ln}: bad seed {seed!r}") from None
+                snr_db = math.nan
+            if not math.isfinite(snr_db):
+                raise ValueError(f"manifest line {ln}: bad snr_db {snr!r}")
+            if not seed.isdecimal():
+                raise ValueError(f"manifest line {ln}: bad seed {seed!r}")
             if not speech or not noise or not out:
                 raise ValueError(f"manifest line {ln}: empty path field")
-            specs.append(MixtureSpec(speech, noise, snr_db, seed_val, out, ln))
+            specs.append(MixtureSpec(speech, noise, snr_db, int(seed), out, ln))
     if not specs:
         raise ValueError(f"{path}: empty manifest")
     return specs

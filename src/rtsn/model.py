@@ -2,11 +2,13 @@
 
 Stage one (the prior network) runs a unidirectional LSTM over windows of
 noisy log-power frames and emits, per step, a stack of 2*lookahead+1 base
-predictions covering frames t-lookahead..t+lookahead.  Stage two (the
-posterior network) collects every stack overlapping frame t together with
-the noisy frames themselves into a channel image and reduces it to one
-enhanced frame with 1-D convolutions over frequency.  Training minimizes
-the posterior error plus prior_weight times the stack error.
+predictions covering frames t-lookahead..t+lookahead.  Each LSTM layer is
+one graph node over the whole chunk, and its (h, c) state arrays advance
+in place from one chunk to the next.  Stage two (the posterior network)
+collects every stack overlapping frame t together with the noisy frames
+themselves into a channel image and reduces it to one enhanced frame with
+1-D convolutions over frequency.  Training minimizes the posterior error
+plus prior_weight times the stack error.
 
 There is one forward, forward_chunk, for training, validation and
 enhancement.  Training runs it over parameters that record an autodiff
@@ -95,10 +97,6 @@ class LstmLayerParams:
     w_in: nn.Tensor   # (4H, D)
     w_rec: nn.Tensor  # (4H, H)
     bias: nn.Tensor   # (4H,)
-
-    @property
-    def hidden(self) -> int:
-        return self.w_rec.shape[1]
 
 
 @dataclass
@@ -270,9 +268,9 @@ def gather_index(num_steps: int, lookahead: int, valid: int | None = None) -> np
 
 
 def zero_state(params: RtsnParams, batch: int) -> tuple[list, list]:
-    h = [np.zeros((batch, l.hidden), dtype=params.dtype) for l in params.lstm]
-    c = [np.zeros((batch, l.hidden), dtype=params.dtype) for l in params.lstm]
-    return h, c
+    shape = (batch, params.config.lstm_units)
+    return ([np.zeros(shape, params.dtype) for _ in params.lstm],
+            [np.zeros(shape, params.dtype) for _ in params.lstm])
 
 
 @dataclass
@@ -318,32 +316,20 @@ def utterance_chunk(lookahead: int, windows: np.ndarray, noisy_ctx: np.ndarray,
 class ChunkResult:
     x_hat: nn.Tensor
     x_bar: nn.Tensor
-    state: tuple[list, list]
     loss: LossOut | None
 
 
 def _prior(params: RtsnParams, windows: np.ndarray,
-               state: tuple[list, list]) -> tuple[nn.Tensor, tuple[list, list]]:
+           state: tuple[list, list]) -> nn.Tensor:
+    """LSTM stack then projection: (B, U, R, N) stacks, one node per layer."""
     batch, steps, _ = windows.shape
-    h = [nn.Tensor(a) for a in state[0]]
-    c = [nn.Tensor(a) for a in state[1]]
-    tops = []
-    for t in range(steps):
-        x = nn.Tensor(windows[:, t])
-        for i, layer in enumerate(params.lstm):
-            hidden = layer.hidden
-            hc = nn.lstm_cell(x, h[i], c[i], layer.w_in, layer.w_rec, layer.bias)
-            h[i] = hc[:, :hidden]
-            c[i] = hc[:, hidden:]
-            x = h[i]
-        tops.append(nn.reshape(x, (batch, 1, x.shape[1])))
-    stacked = nn.concat(tops, axis=1)
-    flat = nn.reshape(stacked, (batch * steps, -1))
+    x = nn.Tensor(windows, name="windows")
+    for layer, h, c in zip(params.lstm, *state):
+        x = nn.lstm_cell(x, layer.w_in, layer.w_rec, layer.bias, h, c)
+    flat = nn.reshape(x, (batch * steps, -1))
     proj = nn.linear(flat, params.proj_w, params.proj_b)
     rows = params.config.stack_rows
-    x_bar = nn.reshape(proj, (batch, steps, rows, params.config.n_bins))
-    state_out = ([t.data.copy() for t in h], [t.data.copy() for t in c])
-    return x_bar, state_out
+    return nn.reshape(proj, (batch, steps, rows, params.config.n_bins))
 
 
 def _conv_stack(params: RtsnParams, v: nn.Tensor) -> nn.Tensor:
@@ -360,20 +346,24 @@ def forward_chunk(params: RtsnParams, data: ChunkData,
                   state: tuple[list, list] | None = None) -> ChunkResult:
     """Run both stages over one batched chunk, optionally with the loss.
 
-    The prior runs over the whole chunk; the posterior (gather, concat,
-    conv stack) then runs over consecutive blocks of steps holding at most
-    POST_BLOCK_FRAMES frames (batch x steps; one step per block when the
-    batch alone is larger), and the block outputs are concatenated into
-    x_hat.  With params.frozen() nothing is recorded, so a block's
-    intermediates are freed before the next block starts and the memory
-    beyond the O(steps) inputs and outputs does not grow with the chunk.
+    state is the per-layer LSTM (h, c) arrays from zero_state; lstm_cell
+    advances them in place to the state after the chunk, so passing the
+    same state to the next chunk carries it on (None starts from zero and
+    discards it).  The prior runs over the whole chunk, one graph node per
+    LSTM layer; the posterior (gather, concat, conv stack) then runs over
+    consecutive blocks of steps holding at most POST_BLOCK_FRAMES frames
+    (batch x steps; one step per block when the batch alone is larger), and
+    the block outputs are concatenated into x_hat.  With params.frozen()
+    nothing is recorded, so a block's intermediates are freed before the
+    next block starts and the memory beyond the O(steps) inputs and outputs
+    does not grow with the chunk.
     """
     dtype = params.dtype
     windows = data.windows.astype(dtype, copy=False)
     batch, steps, _ = windows.shape
     if state is None:
         state = zero_state(params, batch)
-    x_bar, state_out = _prior(params, windows, state)
+    x_bar = _prior(params, windows, state)
     channels = params.config.posterior_channels
     n_bins = params.config.n_bins
     block = max(1, POST_BLOCK_FRAMES // batch)
@@ -381,7 +371,8 @@ def forward_chunk(params: RtsnParams, data: ChunkData,
     for start in range(0, steps, block):
         rows = slice(start, start + block)
         gathered = nn.gather_steps(x_bar, data.gather_idx[:, rows])
-        ctx = nn.Tensor(data.noisy_ctx[:, rows].astype(dtype, copy=False))
+        ctx = nn.Tensor(data.noisy_ctx[:, rows].astype(dtype, copy=False),
+                        name="noisy_ctx")
         v = nn.concat([gathered, ctx], axis=2)
         size = v.shape[1]
         flat = nn.reshape(v, (batch * size, channels, n_bins))
@@ -391,7 +382,7 @@ def forward_chunk(params: RtsnParams, data: ChunkData,
     if data.clean_frame is not None:
         loss = mol_loss(x_hat, data.clean_frame, x_bar, data.clean_stack,
                         params.config.prior_weight, data.mask)
-    return ChunkResult(x_hat, x_bar, state_out, loss)
+    return ChunkResult(x_hat, x_bar, loss)
 
 
 def mol_loss(pred_frames, target_frames, pred_stacks, target_stacks,
@@ -573,7 +564,10 @@ def load_checkpoint(path) -> RtsnParams:
         Conv1dParams(grab(f"conv{i}.weight"), grab(f"conv{i}.bias"))
         for i in range(len(config.conv_channels))
     ]
-    norm = NormStats(tensors["norm.mean"].astype(np.float64),
-                     tensors["norm.std"].astype(np.float64))
+    try:
+        norm = NormStats(tensors["norm.mean"].astype(np.float64),
+                         tensors["norm.std"].astype(np.float64))
+    except ValueError as e:
+        raise ValueError(f"{path}: norm tensors: {e}") from None
     return RtsnParams(config, stft_config, lstm, grab("proj.weight"),
                       grab("proj.bias"), convs, norm)

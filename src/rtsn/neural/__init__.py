@@ -11,7 +11,6 @@ from .engine import (
     mul,
     parameter,
     reshape,
-    slice_,
     square,
     sub,
     tsum,
@@ -45,7 +44,6 @@ __all__ = [
     "parameter",
     "reshape",
     "selu",
-    "slice_",
     "square",
     "sub",
     "tsum",

@@ -65,9 +65,6 @@ class Tensor:
     def __rmul__(self, other):
         return mul(self, other)
 
-    def __getitem__(self, key):
-        return slice_(self, key)
-
 
 def parameter(data, name: str) -> Tensor:
     return Tensor(np.asarray(data), requires_grad=True, name=name)
@@ -172,19 +169,6 @@ def reshape(a, shape) -> Tensor:
         _accum(a, g.reshape(a.data.shape))
 
     return _node(a.data.reshape(shape), (a,), backward, "reshape")
-
-
-def slice_(a, key) -> Tensor:
-    """Basic (view) slicing only; fancy indexing is not supported here."""
-    a = as_tensor(a)
-
-    def backward(g):
-        if a.requires_grad:
-            full = np.zeros_like(a.data)
-            full[key] = g
-            _accum(a, full)
-
-    return _node(a.data[key].copy(), (a,), backward, "slice_")
 
 
 def concat(tensors, axis: int = 0) -> Tensor:

@@ -1,4 +1,4 @@
-"""Differentiable layers: SELU, dense, LSTM cell, frequency 1-D convolution.
+"""Differentiable layers: SELU, dense, LSTM layer, frequency 1-D convolution.
 
 Each layer is a single fused graph node with a handwritten backward pass;
 finite-difference tests in the suite check every one of them.
@@ -14,12 +14,7 @@ SELU_SCALE = 1.0507009873554805
 
 
 def _sigmoid(z: np.ndarray) -> np.ndarray:
-    out = np.empty_like(z)
-    pos = z >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
-    ez = np.exp(z[~pos])
-    out[~pos] = ez / (1.0 + ez)
-    return out
+    return 0.5 * (np.tanh(0.5 * z) + 1.0)
 
 
 def selu(x) -> Tensor:
@@ -57,46 +52,58 @@ def linear(x, weight, bias=None) -> Tensor:
     return _node(out, parents, backward, "linear")
 
 
-def lstm_cell(x, h, c, w_in, w_rec, bias) -> Tensor:
-    """One LSTM step; returns hstack(h', c') of shape (batch, 2H).
+def lstm_cell(x, w_in, w_rec, bias, h: np.ndarray, c: np.ndarray) -> Tensor:
+    """One LSTM layer over a whole chunk: x (B, T, D) -> hidden states (B, T, H).
 
-    Gate order inside the packed 4H dimension is input, forget, cell, output.
-    w_in is (4H, D), w_rec is (4H, H).  Slice the result with [:, :H] for the
-    new hidden state and [:, H:] for the new cell state.
+    Gate order inside the packed 4H dimension is input, forget, cell, output;
+    w_in is (4H, D) and w_rec is (4H, H).  The input products of every step
+    are one GEMM before the recurrence, which keeps only h @ w_rec.T.  The
+    state arrays h and c (B, H) enter as constants and are advanced in place
+    to the state after the last step.  The backward runs one reverse loop,
+    then forms the weight, bias and input gradients as whole-chunk GEMMs.
     """
-    x, h, c = as_tensor(x), as_tensor(h), as_tensor(c)
-    w_in, w_rec, bias = as_tensor(w_in), as_tensor(w_rec), as_tensor(bias)
-    hidden = h.data.shape[1]
-    z = x.data @ w_in.data.T + h.data @ w_rec.data.T + bias.data
-    gi = _sigmoid(z[:, :hidden])
-    gf = _sigmoid(z[:, hidden : 2 * hidden])
-    gg = np.tanh(z[:, 2 * hidden : 3 * hidden])
-    go = _sigmoid(z[:, 3 * hidden :])
-    c_new = gf * c.data + gi * gg
-    tc = np.tanh(c_new)
-    h_new = go * tc
+    x, w_in, w_rec, bias = (as_tensor(t) for t in (x, w_in, w_rec, bias))
+    hidden = h.shape[1]
+    x_tm = np.ascontiguousarray(x.data.swapaxes(0, 1))  # (T, B, D): steps contiguous
+    acts = x_tm @ w_in.data.T + bias.data  # (T, B, 4H), overwritten by gates i, f, g, o
+    steps = acts.shape[0]
+    hs = np.empty((steps + 1,) + h.shape, dtype=acts.dtype)  # hs[t + 1]: after step t
+    cs = np.empty_like(hs)
+    hs[0], cs[0] = h, c
+    for t in range(steps):
+        a = acts[t]
+        a += hs[t] @ w_rec.data.T
+        a[:, : 2 * hidden] = _sigmoid(a[:, : 2 * hidden])
+        a[:, 2 * hidden : 3 * hidden] = np.tanh(a[:, 2 * hidden : 3 * hidden])
+        a[:, 3 * hidden :] = _sigmoid(a[:, 3 * hidden :])
+        gi, gf, gg, go = np.split(a, 4, axis=1)
+        cs[t + 1] = gf * cs[t] + gi * gg
+        hs[t + 1] = go * np.tanh(cs[t + 1])
 
     def backward(g):
-        dh = g[:, :hidden]
-        dc = g[:, hidden:] + dh * go * (1.0 - tc * tc)
-        dz = np.concatenate(
-            [
-                dc * gg * gi * (1.0 - gi),
-                dc * c.data * gf * (1.0 - gf),
-                dc * gi * (1.0 - gg * gg),
-                dh * tc * go * (1.0 - go),
-            ],
-            axis=1,
-        )
-        _accum(x, dz @ w_in.data)
-        _accum(h, dz @ w_rec.data)
-        _accum(c, dc * gf)
-        _accum(w_in, dz.T @ x.data)
-        _accum(w_rec, dz.T @ h.data)
-        _accum(bias, dz.sum(axis=0))
+        dz = np.empty(x.data.shape[:2] + (4 * hidden,), dtype=acts.dtype)  # (B, T, 4H)
+        dh_next = dc_next = 0.0
+        for t in reversed(range(steps)):
+            gi, gf, gg, go = np.split(acts[t], 4, axis=1)
+            tc = np.tanh(cs[t + 1])
+            dh = g[:, t] + dh_next
+            dc = dc_next + dh * go * (1.0 - tc * tc)
+            dz[:, t, :hidden] = dc * gg * gi * (1.0 - gi)
+            dz[:, t, hidden : 2 * hidden] = dc * cs[t] * gf * (1.0 - gf)
+            dz[:, t, 2 * hidden : 3 * hidden] = dc * gi * (1.0 - gg * gg)
+            dz[:, t, 3 * hidden :] = dh * tc * go * (1.0 - go)
+            dh_next = dz[:, t] @ w_rec.data
+            dc_next = dc * gf
+        dz_flat = dz.reshape(-1, 4 * hidden)
+        _accum(w_in, dz_flat.T @ x.data.reshape(len(dz_flat), -1))
+        _accum(w_rec, dz_flat.T @ hs[:-1].swapaxes(0, 1).reshape(len(dz_flat), -1))
+        _accum(bias, dz_flat.sum(axis=0))
+        if x.requires_grad:
+            _accum(x, dz @ w_in.data)
 
-    out = np.concatenate([h_new, c_new], axis=1)
-    return _node(out, (x, h, c, w_in, w_rec, bias), backward, "lstm_cell")
+    out = _node(hs[1:].swapaxes(0, 1), (x, w_in, w_rec, bias), backward, "lstm_cell")
+    h[...], c[...] = hs[-1], cs[-1]
+    return out
 
 
 def conv1d_freq(x, kernels, bias) -> Tensor:

@@ -236,7 +236,7 @@ def train(params: RtsnParams, corpus_or_utts, cfg: TrainConfig) -> TrainResult:
         tick = time.perf_counter()
         loss_sum = 0.0
         frame_sum = 0.0
-        for _ in range(steps_per_epoch):
+        for step in range(1, steps_per_epoch + 1):
             for b, lane in enumerate(lanes):
                 if lane.exhausted():
                     lane.utt = train_utts[int(rng.integers(len(train_utts)))]
@@ -256,17 +256,22 @@ def train(params: RtsnParams, corpus_or_utts, cfg: TrainConfig) -> TrainResult:
                 clean_stack=np.stack([p[3] for p in parts]),
                 mask=np.stack([p[4] for p in parts]),
             )
-            result = forward_chunk(params, data, state)
+            try:
+                result = forward_chunk(params, data, state)
+            except FloatingPointError as e:
+                raise FloatingPointError(f"epoch {epoch} step {step}: {e}") from None
             loss_value = result.loss.total.item()
             grads = nn.grads_for(result.loss.total, tensors)
             nn.adam_update(adam, tensors, grads)
-            state = result.state
             loss_sum += loss_value * result.loss.frames
             frame_sum += result.loss.frames
             for lane in lanes:
                 lane.cursor += 1
         train_loss = loss_sum / frame_sum
-        val_loss = evaluate(params, val_utts)
+        try:
+            val_loss = evaluate(params, val_utts)
+        except FloatingPointError as e:
+            raise FloatingPointError(f"epoch {epoch} validation: {e}") from None
         seconds = time.perf_counter() - tick
         log.append(EpochLog(epoch, train_loss, val_loss, seconds))
         improved, stop = stopper.update(val_loss)

@@ -2,7 +2,8 @@
 
 The signal oracles are reimplemented independently of the package; the
 per-frame model oracles route single frames through its public layers;
-matmul and tmean are graph primitives that only the tests compose with.
+the LSTM oracle steps the gate equations one frame at a time; matmul and
+tmean are graph primitives that only the tests compose with.
 """
 import math
 
@@ -96,6 +97,32 @@ def tmean(a) -> nn.Tensor:
         _accum(a, np.broadcast_to(g / n, a.data.shape))
 
     return _node(a.data.mean(), (a,), backward, "tmean")
+
+
+def lstm_step(x, h, c, w_in, w_rec, bias):
+    """One LSTM step by the gate equations (input, forget, cell, output):
+    (h', c') for a (B, D) input and (B, H) state."""
+    hidden = h.shape[1]
+    z = x @ w_in.T + h @ w_rec.T + bias
+
+    def sigmoid(v):
+        return 1.0 / (1.0 + np.exp(-v))
+
+    gi = sigmoid(z[:, :hidden])
+    gf = sigmoid(z[:, hidden : 2 * hidden])
+    gg = np.tanh(z[:, 2 * hidden : 3 * hidden])
+    go = sigmoid(z[:, 3 * hidden :])
+    c_new = gf * c + gi * gg
+    return go * np.tanh(c_new), c_new
+
+
+def lstm_oracle(x, w_in, w_rec, bias, h, c):
+    """nn.lstm_cell one step at a time: (hidden states (B, T, H), h, c)."""
+    outs = []
+    for t in range(x.shape[1]):
+        h, c = lstm_step(x[:, t], h, c, w_in, w_rec, bias)
+        outs.append(h)
+    return np.stack(outs, axis=1), h, c
 
 
 def synth_voice(seed: int, num_samples: int = SAMPLE_RATE,

@@ -1,8 +1,16 @@
+import math
+import re
+import struct
+import tempfile
+from pathlib import Path
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 from numpy.testing import assert_allclose
 
 from rtsn.corpus import (
+    STATS_MAGIC,
     STD_FLOOR,
     NormStats,
     build_corpus,
@@ -187,6 +195,9 @@ def test_mix_input_validation():
         mix_with_reference(Waveform(np.zeros(0)), speech, 0.0, 0)
     with pytest.raises(ValueError, match="sample rate"):
         mix_with_reference(speech, Waveform(np.ones(10), sample_rate_hz=16000), 0.0, 0)
+    for snr in (math.nan, math.inf, -math.inf):
+        with pytest.raises(ValueError, match="non-finite snr_db"):
+            mix_with_reference(speech, speech, snr, 0)
 
 
 # ---------------------------------------------------------------------------
@@ -221,6 +232,14 @@ def test_norm_stats_validation():
                             LpsSequence(np.zeros((2, 5)))])
     with pytest.raises(ValueError, match="non-positive std"):
         NormStats(np.zeros(3), np.array([1.0, 0.0, 1.0]))
+    with pytest.raises(ValueError, match="no bins"):
+        NormStats(np.zeros(0), np.zeros(0))
+    with pytest.raises(ValueError, match="non-finite mean/std"):
+        NormStats(np.array([0.0, np.nan]), np.ones(2))
+    with pytest.raises(ValueError, match="non-finite mean/std"):
+        NormStats(np.zeros(2), np.array([1.0, np.nan]))
+    with pytest.raises(ValueError, match="non-finite mean/std"):
+        NormStats(np.zeros(2), np.array([1.0, np.inf]))
 
 
 def test_normalize_round_trip():
@@ -259,6 +278,13 @@ def test_stats_file_errors(tmp_path):
     p.write_bytes(b"RTSNSTAT" + b"\x01\x00\x00\x00" + b"\x00" * 31)
     with pytest.raises(ValueError, match="truncated"):
         load_norm_stats(p)
+    p.write_bytes(b"RTSNSTAT" + b"\x01\x00\x00\x00")
+    with pytest.raises(ValueError, match="no bins"):
+        load_norm_stats(p)
+    save_norm_stats(p, NormStats(np.zeros(2), np.ones(2)))
+    p.write_bytes(p.read_bytes()[:12] + np.array([np.nan, 0.0, 1.0, 1.0]).tobytes())
+    with pytest.raises(ValueError, match="non-finite mean/std"):
+        load_norm_stats(p)
 
 
 # ---------------------------------------------------------------------------
@@ -277,7 +303,21 @@ def test_parse_manifest_line_numbers(tmp_path):
     p.write_text("a.wav,n.wav,5,x,out.wav\n")
     with pytest.raises(ValueError, match="line 1: bad seed"):
         parse_manifest(p)
-    p.write_text("\n\n")
+    for snr in ("nan", "inf", "-Infinity"):
+        p.write_text(f"# header\na.wav,n.wav,{snr},1,out.wav\n")
+        with pytest.raises(ValueError, match=f"line 2: bad snr_db '{snr}'"):
+            parse_manifest(p)
+    p.write_text("a.wav,n.wav,5,-1,out.wav\n")
+    with pytest.raises(ValueError, match="line 1: bad seed '-1'"):
+        parse_manifest(p)
+    p.write_text("# speech,noise,snr,seed,out\n  # note\n\na.wav,n.wav,5,1,o.wav\n"
+                 "a.wav,n.wav,5\n")
+    with pytest.raises(ValueError, match="line 5: expected 5 fields"):
+        parse_manifest(p)
+    p.write_text("# speech,noise,snr,seed,out\n  # note\n\na.wav,n.wav,5,1,o.wav\n")
+    (spec,) = parse_manifest(p)
+    assert (spec.speech_path, spec.line) == ("a.wav", 4)
+    p.write_text("# only a comment\n\n")
     with pytest.raises(ValueError, match="empty manifest"):
         parse_manifest(p)
 
@@ -292,6 +332,69 @@ def test_parse_manifest_fields(tmp_path):
     assert spec.seed == 42
     assert spec.output_path == "mix.wav"
     assert spec.line == 1
+
+
+NUMBERISH = st.sampled_from(["0", "5", "-5.5", "1e3", "1e400", "-1e400", "nan",
+                             "-NaN", "inf", "-Infinity", "-1", "0x10", "1_0", " 7 ",
+                             "", "#3"])
+FIELDS = st.one_of(NUMBERISH, st.text(alphabet=' ab.,#"\'\t\r\x00-5n', max_size=6))
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.lists(st.one_of(st.lists(FIELDS, min_size=0, max_size=6),
+                          st.builds(lambda *f: list(f), FIELDS, FIELDS, NUMBERISH,
+                                    NUMBERISH, FIELDS)),
+                max_size=5))
+@example([["# c"], ["a", "n", "5", "1", "o"], ["a", "n", "nan", "1", "o"]])
+@example([["a", "n", "inf", "0", "o"]])
+@example([["a", "n", "-3", "0", "o"], [" # x", "y"], ["b", "n", "1e1", "2", "p"]])
+def test_manifest_rows_property(rows):
+    # every manifest either parses to finite, well-formed specs or raises a
+    # ValueError that names the line (or the empty file)
+    text = "".join(",".join(r) + "\n" for r in rows)
+    with tempfile.TemporaryDirectory() as d:
+        p = Path(d) / "m.csv"
+        p.write_text(text, encoding="utf-8")
+        try:
+            specs = parse_manifest(p)
+        except ValueError as e:
+            assert re.match(r"manifest line \d+: |.*: empty manifest$", str(e)), str(e)
+            return
+    lines = text.splitlines()
+    for spec in specs:
+        assert math.isfinite(spec.snr_db)
+        assert isinstance(spec.seed, int) and spec.seed >= 0
+        assert spec.speech_path and spec.noise_path and spec.output_path
+        assert not lines[spec.line - 1].lstrip().startswith("#")
+    assert [s.line for s in specs] == sorted({s.line for s in specs})
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.one_of(
+    st.binary(max_size=40),
+    st.builds(lambda v, body: STATS_MAGIC + struct.pack("<I", v) + body,
+              st.sampled_from([1, 1, 1, 2]), st.binary(max_size=40)),
+    st.builds(lambda vals: STATS_MAGIC + struct.pack("<I", 1)
+              + np.array(vals, dtype="<f8").tobytes(),
+              st.lists(st.floats(allow_nan=True, allow_infinity=True), max_size=8)),
+))
+@example(STATS_MAGIC + struct.pack("<I", 1) + np.array([np.nan, 1.0]).tobytes())
+@example(STATS_MAGIC + struct.pack("<I", 1) + np.array([0.0, np.inf]).tobytes())
+@example(STATS_MAGIC + struct.pack("<I", 1) + np.array([0.5, -2.0, 1.0, 3.0]).tobytes())
+def test_stats_reader_property(blob):
+    # every stats file either loads finite, positive, equal-length per-bin
+    # values or raises a ValueError that names the file
+    with tempfile.TemporaryDirectory() as d:
+        p = Path(d) / "stats.bin"
+        p.write_bytes(blob)
+        try:
+            stats = load_norm_stats(p)
+        except ValueError as e:
+            assert str(e).startswith(f"{p}: "), str(e)
+            return
+    assert stats.mean.shape == stats.std.shape and stats.mean.size >= 1
+    assert np.all(np.isfinite(stats.mean)) and np.all(np.isfinite(stats.std))
+    assert np.all(stats.std > 0)
 
 
 def test_clean_path_for():

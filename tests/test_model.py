@@ -11,6 +11,7 @@ from numpy.testing import assert_allclose
 
 import rtsn.model
 import rtsn.neural as nn
+from rtsn.neural.engine import _topo_order
 from rtsn.corpus import NormStats
 from rtsn.dsp import LpsSequence, StftConfig, Waveform
 from rtsn.model import (
@@ -292,11 +293,13 @@ def test_forward_chunk_state_carry_matches_full_run():
     idx = gather_index(10, TINY.lookahead)[None]
     ctx = frame_stack(values, TINY.lookahead)[None]
 
+    full_state = zero_state(params, 1)
     full = forward_chunk(
-        params, ChunkData(windows=windows, noisy_ctx=ctx, gather_idx=idx)
+        params, ChunkData(windows=windows, noisy_ctx=ctx, gather_idx=idx),
+        full_state,
     )
 
-    # same windows split in two with the LSTM state threaded across
+    # same windows split in two; the one state object carries across
     state = zero_state(params, 1)
     first = forward_chunk(
         params,
@@ -308,7 +311,7 @@ def test_forward_chunk_state_carry_matches_full_run():
         params,
         ChunkData(windows=windows[:, 6:], noisy_ctx=ctx[:, 6:],
                   gather_idx=gather_index(4, TINY.lookahead)[None]),
-        first.state,
+        state,
     )
     # prior outputs agree everywhere; posterior outputs agree away from the
     # split where the gather window stays inside one chunk
@@ -318,6 +321,22 @@ def test_forward_chunk_state_carry_matches_full_run():
                     rtol=1e-12, atol=1e-12)
     assert_allclose(second.x_hat.data[:, 1:], full.x_hat.data[:, 7:],
                     rtol=1e-12, atol=1e-12)
+    for carried, whole in zip(state[0] + state[1], full_state[0] + full_state[1]):
+        assert_allclose(carried, whole, rtol=1e-12, atol=1e-12)
+
+
+def test_prior_records_one_node_per_lstm_layer():
+    # the graph of a training chunk does not grow with its steps: each LSTM
+    # layer is one node over the whole chunk (both sizes fit one posterior
+    # block)
+    params = tiny_params()
+    sizes = []
+    for steps in (3, 12):
+        loss = forward_chunk(params, random_chunk(TINY, 2, steps, seed=steps)).loss
+        order = _topo_order(loss.total)
+        assert sum(t.name == "lstm_cell" for t in order) == TINY.lstm_layers
+        sizes.append(len(order))
+    assert sizes[0] == sizes[1]
 
 
 def test_whole_model_gradient_spot_check():
@@ -613,6 +632,11 @@ def test_checkpoint_corruption_errors(tmp_path):
 
     p.write_bytes(bytes(blob) + b"\x00")
     with pytest.raises(ValueError, match="trailing"):
+        load_checkpoint(p)
+
+    # norm.std is the last tensor in the file
+    p.write_bytes(bytes(blob[:-4]) + np.array([np.nan], dtype="<f4").tobytes())
+    with pytest.raises(ValueError, match="norm tensors: non-finite mean/std"):
         load_checkpoint(p)
 
 

@@ -6,7 +6,7 @@ from numpy.testing import assert_allclose
 
 import rtsn.neural as nn
 
-from helpers import fd_gradient, matmul, rel_err, tmean
+from helpers import fd_gradient, lstm_oracle, matmul, rel_err, tmean
 
 FD_TOL = 1e-6
 
@@ -116,13 +116,6 @@ def test_reshape_gradient():
     check_grads(lambda x: _proj(nn.reshape(x, (12,)), 9), [a])
 
 
-def test_slice_gradient():
-    rng = np.random.default_rng(9)
-    a = rng.standard_normal((4, 6))
-    check_grads(lambda x: _proj(x[1:3, ::2], 10), [a])
-    check_grads(lambda x: _proj(x[:, 2:], 11), [a])
-
-
 def test_concat_gradient():
     rng = np.random.default_rng(10)
     a = rng.standard_normal((2, 3))
@@ -165,58 +158,75 @@ def test_linear_value_and_gradient():
     check_grads(lambda xx, ww: _proj(nn.linear(xx, ww), 16), [x, w])
 
 
+def _lstm_arrays(rng, b, t, d, hdim):
+    """x, w_in, w_rec, bias and a nonzero initial (h, c) for lstm_cell."""
+    return (
+        rng.standard_normal((b, t, d)),
+        rng.standard_normal((4 * hdim, d)) * 0.5,
+        rng.standard_normal((4 * hdim, hdim)) * 0.5,
+        rng.standard_normal(4 * hdim) * 0.5,
+        np.tanh(rng.standard_normal((b, hdim))),
+        rng.standard_normal((b, hdim)),
+    )
+
+
 def test_lstm_cell_scalar_oracle():
     # all weights and biases 0.5, x=1, zero state; values frozen from the
     # gate equations computed by hand: z=1 for every gate, i=f=o=sigmoid(1),
     # g=tanh(1), c'=i*g, h'=o*tanh(c'), then one more step with h'=0.3696...
     one = np.full((4, 1), 0.5)
-    x = nn.Tensor(np.array([[1.0]]))
-    h = nn.Tensor(np.zeros((1, 1)))
-    c = nn.Tensor(np.zeros((1, 1)))
+    x = nn.Tensor(np.ones((1, 2, 1)))
+    h, c = np.zeros((1, 1)), np.zeros((1, 1))
     w_in, w_rec, bias = nn.Tensor(one), nn.Tensor(one), nn.Tensor(np.full(4, 0.5))
-    out = nn.lstm_cell(x, h, c, w_in, w_rec, bias)
-    assert out.shape == (1, 2)
-    assert_allclose(out.data[0, 0], 0.36960635293570576, rtol=0, atol=1e-15)
-    assert_allclose(out.data[0, 1], 0.5567699411459397, rtol=0, atol=1e-15)
-    out2 = nn.lstm_cell(x, out[:, :1], out[:, 1:], w_in, w_rec, bias)
-    assert_allclose(out2.data[0, 0], 0.6020227660613723, rtol=0, atol=1e-14)
-    assert_allclose(out2.data[0, 1], 1.0612064236791456, rtol=0, atol=1e-14)
+    out = nn.lstm_cell(x, w_in, w_rec, bias, h, c)
+    assert out.shape == (1, 2, 1)
+    assert_allclose(out.data[0, 0, 0], 0.36960635293570576, rtol=0, atol=1e-15)
+    assert_allclose(out.data[0, 1, 0], 0.6020227660613723, rtol=0, atol=1e-14)
+    assert_allclose(h[0, 0], 0.6020227660613723, rtol=0, atol=1e-14)
+    assert_allclose(c[0, 0], 1.0612064236791456, rtol=0, atol=1e-14)
+    # the cell state after the first step, from a one-step chunk
+    h, c = np.zeros((1, 1)), np.zeros((1, 1))
+    nn.lstm_cell(nn.Tensor(np.ones((1, 1, 1))), w_in, w_rec, bias, h, c)
+    assert_allclose(c[0, 0], 0.5567699411459397, rtol=0, atol=1e-15)
+
+
+def test_lstm_cell_matches_step_oracle():
+    rng = np.random.default_rng(19)
+    x, w_in, w_rec, bias, h0, c0 = _lstm_arrays(rng, b=3, t=5, d=4, hdim=6)
+    want, want_h, want_c = lstm_oracle(x, w_in, w_rec, bias, h0, c0)
+    h, c = h0.copy(), c0.copy()
+    out = nn.lstm_cell(nn.Tensor(x), nn.Tensor(w_in), nn.Tensor(w_rec),
+                       nn.Tensor(bias), h, c)
+    assert out.shape == (3, 5, 6)
+    assert_allclose(out.data, want, rtol=0, atol=1e-12)
+    assert_allclose(h, want_h, rtol=0, atol=1e-12)
+    assert_allclose(c, want_c, rtol=0, atol=1e-12)
 
 
 def test_lstm_cell_gradients():
     rng = np.random.default_rng(13)
-    b, d, hdim = 3, 4, 5
-    arrays = [
-        rng.standard_normal((b, d)),
-        rng.standard_normal((b, hdim)),
-        rng.standard_normal((b, hdim)),
-        rng.standard_normal((4 * hdim, d)) * 0.5,
-        rng.standard_normal((4 * hdim, hdim)) * 0.5,
-        rng.standard_normal(4 * hdim) * 0.5,
-    ]
-    check_grads(lambda *t: _proj(nn.lstm_cell(*t), 17), arrays)
+    *arrays, h0, c0 = _lstm_arrays(rng, b=3, t=4, d=4, hdim=5)
+
+    def layer(x, w_in, w_rec, bias):
+        return _proj(nn.lstm_cell(x, w_in, w_rec, bias, h0.copy(), c0.copy()), 17)
+
+    check_grads(layer, arrays)
 
 
 def test_lstm_cell_chained_gradient():
-    # two steps with state threading, so the c-path backward is exercised
+    # two stacked layers, so the upper layer's input gradient reaches the
+    # lower layer's weights; the initial states are constants
     rng = np.random.default_rng(14)
-    b, d, hdim = 2, 3, 4
+    b, t, d, hdim = 2, 4, 3, 4
+    x, w_in, w_rec, bias, h0, c0 = _lstm_arrays(rng, b, t, d, hdim)
+    _, w_in2, w_rec2, bias2, h1, c1 = _lstm_arrays(rng, b, t, hdim, hdim)
 
-    def two_steps(x1, x2, w_in, w_rec, bias):
-        h = nn.Tensor(np.zeros((b, hdim)))
-        c = nn.Tensor(np.zeros((b, hdim)))
-        hc = nn.lstm_cell(x1, h, c, w_in, w_rec, bias)
-        hc = nn.lstm_cell(x2, hc[:, :hdim], hc[:, hdim:], w_in, w_rec, bias)
-        return _proj(hc, 18)
+    def two_layers(w_in, w_rec, bias, w_in2, w_rec2, bias2):
+        low = nn.lstm_cell(x, w_in, w_rec, bias, h0.copy(), c0.copy())
+        top = nn.lstm_cell(low, w_in2, w_rec2, bias2, h1.copy(), c1.copy())
+        return _proj(top, 18)
 
-    arrays = [
-        rng.standard_normal((b, d)),
-        rng.standard_normal((b, d)),
-        rng.standard_normal((4 * hdim, d)) * 0.5,
-        rng.standard_normal((4 * hdim, hdim)) * 0.5,
-        rng.standard_normal(4 * hdim) * 0.5,
-    ]
-    check_grads(two_steps, arrays)
+    check_grads(two_layers, [w_in, w_rec, bias, w_in2, w_rec2, bias2])
 
 
 def conv_loop_oracle(x, kernels, bias):

@@ -224,10 +224,16 @@ def test_train_rejects_non_finite_inputs():
     cfg = TrainConfig(unroll_steps=16, utterances_per_batch=2, max_epochs=1)
     utts = make_utts(2, 800)
     utts[0].windows[3, 0] = np.nan
-    with pytest.raises(FloatingPointError):
+    with pytest.raises(FloatingPointError,
+                       match="^epoch 1 step 1: non-finite values in tensor windows$"):
         train(tiny_params(), (utts[:1], utts[1:]), cfg)
-    with pytest.raises(FloatingPointError):
+    with pytest.raises(FloatingPointError,
+                       match="^epoch 1 validation: non-finite values in tensor windows$"):
         train(tiny_params(), (utts[1:], utts[:1]), cfg)
+    utts[0].windows[3, 0] = 0.0
+    utts[0].noisy_ctx[3, 0, 0] = np.inf
+    with pytest.raises(FloatingPointError, match="^epoch 1 step 1: .* tensor noisy_ctx$"):
+        train(tiny_params(), (utts[:1], utts[1:]), cfg)
 
 
 def test_train_from_corpus(tmp_path):
