@@ -7,8 +7,11 @@ one graph node over the whole chunk, and its (h, c) state arrays advance
 in place from one chunk to the next.  Stage two (the posterior network)
 collects every stack overlapping frame t together with the noisy frames
 themselves into a channel image and reduces it to one enhanced frame with
-1-D convolutions over frequency.  Training minimizes the posterior error
-plus prior_weight times the stack error.
+1-D convolutions over frequency and SELU between them.  The image is
+built channel-last, (frames, bins, channels), by the one copy that
+assembles it, so every convolution runs as im2col GEMMs over the
+contiguous channels of each bin with no transposes in between.  Training
+minimizes the posterior error plus prior_weight times the stack error.
 
 There is one forward, forward_chunk, for training, validation and
 enhancement.  Training runs it over parameters that record an autodiff
@@ -41,9 +44,11 @@ from .settings import build, format_settings, parse_settings, schema
 
 CHECKPOINT_MAGIC = b"RTSNCKPT"
 CHECKPOINT_VERSION = 1
-# Most frames (batch x steps) the posterior convolves at once.  Its peak is
-# conv1's im2col copy: 256 frames x 256 ch x 129 bins x 5 taps x 4 B, 169 MB
-# at the default config.
+# Most frames (batch x steps) the posterior convolves at once.  The im2col
+# columns are built a few frames at a time (at most 4 MB, layers._COLS_BLOCK),
+# so a block's largest buffer is an activation: conv0's output and the SELU
+# after it, each 256 frames x 129 bins x 256 ch x 4 B = 34 MB at the
+# default config.
 POST_BLOCK_FRAMES = 256
 
 # ---------------------------------------------------------------------------
@@ -371,11 +376,13 @@ def forward_chunk(params: RtsnParams, data: ChunkData,
     for start in range(0, steps, block):
         rows = slice(start, start + block)
         gathered = nn.gather_steps(x_bar, data.gather_idx[:, rows])
-        ctx = nn.Tensor(data.noisy_ctx[:, rows].astype(dtype, copy=False),
-                        name="noisy_ctx")
-        v = nn.concat([gathered, ctx], axis=2)
+        ctx = nn.Tensor(
+            data.noisy_ctx[:, rows].swapaxes(2, 3).astype(dtype, copy=False),
+            name="noisy_ctx")
+        # the one copy into the channel-last (frames, bins, channels) layout
+        v = nn.concat([nn.transpose(gathered, (0, 1, 3, 2)), ctx], axis=3)
         size = v.shape[1]
-        flat = nn.reshape(v, (batch * size, channels, n_bins))
+        flat = nn.reshape(v, (batch * size, n_bins, channels))
         blocks.append(nn.reshape(_conv_stack(params, flat), (batch, size, n_bins)))
     x_hat = nn.concat(blocks, axis=1)
     loss = None

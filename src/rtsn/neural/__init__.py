@@ -13,6 +13,7 @@ from .engine import (
     reshape,
     square,
     sub,
+    transpose,
     tsum,
 )
 from .layers import (
@@ -46,5 +47,6 @@ __all__ = [
     "selu",
     "square",
     "sub",
+    "transpose",
     "tsum",
 ]

@@ -171,6 +171,17 @@ def reshape(a, shape) -> Tensor:
     return _node(a.data.reshape(shape), (a,), backward, "reshape")
 
 
+def transpose(a, axes) -> Tensor:
+    """a.transpose(axes) as a view; the gradient is transposed back."""
+    a = as_tensor(a)
+    inverse = np.argsort(axes)
+
+    def backward(g):
+        _accum(a, g.transpose(inverse))
+
+    return _node(a.data.transpose(axes), (a,), backward, "transpose")
+
+
 def concat(tensors, axis: int = 0) -> Tensor:
     tensors = [as_tensor(t) for t in tensors]
     sizes = [t.data.shape[axis] for t in tensors]

@@ -17,20 +17,55 @@ def _sigmoid(z: np.ndarray) -> np.ndarray:
     return 0.5 * (np.tanh(0.5 * z) + 1.0)
 
 
+# Values per block of an elementwise layer: 256 KB in float32, so the
+# several passes over one block run in cache.
+_ELEMENTWISE_BLOCK = 1 << 16
+
+
+def _flat_blocks(*arrays):
+    """Matching slices of contiguous same-size arrays, one block at a time."""
+    flats = [a.reshape(-1) for a in arrays]
+    for lo in range(0, flats[0].size, _ELEMENTWISE_BLOCK):
+        yield [f[lo : lo + _ELEMENTWISE_BLOCK] for f in flats]
+
+
 def selu(x) -> Tensor:
-    """Self-normalizing exponential-linear activation."""
+    """Self-normalizing exponential-linear activation, elementwise.
+
+    Computed branch-free as SCALE * (max(x, 0) + ALPHA * expm1(min(x, 0)))
+    in cache-sized blocks, with block-sized scratch only.  The backward
+    reads only the output y: the slope is SCALE where y > 0 and SCALE *
+    ALPHA * exp(x) = y + SCALE * ALPHA elsewhere, that is min(y, 0) +
+    SCALE * ALPHA - (SCALE * ALPHA - SCALE) * [y > 0].
+    """
     x = as_tensor(x)
-    neg = np.minimum(x.data, 0.0)
-    expneg = np.exp(neg)
-    out = np.where(x.data > 0,
-                   SELU_SCALE * x.data,
-                   SELU_SCALE * SELU_ALPHA * (expneg - 1.0))
+    out = np.empty(x.data.shape, dtype=x.data.dtype)
+    block = min(out.size, _ELEMENTWISE_BLOCK)
+    # numpy's min/max/compare run several times faster against an array
+    # than against a broadcast scalar
+    zero = np.zeros(block, dtype=out.dtype)
+    temp = np.empty(block, dtype=out.dtype)
+    for xb, ob in _flat_blocks(np.ascontiguousarray(x.data), out):
+        z, t = zero[: xb.size], temp[: xb.size]
+        np.minimum(xb, z, out=ob)
+        np.expm1(ob, out=ob)
+        ob *= SELU_ALPHA
+        ob += np.maximum(xb, z, out=t)
+        ob *= SELU_SCALE
 
     def backward(g):
-        local = np.where(x.data > 0, SELU_SCALE, SELU_SCALE * SELU_ALPHA * expneg)
-        _accum(x, g * local)
+        gx = np.empty_like(out)
+        for yb, gb, ob in _flat_blocks(out, g, gx):
+            z, t = zero[: yb.size], temp[: yb.size]
+            np.greater(yb, z, out=t)
+            t *= SELU_SCALE * SELU_ALPHA - SELU_SCALE
+            np.minimum(yb, z, out=ob)
+            ob += SELU_SCALE * SELU_ALPHA
+            ob -= t
+            ob *= gb
+        _accum(x, gx)
 
-    return _node(out.astype(x.data.dtype, copy=False), (x,), backward, "selu")
+    return _node(out, (x,), backward, "selu")
 
 
 def linear(x, weight, bias=None) -> Tensor:
@@ -106,38 +141,87 @@ def lstm_cell(x, w_in, w_rec, bias, h: np.ndarray, c: np.ndarray) -> Tensor:
     return out
 
 
-def conv1d_freq(x, kernels, bias) -> Tensor:
-    """Cross-correlation along the last axis with zero padding (k-1)/2.
+def _im2col(x: np.ndarray, k: int) -> np.ndarray:
+    """Columns (B*N, k*C) of a channel-last (B, N, C) array: row (b, n) is
+    x[b, n-h .. n+h] flattened tap-major, zero outside, h = (k-1)/2.
 
-    x is (batch, in_channels, n), kernels (out_channels, in_channels, k)
-    with odd k; output keeps length n.
+    In the padded array that row is one contiguous run of k*C values, so a
+    strided view holds every row and reshaping it makes the one copy.
+    """
+    b, n, c = x.shape
+    half = (k - 1) // 2
+    padded = np.empty((b, n + 2 * half, c), dtype=x.dtype)
+    padded[:, :half] = 0
+    padded[:, half + n :] = 0
+    padded[:, half : half + n] = x
+    windows = np.lib.stride_tricks.as_strided(padded, (b, n, k * c), padded.strides,
+                                              writeable=False)
+    return windows.reshape(b * n, k * c)
+
+
+# Most values one im2col block holds: 4 MB in float32, so a block is still
+# in cache when its GEMM reads it, and it is reused from the heap where the
+# whole (frames*bins, k*C) matrix, up to 169 MB, would be mapped fresh and
+# page-faulted on every call.
+_COLS_BLOCK = 1 << 20
+
+
+def _col_blocks(x: np.ndarray, k: int):
+    """(row slice, im2col columns) over consecutive blocks of x's frames."""
+    b, n, c = x.shape
+    frames = max(1, _COLS_BLOCK // (n * k * c))
+    for start in range(0, b, frames):
+        rows = slice(start * n, min(b, start + frames) * n)
+        yield rows, _im2col(x[start : start + frames], k)
+
+
+def _correlate(x: np.ndarray, w: np.ndarray, k: int) -> np.ndarray:
+    """im2col(x) @ w for x (B, N, C) and w (k*C, O): (B*N, O)."""
+    out = np.empty((x.shape[0] * x.shape[1], w.shape[1]), dtype=x.dtype)
+    for rows, cols in _col_blocks(x, k):
+        np.matmul(cols, w, out=out[rows])
+    return out
+
+
+def conv1d_freq(x, kernels, bias) -> Tensor:
+    """Cross-correlation along frequency with zero padding h = (k-1)/2.
+
+    Channel-last: x is (frames, bins, in_channels), kernels (out_channels,
+    in_channels, k) with odd k, and the output (frames, bins, out_channels)
+    keeps the bin count.  The forward is the GEMM im2col(x) @ W, with
+    W[j*C + c, o] = kernels[o, c, j]; the columns are built a few frames at
+    a time and dropped after use, never kept for the backward.  With g the
+    output gradient, the backward rebuilds them from x and computes
+      dW = im2col(x).T @ g,  dbias = sum of g over frames and bins,
+      dx = im2col(g) @ W',  W'[j*O + o, c] = kernels[o, c, k-1-j],
+    that is the forward again on g with the kernels flipped and transposed.
     """
     x, kernels, bias = as_tensor(x), as_tensor(kernels), as_tensor(bias)
     c_out, c_in, k = kernels.data.shape
     if k % 2 != 1:
         raise ValueError(f"kernel width must be odd, got {k}")
-    if x.data.shape[1] != c_in:
+    if x.data.shape[2] != c_in:
         raise ValueError(
-            f"input has {x.data.shape[1]} channels, kernels expect {c_in}"
+            f"input has {x.data.shape[2]} channels, kernels expect {c_in}"
         )
-    half = (k - 1) // 2
-    n = x.data.shape[2]
-    padded = np.pad(x.data, ((0, 0), (0, 0), (half, half)))
-    windows = np.lib.stride_tricks.sliding_window_view(padded, k, axis=2)
-    out = np.einsum("bcnj,ocj->bon", windows, kernels.data, optimize=True)
-    out = out + bias.data[None, :, None]
+    frames, n, _ = x.data.shape
+    w = kernels.data.transpose(2, 1, 0).reshape(k * c_in, c_out)
+    out = _correlate(x.data, w, k)
+    out += bias.data
 
     def backward(g):
-        _accum(kernels, np.einsum("bon,bcnj->ocj", g, windows, optimize=True))
-        _accum(bias, g.sum(axis=(0, 2)))
+        g = g.reshape(-1, c_out)
+        gw = np.zeros((k * c_in, c_out), dtype=g.dtype)
+        for rows, cols in _col_blocks(x.data, k):
+            gw += cols.T @ g[rows]
+        _accum(kernels, gw.reshape(k, c_in, c_out).transpose(2, 1, 0))
+        _accum(bias, g.sum(axis=0))
         if x.requires_grad:
-            gpad = np.zeros_like(padded)
-            contrib = np.einsum("bon,ocj->bcnj", g, kernels.data, optimize=True)
-            for j in range(k):
-                gpad[:, :, j : j + n] += contrib[:, :, :, j]
-            _accum(x, gpad[:, :, half : half + n] if half else gpad)
+            flipped = kernels.data[:, :, ::-1].transpose(2, 0, 1).reshape(k * c_out, c_in)
+            _accum(x, _correlate(g.reshape(frames, n, c_out), flipped, k)
+                   .reshape(frames, n, c_in))
 
-    return _node(out.astype(x.data.dtype, copy=False), (x, kernels, bias), backward,
+    return _node(out.reshape(frames, n, c_out), (x, kernels, bias), backward,
                  "conv1d_freq")
 
 
@@ -161,8 +245,19 @@ def gather_steps(x, idx: np.ndarray) -> Tensor:
 
     def backward(g):
         if x.requires_grad:
-            gx = np.zeros_like(x.data)
-            np.add.at(gx, (b_idx, idx), g.reshape(b, u, m, r, n))
-            _accum(x, gx)
+            # Scatter-add each gathered (R, N) slab back onto its step.  A
+            # stable sort by (batch, step) ranks the repeats of every index in
+            # read order; each rank's indices are distinct, so one buffered
+            # add per rank sums the repeats in np.add.at's order.
+            keys = (b_idx * t + idx).reshape(-1)
+            order = np.argsort(keys, kind="stable")
+            first = np.flatnonzero(np.diff(keys[order], prepend=-1))
+            rank = np.arange(keys.size) - np.repeat(first, np.diff(first, append=keys.size))
+            rows = g.reshape(-1, r * n)
+            gx = np.zeros((b * t, r * n), dtype=g.dtype)
+            for level in range(rank.max(initial=-1) + 1):
+                sel = order[rank == level]
+                gx[keys[sel]] += rows[sel]
+            _accum(x, gx.reshape(x.data.shape))
 
     return _node(out.reshape(b, u, m * r, n), (x,), backward, "gather_steps")

@@ -1,12 +1,14 @@
 """The `key = value` settings schema shared by config files and checkpoints.
 
 A key is a field name of a config dataclass (RtsnConfig, StftConfig,
-TrainConfig) and its type is the type of the field's default: int, float,
-or a tuple of ints written comma-separated.  One writer and one reader
-serve both the `rtsn train --config` file and the checkpoint header.
+TrainConfig) and its type is the type of the field's default: int, a
+finite float, or a tuple of ints written comma-separated.  One writer and
+one reader serve both the `rtsn train --config` file and the checkpoint
+header.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import fields
 from typing import Callable
 
@@ -15,10 +17,20 @@ def _int_tuple(text: str) -> tuple[int, ...]:
     return tuple(int(x) for x in text.split(","))
 
 
+def _finite_float(text: str) -> float:
+    value = float(text)
+    if not math.isfinite(value):
+        raise ValueError(f"{text!r} is not finite")
+    return value
+
+
+_PARSERS = {tuple: _int_tuple, float: _finite_float}
+
+
 def schema(*classes: type, skip: tuple[str, ...] = ()) -> dict[str, Callable[[str], object]]:
     """Key -> value parser for every field of the given config dataclasses."""
     return {
-        f.name: _int_tuple if isinstance(f.default, tuple) else type(f.default)
+        f.name: _PARSERS.get(type(f.default), type(f.default))
         for cls in classes
         for f in fields(cls)
         if f.name not in skip

@@ -2,8 +2,10 @@
 
 The signal oracles are reimplemented independently of the package; the
 per-frame model oracles route single frames through its public layers;
-the LSTM oracle steps the gate equations one frame at a time; matmul and
-tmean are graph primitives that only the tests compose with.
+the LSTM oracle steps the gate equations one frame at a time; the SELU,
+conv and gather oracles are the straightforward layer implementations the
+fast ones replaced; matmul and tmean are graph primitives that only the
+tests compose with.
 """
 import math
 
@@ -97,6 +99,59 @@ def tmean(a) -> nn.Tensor:
         _accum(a, np.broadcast_to(g / n, a.data.shape))
 
     return _node(a.data.mean(), (a,), backward, "tmean")
+
+
+def selu_where(x) -> nn.Tensor:
+    """nn.selu with both np.where branches: scale*x for x > 0, else
+    scale*alpha*(exp(x) - 1), and the slope from the saved exp."""
+    x = nn.as_tensor(x)
+    expneg = np.exp(np.minimum(x.data, 0.0))
+    out = np.where(x.data > 0, nn.SELU_SCALE * x.data,
+                   nn.SELU_SCALE * nn.SELU_ALPHA * (expneg - 1.0))
+
+    def backward(g):
+        _accum(x, g * np.where(x.data > 0, nn.SELU_SCALE,
+                               nn.SELU_SCALE * nn.SELU_ALPHA * expneg))
+
+    return _node(out.astype(x.data.dtype, copy=False), (x,), backward, "selu_where")
+
+
+def conv1d_einsum(x, kernels, bias) -> nn.Tensor:
+    """nn.conv1d_freq channel-first, by einsum over sliding windows: x is
+    (batch, in_channels, n) and the output (batch, out_channels, n).  The
+    backward forms the input gradient from a materialized (B, C, N, k)
+    contribution scattered tap by tap into a padded buffer."""
+    x, kernels, bias = nn.as_tensor(x), nn.as_tensor(kernels), nn.as_tensor(bias)
+    k = kernels.data.shape[2]
+    half = (k - 1) // 2
+    n = x.data.shape[2]
+    padded = np.pad(x.data, ((0, 0), (0, 0), (half, half)))
+    windows = np.lib.stride_tricks.sliding_window_view(padded, k, axis=2)
+    out = np.einsum("bcnj,ocj->bon", windows, kernels.data, optimize=True)
+    out = out + bias.data[None, :, None]
+
+    def backward(g):
+        _accum(kernels, np.einsum("bon,bcnj->ocj", g, windows, optimize=True))
+        _accum(bias, g.sum(axis=(0, 2)))
+        if x.requires_grad:
+            gpad = np.zeros_like(padded)
+            contrib = np.einsum("bon,ocj->bcnj", g, kernels.data, optimize=True)
+            for j in range(k):
+                gpad[:, :, j : j + n] += contrib[:, :, :, j]
+            _accum(x, gpad[:, :, half : half + n])
+
+    return _node(out.astype(x.data.dtype, copy=False), (x, kernels, bias), backward,
+                 "conv1d_einsum")
+
+
+def gather_steps_grad(x_shape, idx: np.ndarray, g: np.ndarray) -> np.ndarray:
+    """Gradient of nn.gather_steps by np.add.at: every gathered (R, N) slab
+    of g added back onto the step it was read from."""
+    b, _, r, n = x_shape
+    gx = np.zeros(x_shape, dtype=g.dtype)
+    u, m = idx.shape[1:]
+    np.add.at(gx, (np.arange(b)[:, None, None], idx), g.reshape(b, u, m, r, n))
+    return gx
 
 
 def lstm_step(x, h, c, w_in, w_rec, bias):
@@ -220,12 +275,13 @@ def pri_forward(params, lps) -> np.ndarray:
 
 def _posterior_convs(params, v: np.ndarray) -> np.ndarray:
     """Conv stack over a batch of channel stacks (F, C, N) in one call: (F, N)."""
-    out = nn.Tensor(np.asarray(v, dtype=params.dtype))
+    v = np.asarray(v, dtype=params.dtype)
+    out = nn.Tensor(np.ascontiguousarray(v.transpose(0, 2, 1)))
     for i, conv in enumerate(params.convs):
         out = nn.conv1d_freq(out, conv.kernels, conv.bias)
         if i < len(params.convs) - 1:
             out = nn.selu(out)
-    return out.data[:, 0]
+    return out.data[:, :, 0]
 
 
 def post_forward(params, v: np.ndarray) -> np.ndarray:

@@ -1,16 +1,21 @@
+import math
 import os
 import re
 import subprocess
 import sys
+from dataclasses import field, fields, make_dataclass
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from rtsn import cli
 from rtsn.corpus import read_wav, write_wav
-from rtsn.dsp import Waveform
-from rtsn.settings import parse_settings
+from rtsn.dsp import StftConfig, Waveform
+from rtsn.model import RtsnConfig
+from rtsn.settings import format_settings, parse_settings, schema
+from rtsn.trainer import TrainConfig
 
 from helpers import synth_noise, synth_voice
 
@@ -226,6 +231,76 @@ def test_config_parser_errors_name_lines(tmp_path):
     p.write_text("hop = 8\nhop = 9\n")
     with pytest.raises(ValueError, match="line 2: duplicate"):
         read_config(p)
+
+
+def test_config_parser_rejects_non_finite_floats(tmp_path):
+    p = tmp_path / "c.cfg"
+    for value in ("nan", "inf", "-Infinity", "1e999"):
+        p.write_text(f"learning_rate = {value}\n")
+        with pytest.raises(ValueError, match="line 1: bad value .* 'learning_rate'"):
+            read_config(p)
+
+
+def _unvalidated(values, cls):
+    """cls's fields filled from values over its defaults, as a dataclass
+    without cls's range checks: the reader types values, the configs check
+    their ranges."""
+    twin = make_dataclass(cls.__name__, [(f.name, f.type, field(default=f.default))
+                                         for f in fields(cls)])
+    return twin(**{k: v for k, v in values.items() if k in twin.__dataclass_fields__})
+
+
+_CLASSES = (StftConfig, RtsnConfig, TrainConfig)
+_DEFAULTS = {f.name: f.default for cls in _CLASSES for f in fields(cls)}
+_TEXT = st.text(st.characters(min_codepoint=32, max_codepoint=126), max_size=12)
+_OF_TYPE = {
+    int: st.integers(-10**6, 10**6).map(str),
+    float: st.floats().map(repr),
+    tuple: st.lists(st.integers(-999, 999), min_size=1, max_size=4).map(
+        lambda v: ",".join(map(str, v))),
+}
+_ODD = _TEXT | st.sampled_from(
+    ["nan", "-inf", "1e999", "1_0", "0x10", "1,", ",2", "3 4", "٣"])
+_SEP = st.sampled_from(["=", " = ", "= "])
+_KEYED = st.sampled_from(sorted(cli.CONFIG_KEYS)).flatmap(
+    lambda k: st.tuples(st.just(k), _SEP,
+                        _OF_TYPE[type(_DEFAULTS[k])] | _OF_TYPE[int] | _ODD).map("".join))
+_LINES = st.one_of(
+    _KEYED, _KEYED, _KEYED,  # mostly known keys, so many files parse
+    st.tuples(_TEXT, _SEP, _ODD).map("".join),
+    _TEXT,  # blank, comment-only or malformed
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(_LINES, max_size=6))
+def test_config_reader_fuzz(lines):
+    # Random `key = value` lines either fail at their first bad line with a
+    # ValueError naming the source, that line and its key (or the whole
+    # line when it has no `=`), or give typed values that come back
+    # unchanged when written by format_settings and read again.
+    text = "\n".join(lines)
+    try:
+        values = parse_settings(text, cli.CONFIG_KEYS, "fuzz.cfg")
+    except ValueError as e:
+        msg = str(e)
+        where = re.match(r"fuzz\.cfg line (\d+): ", msg)
+        assert where, msg
+        ln = int(where.group(1))
+        parse_settings("\n".join(lines[: ln - 1]), cli.CONFIG_KEYS, "fuzz.cfg")
+        bad = lines[ln - 1]
+        key = bad.split("#", 1)[0].partition("=")[0].strip()
+        assert repr(key) in msg or repr(bad) in msg, msg
+        return
+    for key, value in values.items():
+        assert type(value) is type(_DEFAULTS[key])
+        if isinstance(value, tuple):
+            assert all(type(v) is int for v in value)
+        else:
+            assert math.isfinite(value)
+    written = format_settings(*(_unvalidated(values, cls) for cls in _CLASSES))
+    again = parse_settings(written, schema(*_CLASSES), "written")
+    assert {k: again[k] for k in values} == values
 
 
 def test_train_bad_config_value(tmp_path, capsys):

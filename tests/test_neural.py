@@ -6,7 +6,17 @@ from numpy.testing import assert_allclose
 
 import rtsn.neural as nn
 
-from helpers import fd_gradient, lstm_oracle, matmul, rel_err, tmean
+from helpers import (
+    conv1d_einsum,
+    fd_gradient,
+    gather_steps_grad,
+    lstm_oracle,
+    matmul,
+    rel_err,
+    selu_where,
+    tmean,
+)
+from rtsn.model import gather_index
 
 FD_TOL = 1e-6
 
@@ -114,6 +124,14 @@ def test_reshape_gradient():
     a = rng.standard_normal((2, 6))
     check_grads(lambda x: _proj(nn.reshape(x, (3, 4)), 8), [a])
     check_grads(lambda x: _proj(nn.reshape(x, (12,)), 9), [a])
+
+
+def test_transpose_gradient():
+    rng = np.random.default_rng(9)
+    a = rng.standard_normal((2, 3, 4))
+    assert np.array_equal(nn.transpose(nn.Tensor(a), (2, 0, 1)).data, a.transpose(2, 0, 1))
+    check_grads(lambda x: _proj(nn.transpose(x, (2, 0, 1)), 11), [a])
+    check_grads(lambda x: _proj(nn.transpose(x, (0, 2, 1)), 10), [a])
 
 
 def test_concat_gradient():
@@ -253,26 +271,104 @@ def test_conv1d_matches_loop_oracle():
     x = rng.standard_normal((2, 3, 7))
     kernels = rng.standard_normal((4, 3, 5))
     bias = rng.standard_normal(4)
-    got = nn.conv1d_freq(nn.Tensor(x), nn.Tensor(kernels), nn.Tensor(bias)).data
-    assert_allclose(got, conv_loop_oracle(x, kernels, bias), rtol=1e-12, atol=1e-12)
+    # conv1d_freq is channel-last: (batch, n, channels) in and out
+    got = nn.conv1d_freq(nn.Tensor(x.transpose(0, 2, 1)), nn.Tensor(kernels),
+                         nn.Tensor(bias)).data
+    assert_allclose(got, conv_loop_oracle(x, kernels, bias).transpose(0, 2, 1),
+                    rtol=1e-12, atol=1e-12)
 
 
 def test_conv1d_gradients():
     rng = np.random.default_rng(16)
     arrays = [
-        rng.standard_normal((2, 3, 6)),
+        np.ascontiguousarray(rng.standard_normal((2, 3, 6)).transpose(0, 2, 1)),
         rng.standard_normal((4, 3, 3)),
         rng.standard_normal(4),
     ]
     check_grads(lambda *t: _proj(nn.conv1d_freq(*t), 19), arrays)
 
 
+@pytest.mark.parametrize("c_out, k", [(2, 1), (2, 3), (2, 5), (1, 5)])
+def test_conv1d_gradients_shapes(c_out, k):
+    # kernel widths 1, 3 and 5, and one output channel as in the posterior's
+    # last layer, where every GEMM has one column on the output side
+    rng = np.random.default_rng(30 + 10 * c_out + k)
+    arrays = [
+        rng.standard_normal((3, 7, 4)),
+        rng.standard_normal((c_out, 4, k)),
+        rng.standard_normal(c_out),
+    ]
+    check_grads(lambda *t: _proj(nn.conv1d_freq(*t), 31), arrays)
+
+
+def test_conv1d_gradients_constant_input():
+    # a constant input, as the posterior input is for frozen parameters:
+    # the kernel and bias gradients hold and no input gradient is formed
+    rng = np.random.default_rng(36)
+    x = nn.Tensor(rng.standard_normal((2, 6, 3)))
+    arrays = [rng.standard_normal((2, 3, 3)), rng.standard_normal(2)]
+    check_grads(lambda kk, bb: _proj(nn.conv1d_freq(x, kk, bb), 37), arrays)
+    assert x.grad is None
+
+
 def test_conv1d_validation():
-    x = nn.Tensor(np.zeros((1, 2, 5)))
+    x = nn.Tensor(np.zeros((1, 5, 2)))
     with pytest.raises(ValueError, match="odd"):
         nn.conv1d_freq(x, nn.Tensor(np.zeros((1, 2, 4))), nn.Tensor(np.zeros(1)))
     with pytest.raises(ValueError, match="channels"):
         nn.conv1d_freq(x, nn.Tensor(np.zeros((1, 3, 3))), nn.Tensor(np.zeros(1)))
+
+
+def _value_and_grads(layer, arrays, weights):
+    """layer(*arrays) and the gradient of sum(layer * weights) for every array."""
+    params = [nn.parameter(np.array(a), f"p{i}") for i, a in enumerate(arrays)]
+    out = layer(*params)
+    loss = nn.tsum(nn.mul(out, nn.Tensor(weights)))
+    return [out.data] + nn.grads_for(loss, params)
+
+
+def assert_close_to_scale(got, want, tol, what):
+    """Largest difference within tol of the oracle's largest magnitude."""
+    err = np.max(np.abs(got - want)) / np.max(np.abs(want))
+    assert err <= tol, f"{what}: {err:.3g} > {tol:.3g}"
+
+
+@pytest.mark.parametrize("dtype", [np.float64, np.float32])
+@pytest.mark.parametrize("c_in, c_out", [(90, 256), (256, 128), (128, 64), (64, 1)])
+def test_conv1d_matches_einsum_oracle(c_in, c_out, dtype):
+    # The default posterior layers (k = 5 over 129 bins, a few frames):
+    # the output and all three gradients agree with the einsum oracle, to
+    # 1e-10 in float64 and to K float32 roundings, K = in channels x taps.
+    rng = np.random.default_rng(c_in + c_out)
+    frames, bins, k = 3, 129, 5
+    x = rng.standard_normal((frames, c_in, bins)).astype(dtype)
+    kernels = (rng.standard_normal((c_out, c_in, k)) / np.sqrt(c_in * k)).astype(dtype)
+    bias = rng.standard_normal(c_out).astype(dtype)
+    weights = rng.standard_normal((frames, c_out, bins)).astype(dtype)
+    want = _value_and_grads(conv1d_einsum, (x, kernels, bias), weights)
+    got = _value_and_grads(nn.conv1d_freq, (x.transpose(0, 2, 1), kernels, bias),
+                           weights.transpose(0, 2, 1))
+    got[0], got[1] = got[0].transpose(0, 2, 1), got[1].transpose(0, 2, 1)
+    tol = 1e-10 if dtype == np.float64 else c_in * k * np.finfo(np.float32).eps
+    for what, a, b in zip(("output", "x grad", "kernel grad", "bias grad"), got, want):
+        assert a.dtype == dtype
+        assert_close_to_scale(a, b, tol, what)
+
+
+@pytest.mark.parametrize("dtype", [np.float64, np.float32])
+def test_selu_matches_where_oracle(dtype):
+    rng = np.random.default_rng(27)
+    x = (3.0 * rng.standard_normal((4, 129, 8))).astype(dtype)
+    x[0, 0, :4] = 0.0  # the kink: slope scale*alpha, as exp(0) gives
+    weights = rng.standard_normal(x.shape).astype(dtype)
+    want = _value_and_grads(selu_where, (x,), weights)
+    got = _value_and_grads(nn.selu, (x,), weights)
+    tol = 1e-14 if dtype == np.float64 else 4 * np.finfo(np.float32).eps
+    for what, a, b in zip(("output", "x grad"), got, want):
+        assert a.dtype == dtype
+        assert_close_to_scale(a, b, tol, what)
+    assert_allclose(got[1][0, 0, :4], nn.SELU_SCALE * nn.SELU_ALPHA * weights[0, 0, :4],
+                    rtol=4 * np.finfo(dtype).eps)
 
 
 def assert_gather_matches_loop(x, idx):
@@ -334,6 +430,27 @@ def test_gather_steps_block_rows_gradient():
     p = nn.parameter(x.copy(), "x")
     (g,) = nn.grads_for(build(p), [p])
     assert not np.any(g[:, 4:])
+
+
+@pytest.mark.parametrize("dtype", [np.float64, np.float32])
+def test_gather_steps_gradient_matches_add_at_oracle(dtype):
+    # Clamped edge indices as the posterior gathers them (lane 0, whole
+    # chunk and a block of rows), and random ones with repeats inside and
+    # across rows (lane 1): the scatter sums repeats in np.add.at's order.
+    rng = np.random.default_rng(26)
+    b, t, r, n, lookahead = 2, 7, 3, 4, 2
+    x = rng.standard_normal((b, t, r, n)).astype(dtype)
+    m = 2 * lookahead + 1
+    for rows in (slice(0, t), slice(2, 5)):
+        idx = np.stack([gather_index(t, lookahead)[rows],
+                        rng.integers(0, t, size=(rows.stop - rows.start, m))])
+        idx[1, 0] = 3
+        p = nn.parameter(x.copy(), "x")
+        out = nn.gather_steps(p, idx)
+        g = rng.standard_normal(out.shape).astype(dtype)
+        (got,) = nn.grads_for(nn.tsum(nn.mul(out, nn.Tensor(g))), [p])
+        assert got.dtype == dtype
+        assert np.array_equal(got, gather_steps_grad(x.shape, idx, g))
 
 
 def test_gather_steps_index_validation():
