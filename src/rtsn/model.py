@@ -22,6 +22,7 @@ bounded apart from the O(frames) inputs, prior outputs and result.
 """
 from __future__ import annotations
 
+import math
 import struct
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -70,8 +71,10 @@ class RtsnConfig:
     def __post_init__(self) -> None:
         if self.lookahead < 1:
             raise ValueError(f"lookahead must be >= 1, got {self.lookahead}")
-        if self.prior_weight < 0:
-            raise ValueError(f"prior_weight must be >= 0, got {self.prior_weight}")
+        if not (math.isfinite(self.prior_weight) and self.prior_weight >= 0):
+            raise ValueError(
+                f"prior_weight must be finite and >= 0, got {self.prior_weight}"
+            )
         if self.n_bins < 1 or self.lstm_layers < 1 or self.lstm_units < 1:
             raise ValueError("n_bins, lstm_layers, lstm_units must be positive")
         if self.conv_kernel % 2 != 1:

@@ -13,10 +13,6 @@ SELU_ALPHA = 1.6732632423543772
 SELU_SCALE = 1.0507009873554805
 
 
-def _sigmoid(z: np.ndarray) -> np.ndarray:
-    return 0.5 * (np.tanh(0.5 * z) + 1.0)
-
-
 # Values per block of an elementwise layer: 256 KB in float32, so the
 # several passes over one block run in cache.
 _ELEMENTWISE_BLOCK = 1 << 16
@@ -92,28 +88,50 @@ def lstm_cell(x, w_in, w_rec, bias, h: np.ndarray, c: np.ndarray) -> Tensor:
 
     Gate order inside the packed 4H dimension is input, forget, cell, output;
     w_in is (4H, D) and w_rec is (4H, H).  The input products of every step
-    are one GEMM before the recurrence, which keeps only h @ w_rec.T.  The
-    state arrays h and c (B, H) enter as constants and are advanced in place
-    to the state after the last step.  The backward runs one reverse loop,
-    then forms the weight, bias and input gradients as whole-chunk GEMMs.
+    are one 2-D GEMM, (T*B, D) @ w_in.T, before the recurrence, which keeps
+    only h @ w_rec.T.  The state arrays h and c (B, H) enter as constants and
+    are advanced in place to the state after the last step.
+
+    Each sigmoid is taken as 0.5 * tanh(0.5 * z) + 0.5, so a step runs one
+    tanh over all four gates.  The i, f and o columns of the input products
+    and of a private contiguous copy of w_rec.T are halved once up front:
+    scaling by a power of two is exact, so every gate sees the same 0.5 * z
+    as if it were halved after the sum.  The copy is always taken, never a
+    view, because the halving writes into it.  A step is then the recurrent
+    GEMV plus elementwise work into preallocated arrays.
+
+    The backward runs one reverse loop over the stored gate values, then
+    forms the weight, bias and input gradients as whole-chunk GEMMs.
     """
     x, w_in, w_rec, bias = (as_tensor(t) for t in (x, w_in, w_rec, bias))
     hidden = h.shape[1]
+    sigmoid_cols = (slice(0, 2 * hidden), slice(3 * hidden, 4 * hidden))  # i, f and o
     x_tm = np.ascontiguousarray(x.data.swapaxes(0, 1))  # (T, B, D): steps contiguous
-    acts = x_tm @ w_in.data.T + bias.data  # (T, B, 4H), overwritten by gates i, f, g, o
-    steps = acts.shape[0]
+    steps, batch, dim = x_tm.shape
+    acts = x_tm.reshape(-1, dim) @ w_in.data.T + bias.data
+    w = w_rec.data.T.copy()  # (H, 4H), ours to scale
+    for cols in sigmoid_cols:
+        for m in (acts[:, cols], w[:, cols]):
+            m *= 0.5
+    acts = acts.reshape(steps, batch, 4 * hidden)  # overwritten by gates i, f, g, o
     hs = np.empty((steps + 1,) + h.shape, dtype=acts.dtype)  # hs[t + 1]: after step t
     cs = np.empty_like(hs)
     hs[0], cs[0] = h, c
+    rec = np.empty((batch, 4 * hidden), dtype=acts.dtype)
+    tmp = np.empty((batch, hidden), dtype=acts.dtype)
     for t in range(steps):
         a = acts[t]
-        a += hs[t] @ w_rec.data.T
-        a[:, : 2 * hidden] = _sigmoid(a[:, : 2 * hidden])
-        a[:, 2 * hidden : 3 * hidden] = np.tanh(a[:, 2 * hidden : 3 * hidden])
-        a[:, 3 * hidden :] = _sigmoid(a[:, 3 * hidden :])
-        gi, gf, gg, go = np.split(a, 4, axis=1)
-        cs[t + 1] = gf * cs[t] + gi * gg
-        hs[t + 1] = go * np.tanh(cs[t + 1])
+        np.matmul(hs[t], w, out=rec)
+        a += rec
+        np.tanh(a, out=a)
+        for cols in sigmoid_cols:
+            gates = a[:, cols]
+            gates *= 0.5
+            gates += 0.5
+        gi, gf, gg, go = (a[:, k * hidden : (k + 1) * hidden] for k in range(4))
+        np.multiply(gf, cs[t], out=cs[t + 1])
+        cs[t + 1] += np.multiply(gi, gg, out=tmp)
+        np.multiply(go, np.tanh(cs[t + 1], out=tmp), out=hs[t + 1])
 
     def backward(g):
         dz = np.empty(x.data.shape[:2] + (4 * hidden,), dtype=acts.dtype)  # (B, T, 4H)
@@ -134,7 +152,7 @@ def lstm_cell(x, w_in, w_rec, bias, h: np.ndarray, c: np.ndarray) -> Tensor:
         _accum(w_rec, dz_flat.T @ hs[:-1].swapaxes(0, 1).reshape(len(dz_flat), -1))
         _accum(bias, dz_flat.sum(axis=0))
         if x.requires_grad:
-            _accum(x, dz @ w_in.data)
+            _accum(x, (dz_flat @ w_in.data).reshape(x.data.shape))
 
     out = _node(hs[1:].swapaxes(0, 1), (x, w_in, w_rec, bias), backward, "lstm_cell")
     h[...], c[...] = hs[-1], cs[-1]

@@ -1,3 +1,4 @@
+import math
 import re
 import struct
 import tempfile
@@ -77,8 +78,9 @@ def random_chunk(cfg, batch, steps, seed):
 def test_config_validation():
     with pytest.raises(ValueError, match="lookahead"):
         RtsnConfig(lookahead=0)
-    with pytest.raises(ValueError, match="prior_weight"):
-        RtsnConfig(prior_weight=-1.0)
+    for bad in (-1.0, math.inf, math.nan):
+        with pytest.raises(ValueError, match="prior_weight must be finite"):
+            RtsnConfig(prior_weight=bad)
     with pytest.raises(ValueError, match="conv_kernel"):
         RtsnConfig(conv_kernel=4)
     with pytest.raises(ValueError, match="end in 1"):
@@ -584,7 +586,8 @@ def model_configs(draw):
                              fft_size=fft_size)
     config = RtsnConfig(
         lookahead=draw(st.integers(1, 3)),
-        prior_weight=draw(st.floats(min_value=0.0, allow_nan=False)),
+        prior_weight=draw(st.floats(min_value=0.0, allow_nan=False,
+                                    allow_infinity=False)),
         n_bins=stft_config.n_bins,
         lstm_layers=draw(st.integers(1, 3)),
         lstm_units=draw(st.integers(1, 4)),

@@ -247,6 +247,86 @@ def test_lstm_cell_chained_gradient():
     check_grads(two_layers, [w_in, w_rec, bias, w_in2, w_rec2, bias2])
 
 
+F32_EPS = float(np.finfo(np.float32).eps)
+
+
+def _lstm_arrays_f32(rng, b, t, d, hdim):
+    """_lstm_arrays rounded to float32, and the same values in float64 for
+    the oracle, so only the arithmetic differs."""
+    arrays32 = [a.astype(np.float32) for a in _lstm_arrays(rng, b, t, d, hdim)]
+    return arrays32, [a.astype(np.float64) for a in arrays32]
+
+
+def _assert_within(got, want, tol, what):
+    err = float(np.max(np.abs(got - want)))
+    bound = tol * max(1.0, float(np.max(np.abs(want))))
+    assert err <= bound, f"{what}: max error {err:.3g} > {bound:.3g}"
+
+
+def test_lstm_cell_float32_long_batch1_matches_oracle():
+    # The batch-1 inference case over many steps, in float32, against the
+    # float64 step oracle.  Bound, fixed before running: K * eps with
+    # K = 8 (D + H), the length of one gate's dot product with room for the
+    # error each step hands on through the recurrence.
+    rng = np.random.default_rng(23)
+    b, t, d, hdim = 1, 300, 20, 16
+    (x, w_in, w_rec, bias, h, c), ref = _lstm_arrays_f32(rng, b, t, d, hdim)
+    want, want_h, want_c = lstm_oracle(*ref)
+    out = nn.lstm_cell(nn.Tensor(x), nn.Tensor(w_in), nn.Tensor(w_rec),
+                       nn.Tensor(bias), h, c)
+    assert out.data.dtype == h.dtype == c.dtype == np.float32
+    tol = 8 * (d + hdim) * F32_EPS
+    _assert_within(out.data, want, tol, "hidden states")
+    _assert_within(h, want_h, tol, "carried h")
+    _assert_within(c, want_c, tol, "carried c")
+
+
+def test_lstm_cell_float32_batch_gradients_match_oracle():
+    # B > 1 in float32: output, carried state and all four gradients against
+    # the float64 step oracle, its gradients by central differences.  Bound,
+    # fixed before running: K * eps with K = 8 (D + H + B T), the longest
+    # reduction (a weight gradient sums over every step of every lane).
+    rng = np.random.default_rng(29)
+    b, t, d, hdim = 3, 6, 4, 5
+    (*arrays32, h, c), (*ref, h0, c0) = _lstm_arrays_f32(rng, b, t, d, hdim)
+    proj = rng.standard_normal((b, t, hdim)).astype(np.float32)
+    params = [nn.parameter(a, f"p{i}") for i, a in enumerate(arrays32)]
+    out = nn.lstm_cell(*params, h, c)
+    grads = nn.grads_for(nn.tsum(nn.mul(out, proj)), params)
+    want, want_h, want_c = lstm_oracle(*ref, h0, c0)
+    tol = 8 * (d + hdim + b * t) * F32_EPS
+    _assert_within(out.data, want, tol, "hidden states")
+    _assert_within(h, want_h, tol, "carried h")
+    _assert_within(c, want_c, tol, "carried c")
+    for i, grad in enumerate(grads):
+        def loss(v, i=i):
+            args = list(ref)
+            args[i] = v
+            return float(np.sum(lstm_oracle(*args, h0, c0)[0] * proj))
+
+        assert grad.dtype == np.float32
+        _assert_within(grad, fd_gradient(loss, ref[i]), tol, f"gradient {i}")
+
+
+@pytest.mark.parametrize("d, hdim, shared", [(1, 1, True), (3, 3, True), (4, 5, False)])
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_lstm_cell_leaves_weights_untouched(d, hdim, shared, dtype):
+    # lstm_cell scales a copy of w_rec in place; the weights themselves,
+    # including one array passed as both w_in and w_rec, must come back
+    # byte-identical from the forward and the backward
+    rng = np.random.default_rng(31)
+    x, w_in, w_rec, bias, h, c = (a.astype(dtype) for a in
+                                  _lstm_arrays(rng, 2, 3, d, hdim))
+    if shared:
+        w_in = w_rec = rng.standard_normal((4 * hdim, hdim)).astype(dtype)
+    weights = (w_in, w_rec, bias)
+    before = [a.tobytes() for a in weights]
+    params = [nn.parameter(a, f"p{i}") for i, a in enumerate(weights)]
+    out = nn.lstm_cell(nn.Tensor(x), *params, h, c)
+    nn.grads_for(nn.tsum(out), params)
+    assert [a.tobytes() for a in weights] == before
+
+
 def conv_loop_oracle(x, kernels, bias):
     """Direct nested-loop cross-correlation with zero padding."""
     bn, c_in, n = x.shape

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -63,6 +65,9 @@ def test_train_config_validation():
         TrainConfig(patience=0)
     with pytest.raises(ValueError, match="max_epochs"):
         TrainConfig(max_epochs=0)
+    for bad in (-1e-4, math.inf, math.nan):
+        with pytest.raises(ValueError, match="learning_rate must be finite"):
+            TrainConfig(learning_rate=bad)
 
 
 def test_make_chunks():
