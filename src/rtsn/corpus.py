@@ -14,7 +14,7 @@ import tempfile
 import wave
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Iterator
 
 import numpy as np
 
@@ -306,7 +306,6 @@ class Corpus:
     val_pairs: list[tuple[str, str]]
     stats: NormStats
     stats_path: str
-    split_path: str
 
 
 def _resolve(base: Path, p: str) -> str:
@@ -376,7 +375,6 @@ def build_corpus(
         val_pairs=[pairs[i] for i in val_idx],
         stats=stats,
         stats_path=str(stats_path),
-        split_path=str(split_path),
     )
 
 
@@ -411,4 +409,4 @@ def load_corpus(
     if not train_pairs or not val_pairs:
         return None
     return Corpus(train_pairs, val_pairs, load_norm_stats(stats_path),
-                  str(stats_path), str(split_path))
+                  str(stats_path))

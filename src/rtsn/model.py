@@ -13,24 +13,35 @@ assembles it, so every convolution runs as im2col GEMMs over the
 contiguous channels of each bin with no transposes in between.  Training
 minimizes the posterior error plus prior_weight times the stack error.
 
+Every per-step input and target comes from one layout, the frame stack:
+frames t-lookahead..t+lookahead of step t, edge-replicated (frame_stack).
+A chunk carries the noisy and clean stacks only.  The prior's input is the
+noisy stack's rows lookahead.. (frames t..t+lookahead), the posterior's
+noisy context is the whole noisy stack, the prior's target is the clean
+stack and the posterior's target its row lookahead (frame t).
+
 There is one forward, forward_chunk, for training, validation and
 enhancement.  Training runs it over parameters that record an autodiff
 graph; validation and enhancement run it over params.frozen(), constants
 sharing the same arrays, so no graph is kept.  The posterior runs over
 blocks of at most POST_BLOCK_FRAMES frames, so enhancement memory stays
-bounded apart from the O(frames) inputs, prior outputs and result.
+bounded apart from the O(frames) stacks, prior outputs and result.
+
+_expected_shapes is the one table of parameter names and shapes: it fixes
+the initialization draw order, the checkpoint tensor order and the
+tensors an RtsnParams holds.
 """
 from __future__ import annotations
 
 import math
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
 from . import neural as nn
-from .corpus import NormStats, denormalize, normalize
+from .corpus import NormStats, _atomic_write, denormalize, normalize
 from .dsp import (
     LpsSequence,
     StftConfig,
@@ -113,58 +124,9 @@ class Conv1dParams:
     bias: nn.Tensor     # (out,)
 
 
-@dataclass
-class RtsnParams:
-    config: RtsnConfig
-    stft: StftConfig
-    lstm: list[LstmLayerParams]
-    proj_w: nn.Tensor
-    proj_b: nn.Tensor
-    convs: list[Conv1dParams]
-    norm: NormStats | None = None
-
-    @property
-    def dtype(self):
-        return self.proj_w.dtype
-
-    def named_tensors(self) -> list[tuple[str, nn.Tensor]]:
-        out = []
-        for i, layer in enumerate(self.lstm):
-            out.append((f"lstm{i}.w_in", layer.w_in))
-            out.append((f"lstm{i}.w_rec", layer.w_rec))
-            out.append((f"lstm{i}.bias", layer.bias))
-        out.append(("proj.weight", self.proj_w))
-        out.append(("proj.bias", self.proj_b))
-        for i, conv in enumerate(self.convs):
-            out.append((f"conv{i}.weight", conv.kernels))
-            out.append((f"conv{i}.bias", conv.bias))
-        return out
-
-    def _map(self, fn) -> "RtsnParams":
-        return RtsnParams(
-            config=self.config,
-            stft=self.stft,
-            lstm=[
-                LstmLayerParams(fn(l.w_in), fn(l.w_rec), fn(l.bias))
-                for l in self.lstm
-            ],
-            proj_w=fn(self.proj_w),
-            proj_b=fn(self.proj_b),
-            convs=[Conv1dParams(fn(c.kernels), fn(c.bias)) for c in self.convs],
-            norm=self.norm,
-        )
-
-    def copy(self) -> "RtsnParams":
-        return self._map(lambda t: nn.parameter(t.data.copy(), t.name))
-
-    def frozen(self) -> "RtsnParams":
-        """The same arrays as named constants, not copied: a forward over
-        them records no graph, so it holds no intermediate it no longer
-        needs."""
-        return self._map(lambda t: nn.Tensor(t.data, name=t.name))
-
-
 def _expected_shapes(config: RtsnConfig) -> dict[str, tuple[int, ...]]:
+    """Every parameter's name and shape, in initialization and checkpoint
+    order: the one place the parameter layout is written out."""
     shapes: dict[str, tuple[int, ...]] = {}
     h = config.lstm_units
     d = config.pri_input_dim
@@ -183,6 +145,71 @@ def _expected_shapes(config: RtsnConfig) -> dict[str, tuple[int, ...]]:
     return shapes
 
 
+@dataclass
+class RtsnParams:
+    """Model parameters: tensors maps each name of _expected_shapes, in its
+    order, to a tensor of that shape; the layer views below group them."""
+
+    config: RtsnConfig
+    stft: StftConfig
+    tensors: dict[str, nn.Tensor]
+    norm: NormStats | None = None
+
+    @property
+    def dtype(self):
+        return self.proj_w.dtype
+
+    @property
+    def lstm(self) -> list[LstmLayerParams]:
+        return [LstmLayerParams(*ts) for ts in self._layers("lstm")]
+
+    @property
+    def proj_w(self) -> nn.Tensor:
+        return self.tensors["proj.weight"]
+
+    @property
+    def proj_b(self) -> nn.Tensor:
+        return self.tensors["proj.bias"]
+
+    @property
+    def convs(self) -> list[Conv1dParams]:
+        return [Conv1dParams(*ts) for ts in self._layers("conv")]
+
+    def _layers(self, kind: str) -> list[list[nn.Tensor]]:
+        """The tensors of layers kind0, kind1, ..., each in table order."""
+        layers: dict[str, list[nn.Tensor]] = {}
+        for name, t in self.tensors.items():
+            if name.startswith(kind):
+                layers.setdefault(name.split(".")[0], []).append(t)
+        return list(layers.values())
+
+    def named_tensors(self) -> list[tuple[str, nn.Tensor]]:
+        return list(self.tensors.items())
+
+    def _map(self, make) -> "RtsnParams":
+        arrays = {name: t.data for name, t in self.tensors.items()}
+        return _assemble(self.config, self.stft, arrays, self.norm, make)
+
+    def copy(self) -> "RtsnParams":
+        return self._map(lambda a, name: nn.parameter(a.copy(), name))
+
+    def frozen(self) -> "RtsnParams":
+        """The same arrays as named constants, not copied: a forward over
+        them records no graph, so it holds no intermediate it no longer
+        needs."""
+        return self._map(lambda a, name: nn.Tensor(a, name=name))
+
+
+def _assemble(config: RtsnConfig, stft_config: StftConfig,
+              arrays: dict[str, np.ndarray], norm: NormStats | None,
+              make=nn.parameter) -> RtsnParams:
+    """RtsnParams holding make(arrays[name], name) for every name of
+    _expected_shapes, in its order; other entries of arrays are ignored."""
+    return RtsnParams(config, stft_config,
+                      {name: make(arrays[name], name) for name in _expected_shapes(config)},
+                      norm)
+
+
 def init_params(
     config: RtsnConfig,
     stft_config: StftConfig | None = None,
@@ -192,7 +219,9 @@ def init_params(
 ) -> RtsnParams:
     """Seeded uniform(-1/sqrt(fan_in), +1/sqrt(fan_in)) initialization.
 
-    Biases start at zero except the LSTM forget gates, which start at one.
+    Weights are drawn in _expected_shapes order with fan_in the product of
+    all but their first dimension.  Biases start at zero except the LSTM
+    forget gates, which start at one.
     """
     stft_config = stft_config or StftConfig()
     if config.n_bins != stft_config.n_bins:
@@ -201,41 +230,17 @@ def init_params(
             f"{stft_config.n_bins}"
         )
     rng = np.random.default_rng(seed)
-
-    def uniform(name: str, shape: tuple[int, ...], fan_in: int) -> nn.Tensor:
-        bound = 1.0 / np.sqrt(fan_in)
-        return nn.parameter(rng.uniform(-bound, bound, shape).astype(dtype), name)
-
     h = config.lstm_units
-    lstm = []
-    for i in range(config.lstm_layers):
-        d = config.pri_input_dim if i == 0 else h
-        bias = np.zeros(4 * h, dtype=dtype)
-        bias[h : 2 * h] = 1.0
-        lstm.append(
-            LstmLayerParams(
-                w_in=uniform(f"lstm{i}.w_in", (4 * h, d), d),
-                w_rec=uniform(f"lstm{i}.w_rec", (4 * h, h), h),
-                bias=nn.parameter(bias, f"lstm{i}.bias"),
-            )
-        )
-    out_dim = config.stack_rows * config.n_bins
-    proj_w = uniform("proj.weight", (out_dim, h), h)
-    proj_b = nn.parameter(np.zeros(out_dim, dtype=dtype), "proj.bias")
-    convs = []
-    prev = config.posterior_channels
-    for i, ch in enumerate(config.conv_channels):
-        convs.append(
-            Conv1dParams(
-                kernels=uniform(
-                    f"conv{i}.weight", (ch, prev, config.conv_kernel),
-                    prev * config.conv_kernel,
-                ),
-                bias=nn.parameter(np.zeros(ch, dtype=dtype), f"conv{i}.bias"),
-            )
-        )
-        prev = ch
-    return RtsnParams(config, stft_config, lstm, proj_w, proj_b, convs, norm)
+    arrays = {}
+    for name, shape in _expected_shapes(config).items():
+        if len(shape) > 1:
+            bound = 1.0 / np.sqrt(math.prod(shape[1:]))
+            arrays[name] = rng.uniform(-bound, bound, shape).astype(dtype)
+        else:
+            arrays[name] = np.zeros(shape, dtype=dtype)
+            if name.startswith("lstm"):
+                arrays[name][h : 2 * h] = 1.0
+    return _assemble(config, stft_config, arrays, norm)
 
 
 def count_parameters(params: RtsnParams) -> int:
@@ -247,14 +252,6 @@ def count_parameters(params: RtsnParams) -> int:
 # ---------------------------------------------------------------------------
 
 
-def input_windows(values: np.ndarray, lookahead: int) -> np.ndarray:
-    """Per-step prior input: frames t..t+lookahead flattened, edge-replicated."""
-    t = values.shape[0]
-    idx = np.arange(t)[:, None] + np.arange(lookahead + 1)[None, :]
-    idx = np.clip(idx, 0, t - 1)
-    return values[idx].reshape(t, -1)
-
-
 def frame_stack(values: np.ndarray, lookahead: int) -> np.ndarray:
     """Frames t-lookahead..t+lookahead per step, edge-replicated: (T, R, N)."""
     t = values.shape[0]
@@ -263,8 +260,14 @@ def frame_stack(values: np.ndarray, lookahead: int) -> np.ndarray:
     return values[idx]
 
 
-def gather_index(num_steps: int, lookahead: int, valid: int | None = None) -> np.ndarray:
-    """Clamped step indices feeding the posterior gather: (num_steps, R)."""
+def gather_index(num_steps: int, lookahead: int,
+                 valid: int | np.ndarray | None = None) -> np.ndarray:
+    """Clamped step indices feeding the posterior gather: (num_steps, R).
+
+    valid, an int or an array broadcasting against (num_steps, R) such as
+    (B, 1, 1) lane lengths, caps the indices at valid - 1 (default
+    num_steps), so padded steps are never read.
+    """
     top = (valid if valid is not None else num_steps) - 1
     idx = np.arange(num_steps)[:, None] + np.arange(-lookahead, lookahead + 1)
     return np.clip(idx, 0, top)
@@ -291,33 +294,22 @@ class LossOut:
 
 @dataclass
 class ChunkData:
-    """Numpy inputs for one batched chunk.
+    """Numpy inputs for one batched chunk of B lanes by U steps.
 
-    windows: (B, U, (lookahead+1)*N) prior inputs per step.
-    noisy_ctx: (B, U, R, N) noisy frames around each step.
-    gather_idx: (B, U, R) clamped local step indices for the posterior.
-    clean_frame/clean_stack/mask: training targets, or None for inference.
+    noisy_ctx: (B, U, R, N) noisy frames t-lookahead..t+lookahead of each
+        step t, edge-replicated as frame_stack builds them.  Rows
+        lookahead.. (frames t..t+lookahead) are the prior's input; the
+        whole stack is the posterior's noisy context.
+    clean_stack: (B, U, R, N) clean frame stacks, the prior's targets; row
+        lookahead (frame t) is the posterior's target.  None for inference.
+    valid: (B,) number of real leading steps per lane, or None when every
+        step is real.  The posterior gather never reads past them and the
+        loss masks the steps after them.
     """
 
-    windows: np.ndarray
     noisy_ctx: np.ndarray
-    gather_idx: np.ndarray
-    clean_frame: np.ndarray | None = None
     clean_stack: np.ndarray | None = None
-    mask: np.ndarray | None = None
-
-
-def utterance_chunk(lookahead: int, windows: np.ndarray, noisy_ctx: np.ndarray,
-                    clean_frame: np.ndarray | None = None,
-                    clean_stack: np.ndarray | None = None) -> ChunkData:
-    """One whole utterance as a batch-of-one chunk; targets are optional."""
-    return ChunkData(
-        windows=windows[None],
-        noisy_ctx=noisy_ctx[None],
-        gather_idx=gather_index(windows.shape[0], lookahead)[None],
-        clean_frame=None if clean_frame is None else clean_frame[None],
-        clean_stack=None if clean_stack is None else clean_stack[None],
-    )
+    valid: np.ndarray | None = None
 
 
 @dataclass
@@ -329,7 +321,8 @@ class ChunkResult:
 
 def _prior(params: RtsnParams, windows: np.ndarray,
            state: tuple[list, list]) -> nn.Tensor:
-    """LSTM stack then projection: (B, U, R, N) stacks, one node per layer."""
+    """LSTM stack then projection from (B, U, (lookahead+1)*N) inputs:
+    (B, U, R, N) stacks, one node per layer."""
     batch, steps, _ = windows.shape
     x = nn.Tensor(windows, name="windows")
     for layer, h, c in zip(params.lstm, *state):
@@ -352,7 +345,10 @@ def _conv_stack(params: RtsnParams, v: nn.Tensor) -> nn.Tensor:
 
 def forward_chunk(params: RtsnParams, data: ChunkData,
                   state: tuple[list, list] | None = None) -> ChunkResult:
-    """Run both stages over one batched chunk, optionally with the loss.
+    """Run both stages over one batched chunk, with the loss when data
+    carries clean stacks.  Every input, target, gather index and mask is
+    derived from data's frame stacks and valid counts (see ChunkData),
+    whose shapes are checked first.
 
     state is the per-layer LSTM (h, c) arrays from zero_state; lstm_cell
     advances them in place to the state after the chunk, so passing the
@@ -367,21 +363,26 @@ def forward_chunk(params: RtsnParams, data: ChunkData,
     does not grow with the chunk.
     """
     dtype = params.dtype
-    windows = data.windows.astype(dtype, copy=False)
-    batch, steps, _ = windows.shape
+    lookahead = params.config.lookahead
+    noisy_ctx = data.noisy_ctx.astype(dtype, copy=False)
+    batch, steps = _check_chunk(params.config, data)
     if state is None:
         state = zero_state(params, batch)
-    x_bar = _prior(params, windows, state)
+    # frames t..t+lookahead of each step, the stacks' last rows, in one
+    # contiguous copy that lstm_cell reads in place at batch 1
+    x_bar = _prior(params, np.ascontiguousarray(noisy_ctx[:, :, lookahead:])
+                   .reshape(batch, steps, -1), state)
+    valid = None if data.valid is None else data.valid[:, None, None]
+    gather_idx = np.broadcast_to(gather_index(steps, lookahead, valid),
+                                 (batch, steps, params.config.stack_rows))
     channels = params.config.posterior_channels
     n_bins = params.config.n_bins
     block = max(1, POST_BLOCK_FRAMES // batch)
     blocks = []
     for start in range(0, steps, block):
         rows = slice(start, start + block)
-        gathered = nn.gather_steps(x_bar, data.gather_idx[:, rows])
-        ctx = nn.Tensor(
-            data.noisy_ctx[:, rows].swapaxes(2, 3).astype(dtype, copy=False),
-            name="noisy_ctx")
+        gathered = nn.gather_steps(x_bar, gather_idx[:, rows])
+        ctx = nn.Tensor(noisy_ctx[:, rows].swapaxes(2, 3), name="noisy_ctx")
         # the one copy into the channel-last (frames, bins, channels) layout
         v = nn.concat([nn.transpose(gathered, (0, 1, 3, 2)), ctx], axis=3)
         size = v.shape[1]
@@ -389,10 +390,31 @@ def forward_chunk(params: RtsnParams, data: ChunkData,
         blocks.append(nn.reshape(_conv_stack(params, flat), (batch, size, n_bins)))
     x_hat = nn.concat(blocks, axis=1)
     loss = None
-    if data.clean_frame is not None:
-        loss = mol_loss(x_hat, data.clean_frame, x_bar, data.clean_stack,
-                        params.config.prior_weight, data.mask)
+    if data.clean_stack is not None:
+        mask = None if data.valid is None else np.arange(steps) < data.valid[:, None]
+        loss = mol_loss(x_hat, data.clean_stack[:, :, lookahead], x_bar,
+                        data.clean_stack, params.config.prior_weight, mask)
     return ChunkResult(x_hat, x_bar, loss)
+
+
+def _check_chunk(config: RtsnConfig, data: ChunkData) -> tuple[int, int]:
+    """(B, U) of a chunk whose arrays agree with each other and the config."""
+    shape = data.noisy_ctx.shape
+    if len(shape) != 4 or shape[2:] != (config.stack_rows, config.n_bins):
+        raise ValueError(f"noisy_ctx shape {shape}, expected "
+                         f"(lanes, steps, {config.stack_rows}, {config.n_bins})")
+    if data.clean_stack is not None and data.clean_stack.shape != shape:
+        raise ValueError(
+            f"clean_stack shape {data.clean_stack.shape} differs from "
+            f"noisy_ctx shape {shape}")
+    batch, steps = shape[:2]
+    valid = data.valid
+    if valid is not None and not (
+            valid.shape == (batch,) and np.issubdtype(valid.dtype, np.integer)
+            and np.all((valid >= 1) & (valid <= steps))):
+        raise ValueError(
+            f"valid must be {batch} integer step counts in 1..{steps}, got {valid!r}")
+    return batch, steps
 
 
 def mol_loss(pred_frames, target_frames, pred_stacks, target_stacks,
@@ -438,9 +460,7 @@ def enhance_lps(params: RtsnParams, norm_values: np.ndarray) -> np.ndarray:
     so memory beyond the O(frames) arrays does not grow with length.
     """
     values = np.asarray(norm_values, dtype=params.dtype)
-    lookahead = params.config.lookahead
-    data = utterance_chunk(lookahead, input_windows(values, lookahead),
-                           frame_stack(values, lookahead))
+    data = ChunkData(frame_stack(values, params.config.lookahead)[None])
     return forward_chunk(params.frozen(), data).x_hat.data[0]
 
 
@@ -497,8 +517,6 @@ def save_checkpoint(params: RtsnParams, path) -> None:
         chunks.append(struct.pack("<B", data.ndim))
         chunks.append(struct.pack(f"<{data.ndim}I", *data.shape))
         chunks.append(data.tobytes())
-    from .corpus import _atomic_write
-
     _atomic_write(path, b"".join(chunks))
 
 
@@ -546,9 +564,8 @@ def load_checkpoint(path) -> RtsnParams:
     if pos != len(view):
         raise ValueError(f"{path}: {len(view) - pos} trailing bytes")
 
-    expected = _expected_shapes(config)
-    for extra in ("norm.mean", "norm.std"):
-        expected[extra] = (config.n_bins,)
+    expected = _expected_shapes(config) | {
+        "norm.mean": (config.n_bins,), "norm.std": (config.n_bins,)}
     for name, shape in expected.items():
         if name not in tensors:
             raise ValueError(f"{path}: checkpoint missing tensor {name}")
@@ -561,23 +578,9 @@ def load_checkpoint(path) -> RtsnParams:
     if surplus:
         raise ValueError(f"{path}: unexpected tensors {surplus}")
 
-    def grab(name: str) -> nn.Tensor:
-        return nn.parameter(tensors[name], name)
-
-    lstm = [
-        LstmLayerParams(
-            grab(f"lstm{i}.w_in"), grab(f"lstm{i}.w_rec"), grab(f"lstm{i}.bias")
-        )
-        for i in range(config.lstm_layers)
-    ]
-    convs = [
-        Conv1dParams(grab(f"conv{i}.weight"), grab(f"conv{i}.bias"))
-        for i in range(len(config.conv_channels))
-    ]
     try:
         norm = NormStats(tensors["norm.mean"].astype(np.float64),
                          tensors["norm.std"].astype(np.float64))
     except ValueError as e:
         raise ValueError(f"{path}: norm tensors: {e}") from None
-    return RtsnParams(config, stft_config, lstm, grab("proj.weight"),
-                      grab("proj.bias"), convs, norm)
+    return _assemble(config, stft_config, tensors, norm)

@@ -50,21 +50,6 @@ class Tensor:
         tag = f" {self.name}" if self.name else ""
         return f"Tensor{tag}(shape={self.data.shape}, dtype={self.data.dtype})"
 
-    def __add__(self, other):
-        return add(self, other)
-
-    def __radd__(self, other):
-        return add(self, other)
-
-    def __sub__(self, other):
-        return sub(self, other)
-
-    def __mul__(self, other):
-        return mul(self, other)
-
-    def __rmul__(self, other):
-        return mul(self, other)
-
 
 def parameter(data, name: str) -> Tensor:
     return Tensor(np.asarray(data), requires_grad=True, name=name)

@@ -10,23 +10,14 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from . import neural as nn
 from .corpus import Corpus, NormStats, normalize
 from .dsp import StftConfig, decompose, lps_from_magnitude, stft
-from .model import (
-    ChunkData,
-    RtsnParams,
-    forward_chunk,
-    frame_stack,
-    gather_index,
-    input_windows,
-    utterance_chunk,
-    zero_state,
-)
+from .model import ChunkData, RtsnParams, forward_chunk, frame_stack, zero_state
 
 
 @dataclass(frozen=True)
@@ -97,11 +88,10 @@ class EarlyStopper:
 
 @dataclass
 class UtteranceData:
-    """Precomputed per-utterance model inputs and targets."""
+    """One utterance's frame stacks, from which forward_chunk derives every
+    per-step input and target (see ChunkData)."""
 
-    windows: np.ndarray      # (T, (lookahead+1)*N)
     noisy_ctx: np.ndarray    # (T, R, N)
-    clean_frame: np.ndarray  # (T, N)
     clean_stack: np.ndarray  # (T, R, N)
     num_frames: int
 
@@ -120,13 +110,9 @@ def prepare_utterance(noisy_norm: np.ndarray, clean_norm: np.ndarray,
             f"noisy/clean frame shapes differ: {noisy_norm.shape} vs "
             f"{clean_norm.shape}"
         )
-    noisy_norm = noisy_norm.astype(dtype)
-    clean_norm = clean_norm.astype(dtype)
     return UtteranceData(
-        windows=input_windows(noisy_norm, lookahead),
-        noisy_ctx=frame_stack(noisy_norm, lookahead),
-        clean_frame=clean_norm,
-        clean_stack=frame_stack(clean_norm, lookahead),
+        noisy_ctx=frame_stack(noisy_norm.astype(dtype), lookahead),
+        clean_stack=frame_stack(clean_norm.astype(dtype), lookahead),
         num_frames=noisy_norm.shape[0],
     )
 
@@ -164,8 +150,7 @@ class TrainResult:
 
 def sequence_loss(params: RtsnParams, utt: UtteranceData) -> tuple[float, int]:
     """Full-sequence loss for one utterance: (mean loss, frame count)."""
-    data = utterance_chunk(params.config.lookahead, utt.windows, utt.noisy_ctx,
-                           utt.clean_frame, utt.clean_stack)
+    data = ChunkData(utt.noisy_ctx[None], utt.clean_stack[None])
     return forward_chunk(params.frozen(), data).loss.total.item(), utt.num_frames
 
 
@@ -194,14 +179,11 @@ class _Lane:
         return self.utt is None or self.cursor >= len(self.chunks)
 
 
-def _chunk_rows(utt: UtteranceData, chunk: Chunk, lookahead: int):
+def _chunk_rows(utt: UtteranceData, chunk: Chunk) -> tuple[np.ndarray, np.ndarray]:
+    """A chunk's noisy and clean stacks, the last frame's repeated as padding."""
     idx = np.clip(np.arange(chunk.start, chunk.start + chunk.size),
                   0, utt.num_frames - 1)
-    mask = (np.arange(chunk.start, chunk.start + chunk.size)
-            < utt.num_frames).astype(utt.windows.dtype)
-    gather = gather_index(chunk.size, lookahead, valid=chunk.valid)
-    return (utt.windows[idx], utt.noisy_ctx[idx], utt.clean_frame[idx],
-            utt.clean_stack[idx], mask, gather)
+    return utt.noisy_ctx[idx], utt.clean_stack[idx]
 
 
 def train(params: RtsnParams, corpus_or_utts, cfg: TrainConfig) -> TrainResult:
@@ -219,7 +201,6 @@ def train(params: RtsnParams, corpus_or_utts, cfg: TrainConfig) -> TrainResult:
     if not train_utts or not val_utts:
         raise ValueError("need at least one training and one validation utterance")
 
-    lookahead = params.config.lookahead
     lanes = [_Lane() for _ in range(cfg.utterances_per_batch)]
     tensors = [t for _, t in params.named_tensors()]
     adam = nn.AdamState(learning_rate=cfg.learning_rate)
@@ -248,18 +229,11 @@ def train(params: RtsnParams, corpus_or_utts, cfg: TrainConfig) -> TrainResult:
                     lane.cursor = 0
                     for arr in state[0] + state[1]:
                         arr[b] = 0.0
-            parts = [
-                _chunk_rows(lane.utt, lane.chunks[lane.cursor], lookahead)
-                for lane in lanes
-            ]
-            data = ChunkData(
-                windows=np.stack([p[0] for p in parts]),
-                noisy_ctx=np.stack([p[1] for p in parts]),
-                gather_idx=np.stack([p[5] for p in parts]),
-                clean_frame=np.stack([p[2] for p in parts]),
-                clean_stack=np.stack([p[3] for p in parts]),
-                mask=np.stack([p[4] for p in parts]),
-            )
+            chunks = [lane.chunks[lane.cursor] for lane in lanes]
+            noisy, clean = zip(*(_chunk_rows(lane.utt, chunk)
+                                 for lane, chunk in zip(lanes, chunks)))
+            data = ChunkData(np.stack(noisy), np.stack(clean),
+                             np.array([chunk.valid for chunk in chunks]))
             try:
                 result = forward_chunk(params, data, state)
             except FloatingPointError as e:

@@ -1,11 +1,11 @@
 """Shared test oracles.
 
 The signal oracles are reimplemented independently of the package; the
-per-frame model oracles route single frames through its public layers;
-the LSTM oracle steps the gate equations one frame at a time; the SELU,
-conv and gather oracles are the straightforward layer implementations the
-fast ones replaced; matmul and tmean are graph primitives that only the
-tests compose with.
+per-frame model oracles route single frames through its public layers,
+the prior through the LSTM oracle, which steps the gate equations one
+frame at a time; the SELU, conv and gather oracles are the straightforward
+layer implementations the fast ones replaced; matmul and tmean are graph
+primitives that only the tests compose with.
 """
 import math
 
@@ -13,7 +13,7 @@ import numpy as np
 
 import rtsn.neural as nn
 from rtsn.dsp import LpsSequence
-from rtsn.model import forward_chunk, frame_stack, input_windows, utterance_chunk
+from rtsn.model import ChunkData, forward_chunk, frame_stack
 from rtsn.neural.engine import _accum, _node
 
 SAMPLE_RATE = 8000
@@ -265,12 +265,19 @@ def assemble_posterior_input(pri_outputs: np.ndarray, noisy, t: int) -> np.ndarr
 
 
 def pri_forward(params, lps) -> np.ndarray:
-    """Prior-stage output stacks for a whole utterance: (T, R, N)."""
+    """Prior-stage output stacks for a whole utterance, (T, R, N): every
+    step's assemble_pri_input through the stepwise LSTM oracle from a zero
+    state, then the stack projection."""
     values = _values(lps).astype(params.dtype, copy=False)
-    lookahead = params.config.lookahead
-    data = utterance_chunk(lookahead, input_windows(values, lookahead),
-                           frame_stack(values, lookahead))
-    return forward_chunk(params, data).x_bar.data[0]
+    cfg = params.config
+    x = np.stack([assemble_pri_input(values, t, cfg.lookahead)
+                  for t in range(len(values))])[None]
+    zeros = np.zeros((1, cfg.lstm_units), params.dtype)
+    for layer in params.lstm:
+        x = lstm_oracle(x, layer.w_in.data, layer.w_rec.data, layer.bias.data,
+                        zeros, zeros)[0]
+    stacks = x[0] @ params.proj_w.data.T + params.proj_b.data
+    return stacks.reshape(len(values), cfg.stack_rows, cfg.n_bins)
 
 
 def _posterior_convs(params, v: np.ndarray) -> np.ndarray:
@@ -295,9 +302,11 @@ def post_forward(params, v: np.ndarray) -> np.ndarray:
 
 def enhance_one_block(params, lps) -> np.ndarray:
     """enhance_lps with the whole utterance in one posterior block: every
-    frame's assemble_posterior_input stack through the conv stack at once."""
+    frame's assemble_posterior_input stack, over the model's own prior
+    outputs, through the conv stack at once."""
     values = _values(lps).astype(params.dtype, copy=False)
-    stacks = pri_forward(params, values)
+    data = ChunkData(frame_stack(values, params.config.lookahead)[None])
+    stacks = forward_chunk(params.frozen(), data).x_bar.data[0]
     v = np.stack([assemble_posterior_input(stacks, values, t)
                   for t in range(values.shape[0])])
     return _posterior_convs(params, v)
@@ -308,8 +317,7 @@ def evaluate_pri(params, utterances) -> float:
     total = 0.0
     frames = 0
     for utt in utterances:
-        data = utterance_chunk(params.config.lookahead, utt.windows, utt.noisy_ctx,
-                               utt.clean_frame, utt.clean_stack)
+        data = ChunkData(utt.noisy_ctx[None], utt.clean_stack[None])
         total += forward_chunk(params, data).loss.pri * utt.num_frames
         frames += utt.num_frames
     return total / frames

@@ -26,7 +26,6 @@ from rtsn.model import (
     count_parameters,
     enhance_utterance,
     forward_chunk,
-    gather_index,
     init_params,
 )
 from rtsn.trainer import TrainConfig, prepare_utterance, train
@@ -70,17 +69,9 @@ def test_01_stft_round_trip(capsys):
 
 def random_chunk(cfg, batch, steps, seed):
     rng = np.random.default_rng(seed)
-    r = cfg.stack_rows
-    return ChunkData(
-        windows=rng.standard_normal((batch, steps, cfg.pri_input_dim)),
-        noisy_ctx=rng.standard_normal((batch, steps, r, cfg.n_bins)),
-        gather_idx=np.broadcast_to(
-            gather_index(steps, cfg.lookahead), (batch, steps, r)
-        ).copy(),
-        clean_frame=rng.standard_normal((batch, steps, cfg.n_bins)),
-        clean_stack=rng.standard_normal((batch, steps, r, cfg.n_bins)),
-        mask=np.ones((batch, steps)),
-    )
+    shape = (batch, steps, cfg.stack_rows, cfg.n_bins)
+    return ChunkData(rng.standard_normal(shape), rng.standard_normal(shape),
+                     np.full(batch, steps))
 
 
 def test_02_gradient_suite(capsys):

@@ -214,6 +214,25 @@ def test_config_keys_match_readme_table():
     assert sorted(keys) == sorted(cli.CONFIG_KEYS)
 
 
+def test_readme_exports_exist():
+    # every name README lists as a root export is in rtsn.__all__, and every
+    # dotted rtsn.module.name it gives resolves
+    import importlib
+
+    import rtsn
+
+    readme = (Path(__file__).parents[1] / "README.md").read_text()
+    listed = re.search(r"Lower-level pieces \((.*?)\) are exported from the package root",
+                       readme, re.S)
+    names = re.findall(r"`(\w+)`", listed.group(1))
+    assert len(names) >= 4
+    assert [n for n in names if n not in rtsn.__all__] == []
+    dotted = re.findall(r"`rtsn\.(\w+)\.(\w+)`", readme)
+    assert dotted
+    for module, name in dotted:
+        assert hasattr(importlib.import_module(f"rtsn.{module}"), name), (module, name)
+
+
 def test_config_parser_accepts_comments_and_spacing(tmp_path):
     p = tmp_path / "c.cfg"
     p.write_text("# heading\n  lookahead = 2  # trailing comment\n\nhop=8\n")

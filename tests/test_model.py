@@ -1,3 +1,4 @@
+import hashlib
 import math
 import re
 import struct
@@ -26,7 +27,6 @@ from rtsn.model import (
     frame_stack,
     gather_index,
     init_params,
-    input_windows,
     load_checkpoint,
     mol_loss,
     save_checkpoint,
@@ -55,18 +55,13 @@ def tiny_params(seed=0, dtype=np.float64, with_norm=True):
     return init_params(TINY, TINY_STFT, norm, seed=seed, dtype=dtype)
 
 
-def random_chunk(cfg, batch, steps, seed):
+def random_chunk(cfg, batch, steps, seed, valid=None):
     rng = np.random.default_rng(seed)
-    r = cfg.stack_rows
+    shape = (batch, steps, cfg.stack_rows, cfg.n_bins)
     return ChunkData(
-        windows=rng.standard_normal((batch, steps, cfg.pri_input_dim)),
-        noisy_ctx=rng.standard_normal((batch, steps, r, cfg.n_bins)),
-        gather_idx=np.broadcast_to(
-            gather_index(steps, cfg.lookahead), (batch, steps, r)
-        ).copy(),
-        clean_frame=rng.standard_normal((batch, steps, cfg.n_bins)),
-        clean_stack=rng.standard_normal((batch, steps, r, cfg.n_bins)),
-        mask=np.ones((batch, steps)),
+        noisy_ctx=rng.standard_normal(shape),
+        clean_stack=rng.standard_normal(shape),
+        valid=np.full(batch, steps) if valid is None else np.asarray(valid),
     )
 
 
@@ -147,14 +142,27 @@ def test_init_bins_mismatch():
 # ---------------------------------------------------------------------------
 
 
-def test_input_windows_oracle():
-    rng = np.random.default_rng(0)
-    values = rng.standard_normal((7, 3))
-    got = input_windows(values, 2)
-    assert got.shape == (7, 9)
+def test_prior_input_oracle(monkeypatch):
+    # forward_chunk feeds the prior frames t..t+lookahead of every step,
+    # read from the noisy stacks
+    cfg = RtsnConfig(lookahead=2, n_bins=9, lstm_layers=1, lstm_units=4,
+                     conv_kernel=3, conv_channels=(2, 1))
+    params = init_params(cfg, TINY_STFT, seed=0, dtype=np.float64)
+    values = np.random.default_rng(0).standard_normal((7, 9))
+    seen = []
+    lstm_cell = nn.lstm_cell
+
+    def spy(x, *args):
+        seen.append(x.data)
+        return lstm_cell(x, *args)
+
+    monkeypatch.setattr(nn, "lstm_cell", spy)
+    forward_chunk(params, ChunkData(frame_stack(values, 2)[None]))
+    (got,) = seen
+    assert got.shape == (1, 7, 27)
     for t in range(7):
         want = np.concatenate([values[min(t + k, 6)] for k in range(3)])
-        assert_allclose(got[t], want, rtol=0, atol=0)
+        assert_allclose(got[0, t], want, rtol=0, atol=0)
         assert_allclose(assemble_pri_input(values, t, 2), want, rtol=0, atol=0)
     with pytest.raises(IndexError):
         assemble_pri_input(values, 7, 2)
@@ -218,6 +226,9 @@ def test_gather_index_clamps_to_valid():
     short = gather_index(6, 2, valid=3)
     assert short.max() == 2
     assert np.array_equal(short, np.clip(idx, 0, 2))
+    lanes = gather_index(6, 2, valid=np.array([6, 3])[:, None, None])
+    assert lanes.shape == (2, 6, 5)
+    assert np.array_equal(lanes[0], idx) and np.array_equal(lanes[1], short)
 
 
 # ---------------------------------------------------------------------------
@@ -291,30 +302,15 @@ def test_forward_chunk_state_carry_matches_full_run():
     params = tiny_params()
     rng = np.random.default_rng(9)
     values = rng.standard_normal((10, 9))
-    windows = input_windows(values, TINY.lookahead)[None]
-    idx = gather_index(10, TINY.lookahead)[None]
     ctx = frame_stack(values, TINY.lookahead)[None]
 
     full_state = zero_state(params, 1)
-    full = forward_chunk(
-        params, ChunkData(windows=windows, noisy_ctx=ctx, gather_idx=idx),
-        full_state,
-    )
+    full = forward_chunk(params, ChunkData(ctx), full_state)
 
-    # same windows split in two; the one state object carries across
+    # same stacks split in two; the one state object carries across
     state = zero_state(params, 1)
-    first = forward_chunk(
-        params,
-        ChunkData(windows=windows[:, :6], noisy_ctx=ctx[:, :6],
-                  gather_idx=gather_index(6, TINY.lookahead)[None]),
-        state,
-    )
-    second = forward_chunk(
-        params,
-        ChunkData(windows=windows[:, 6:], noisy_ctx=ctx[:, 6:],
-                  gather_idx=gather_index(4, TINY.lookahead)[None]),
-        state,
-    )
+    first = forward_chunk(params, ChunkData(ctx[:, :6]), state)
+    second = forward_chunk(params, ChunkData(ctx[:, 6:]), state)
     # prior outputs agree everywhere; posterior outputs agree away from the
     # split where the gather window stays inside one chunk
     both = np.concatenate([first.x_bar.data, second.x_bar.data], axis=1)
@@ -325,6 +321,45 @@ def test_forward_chunk_state_carry_matches_full_run():
                     rtol=1e-12, atol=1e-12)
     for carried, whole in zip(state[0] + state[1], full_state[0] + full_state[1]):
         assert_allclose(carried, whole, rtol=1e-12, atol=1e-12)
+
+
+def test_forward_chunk_loss_matches_frame_oracle():
+    # The posterior's target is each step's own clean frame and the steps
+    # past a lane's valid count drop out of both terms: the loss equals
+    # per-frame sums over the real steps, taken against the clean frames.
+    params = tiny_params(seed=6)
+    rng = np.random.default_rng(15)
+    steps, valid = 7, np.array([7, 4])
+    noisy, clean = rng.standard_normal((2, 2, steps, 9))
+    stacks = [np.stack([frame_stack(v, TINY.lookahead) for v in x])
+              for x in (noisy, clean)]
+    out = forward_chunk(params, ChunkData(*stacks, valid))
+    real = np.arange(steps) < valid[:, None]
+    post = ((out.x_hat.data - clean) ** 2).sum(-1)[real].mean()
+    pri = ((out.x_bar.data - stacks[1]) ** 2).sum((-2, -1))[real].mean()
+    assert out.loss.frames == 11
+    assert_allclose(out.loss.post, post, rtol=1e-12, atol=0)
+    assert_allclose(out.loss.pri, pri, rtol=1e-12, atol=0)
+    assert_allclose(out.loss.total.item(), post + TINY.prior_weight * pri,
+                    rtol=1e-12, atol=0)
+
+
+def test_forward_chunk_rejects_inconsistent_chunks():
+    params = tiny_params()
+    ctx, stack = random_chunk(TINY, 2, 5, seed=16).noisy_ctx, np.zeros((2, 5, 3, 9))
+    cases = [
+        (ChunkData(ctx[0]), "noisy_ctx shape"),
+        (ChunkData(ctx[:, :, :2]), "noisy_ctx shape"),
+        (ChunkData(ctx[..., :8]), "noisy_ctx shape"),
+        (ChunkData(ctx, stack[:, :4]), "clean_stack shape"),
+        (ChunkData(ctx, stack, np.array([5])), "valid must be"),
+        (ChunkData(ctx, stack, np.array([5, 0])), "valid must be"),
+        (ChunkData(ctx, stack, np.array([5, 6])), "valid must be"),
+        (ChunkData(ctx, stack, np.array([5.0, 2.0])), "valid must be"),
+    ]
+    for data, match in cases:
+        with pytest.raises(ValueError, match=match):
+            forward_chunk(params, data)
 
 
 def test_prior_records_one_node_per_lstm_layer():
@@ -439,8 +474,7 @@ def test_frozen_forward_agrees_with_graph_forward(batch, steps):
     # the same arithmetic on the same arrays and differ only in what they
     # record, so they must agree bit for bit.
     params = tiny_params(seed=3, dtype=np.float32)
-    data = random_chunk(TINY, batch, steps, seed=13)
-    data.mask[:, -5:] = 0.0
+    data = random_chunk(TINY, batch, steps, seed=13, valid=np.full(batch, steps - 5))
     graph = forward_chunk(params, data)
     frozen = forward_chunk(params.frozen(), data)
     assert graph.x_hat.requires_grad and graph.x_hat._parents
@@ -467,10 +501,10 @@ def test_enhance_lps_matches_one_block_oracle(frames):
 
 def test_enhance_memory_does_not_grow_with_length():
     # Traced allocation peaks of enhance_lps at 4 and 16 posterior blocks.
-    # Past the whole-utterance arrays (prior inputs and gather indices,
-    # noisy context, prior stacks, the block outputs and their
-    # concatenation) the peak may grow by a fixed slack only; a forward
-    # that keeps a graph grows by every conv activation of every frame.
+    # Past the whole-utterance arrays (noisy context, gather indices, prior
+    # stacks, the block outputs and their concatenation) the peak may grow
+    # by a fixed slack only; a forward that keeps a graph grows by every
+    # conv activation of every frame.
     stft_config = StftConfig(frame_len=128, hop=64, fft_size=128)
     cfg = RtsnConfig(lookahead=2, n_bins=65, lstm_layers=1, lstm_units=8,
                      conv_kernel=3, conv_channels=(32, 16, 1))
@@ -480,8 +514,7 @@ def test_enhance_memory_does_not_grow_with_length():
     def peak_and_budget(frames):
         values = np.random.default_rng(frames).standard_normal(
             (frames, cfg.n_bins)).astype(params.dtype)
-        whole = (input_windows(values, cfg.lookahead).nbytes
-                 + 2 * frame_stack(values, cfg.lookahead).nbytes  # context, stacks
+        whole = (2 * frame_stack(values, cfg.lookahead).nbytes  # context, stacks
                  + gather_index(frames, cfg.lookahead).nbytes
                  + 2 * frames * cfg.n_bins * itemsize)  # blocks, x_hat
         tracemalloc.start()
@@ -526,6 +559,15 @@ def test_checkpoint_round_trip(tmp_path):
 
     save_checkpoint(params, tmp_path / "again.ckpt")
     assert (tmp_path / "again.ckpt").read_bytes() == p.read_bytes()
+
+
+def test_seeded_checkpoint_bytes_are_pinned(tmp_path):
+    # A change in the init draw order, a fan-in, a parameter name or shape,
+    # or the checkpoint format changes these bytes.
+    params = init_params(TINY, TINY_STFT, NormStats(np.zeros(9), np.ones(9)), seed=0)
+    save_checkpoint(params, tmp_path / "seeded.ckpt")
+    digest = hashlib.sha256((tmp_path / "seeded.ckpt").read_bytes()).hexdigest()
+    assert digest == "d33e2db95a015c3763420c1425602ae1b6c2d77e1ef2555566428ee18d98b092"
 
 
 def test_checkpoint_requires_norm(tmp_path):

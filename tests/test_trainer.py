@@ -6,7 +6,7 @@ from numpy.testing import assert_allclose
 
 from rtsn.corpus import NormStats, compute_norm_stats, normalize
 from rtsn.dsp import StftConfig, Waveform, decompose, lps_from_magnitude, stft
-from rtsn.model import ChunkData, RtsnConfig, forward_chunk, gather_index, init_params
+from rtsn.model import ChunkData, RtsnConfig, forward_chunk, init_params
 from rtsn.trainer import (
     Chunk,
     EarlyStopper,
@@ -102,11 +102,12 @@ def test_prepare_utterance_shapes():
     noisy = rng.standard_normal((12, 9))
     clean = rng.standard_normal((12, 9))
     utt = prepare_utterance(noisy, clean, lookahead=1, dtype=np.float64)
-    assert utt.windows.shape == (12, 18)
     assert utt.noisy_ctx.shape == (12, 3, 9)
-    assert utt.clean_frame.shape == (12, 9)
     assert utt.clean_stack.shape == (12, 3, 9)
     assert utt.num_frames == 12
+    # row lookahead of each step's stack is the step's own frame
+    assert np.array_equal(utt.noisy_ctx[:, 1], noisy)
+    assert np.array_equal(utt.clean_stack[:, 1], clean)
     with pytest.raises(ValueError, match="shapes differ"):
         prepare_utterance(noisy, clean[:-1], 1)
 
@@ -120,19 +121,11 @@ def test_padded_chunk_loss_ignores_padding_contents():
     r = TINY.stack_rows
 
     def data_with_padding(filler):
-        windows = rng.standard_normal((1, size, TINY.pri_input_dim))
         ctx = rng.standard_normal((1, size, r, n))
-        frame = rng.standard_normal((1, size, n))
         stack = rng.standard_normal((1, size, r, n))
-        for arr in (windows, ctx, frame, stack):
+        for arr in (ctx, stack):
             arr[:, valid:] = filler(arr[:, valid:].shape)
-        mask = np.zeros((1, size))
-        mask[:, :valid] = 1.0
-        return ChunkData(
-            windows=windows, noisy_ctx=ctx,
-            gather_idx=gather_index(size, TINY.lookahead, valid=valid)[None],
-            clean_frame=frame, clean_stack=stack, mask=mask,
-        )
+        return ChunkData(ctx, stack, np.array([valid]))
 
     rng = np.random.default_rng(1)
     a = data_with_padding(lambda s: np.zeros(s))
@@ -228,15 +221,15 @@ def test_train_rejects_empty_sets():
 def test_train_rejects_non_finite_inputs():
     cfg = TrainConfig(unroll_steps=16, utterances_per_batch=2, max_epochs=1)
     utts = make_utts(2, 800)
-    utts[0].windows[3, 0] = np.nan
+    utts[0].noisy_ctx[3, TINY.lookahead, 0] = np.nan  # frame 3, a prior input
     with pytest.raises(FloatingPointError,
                        match="^epoch 1 step 1: non-finite values in tensor windows$"):
         train(tiny_params(), (utts[:1], utts[1:]), cfg)
     with pytest.raises(FloatingPointError,
                        match="^epoch 1 validation: non-finite values in tensor windows$"):
         train(tiny_params(), (utts[1:], utts[:1]), cfg)
-    utts[0].windows[3, 0] = 0.0
-    utts[0].noisy_ctx[3, 0, 0] = np.inf
+    utts[0].noisy_ctx[3, TINY.lookahead, 0] = 0.0
+    utts[0].noisy_ctx[3, 0, 0] = np.inf  # posterior context only
     with pytest.raises(FloatingPointError, match="^epoch 1 step 1: .* tensor noisy_ctx$"):
         train(tiny_params(), (utts[:1], utts[1:]), cfg)
 
