@@ -29,7 +29,9 @@ bounded apart from the O(frames) stacks, prior outputs and result.
 
 _expected_shapes is the one table of parameter names and shapes: it fixes
 the initialization draw order, the checkpoint tensor order and the
-tensors an RtsnParams holds.
+tensors an RtsnParams holds.  The forward reads each tensor from
+params.tensors by its name in that table (lstm{i}.w_in, proj.weight,
+conv{i}.bias, ...); there are no per-layer parameter objects.
 """
 from __future__ import annotations
 
@@ -111,19 +113,6 @@ class RtsnConfig:
         return r * r + r
 
 
-@dataclass
-class LstmLayerParams:
-    w_in: nn.Tensor   # (4H, D)
-    w_rec: nn.Tensor  # (4H, H)
-    bias: nn.Tensor   # (4H,)
-
-
-@dataclass
-class Conv1dParams:
-    kernels: nn.Tensor  # (out, in, k)
-    bias: nn.Tensor     # (out,)
-
-
 def _expected_shapes(config: RtsnConfig) -> dict[str, tuple[int, ...]]:
     """Every parameter's name and shape, in initialization and checkpoint
     order: the one place the parameter layout is written out."""
@@ -148,7 +137,8 @@ def _expected_shapes(config: RtsnConfig) -> dict[str, tuple[int, ...]]:
 @dataclass
 class RtsnParams:
     """Model parameters: tensors maps each name of _expected_shapes, in its
-    order, to a tensor of that shape; the layer views below group them."""
+    order, to a tensor of that shape, and the forward looks each one up by
+    that name (lstm0.w_in, conv2.bias, ...)."""
 
     config: RtsnConfig
     stft: StftConfig
@@ -157,34 +147,7 @@ class RtsnParams:
 
     @property
     def dtype(self):
-        return self.proj_w.dtype
-
-    @property
-    def lstm(self) -> list[LstmLayerParams]:
-        return [LstmLayerParams(*ts) for ts in self._layers("lstm")]
-
-    @property
-    def proj_w(self) -> nn.Tensor:
-        return self.tensors["proj.weight"]
-
-    @property
-    def proj_b(self) -> nn.Tensor:
-        return self.tensors["proj.bias"]
-
-    @property
-    def convs(self) -> list[Conv1dParams]:
-        return [Conv1dParams(*ts) for ts in self._layers("conv")]
-
-    def _layers(self, kind: str) -> list[list[nn.Tensor]]:
-        """The tensors of layers kind0, kind1, ..., each in table order."""
-        layers: dict[str, list[nn.Tensor]] = {}
-        for name, t in self.tensors.items():
-            if name.startswith(kind):
-                layers.setdefault(name.split(".")[0], []).append(t)
-        return list(layers.values())
-
-    def named_tensors(self) -> list[tuple[str, nn.Tensor]]:
-        return list(self.tensors.items())
+        return self.tensors["proj.weight"].dtype
 
     def _map(self, make) -> "RtsnParams":
         arrays = {name: t.data for name, t in self.tensors.items()}
@@ -244,7 +207,7 @@ def init_params(
 
 
 def count_parameters(params: RtsnParams) -> int:
-    return sum(int(t.data.size) for _, t in params.named_tensors())
+    return sum(int(t.data.size) for t in params.tensors.values())
 
 
 # ---------------------------------------------------------------------------
@@ -280,8 +243,9 @@ def gather_index(num_steps: int, lookahead: int,
 
 def zero_state(params: RtsnParams, batch: int) -> tuple[list, list]:
     shape = (batch, params.config.lstm_units)
-    return ([np.zeros(shape, params.dtype) for _ in params.lstm],
-            [np.zeros(shape, params.dtype) for _ in params.lstm])
+    layers = range(params.config.lstm_layers)
+    return ([np.zeros(shape, params.dtype) for _ in layers],
+            [np.zeros(shape, params.dtype) for _ in layers])
 
 
 @dataclass
@@ -324,23 +288,26 @@ def _prior(params: RtsnParams, windows: np.ndarray,
     """LSTM stack then projection from (B, U, (lookahead+1)*N) inputs:
     (B, U, R, N) stacks, one node per layer."""
     batch, steps, _ = windows.shape
+    p = params.tensors
+    hs, cs = state
     x = nn.Tensor(windows, name="windows")
-    for layer, h, c in zip(params.lstm, *state):
-        x = nn.lstm_cell(x, layer.w_in, layer.w_rec, layer.bias, h, c)
+    for i in range(params.config.lstm_layers):
+        x = nn.lstm_cell(x, p[f"lstm{i}.w_in"], p[f"lstm{i}.w_rec"],
+                         p[f"lstm{i}.bias"], hs[i], cs[i])
     flat = nn.reshape(x, (batch * steps, -1))
-    proj = nn.linear(flat, params.proj_w, params.proj_b)
+    proj = nn.linear(flat, p["proj.weight"], p["proj.bias"])
     rows = params.config.stack_rows
     return nn.reshape(proj, (batch, steps, rows, params.config.n_bins))
 
 
 def _conv_stack(params: RtsnParams, v: nn.Tensor) -> nn.Tensor:
-    out = v
-    last = len(params.convs) - 1
-    for i, conv in enumerate(params.convs):
-        out = nn.conv1d_freq(out, conv.kernels, conv.bias)
+    p = params.tensors
+    last = len(params.config.conv_channels) - 1
+    for i in range(last + 1):
+        v = nn.conv1d_freq(v, p[f"conv{i}.weight"], p[f"conv{i}.bias"])
         if i < last:
-            out = nn.selu(out)
-    return out
+            v = nn.selu(v)
+    return v
 
 
 def forward_chunk(params: RtsnParams, data: ChunkData,
@@ -497,21 +464,19 @@ def save_checkpoint(params: RtsnParams, path) -> None:
     """Binary checkpoint: magic, version, config text, named f32 tensors."""
     if params.norm is None:
         raise ValueError("cannot save a checkpoint without normalization statistics")
-    tensors = params.named_tensors() + [
-        ("norm.mean", nn.Tensor(params.norm.mean.astype(np.float32))),
-        ("norm.std", nn.Tensor(params.norm.std.astype(np.float32))),
-    ]
+    arrays = [(name, t.data) for name, t in params.tensors.items()]
+    arrays += [("norm.mean", params.norm.mean), ("norm.std", params.norm.std)]
     config_bytes = format_settings(params.config, params.stft).encode("utf-8")
     chunks = [
         CHECKPOINT_MAGIC,
         struct.pack("<I", CHECKPOINT_VERSION),
         struct.pack("<I", len(config_bytes)),
         config_bytes,
-        struct.pack("<I", len(tensors)),
+        struct.pack("<I", len(arrays)),
     ]
-    for name, tensor in tensors:
+    for name, array in arrays:
         name_bytes = name.encode("utf-8")
-        data = np.ascontiguousarray(tensor.data, dtype="<f4")
+        data = np.ascontiguousarray(array, dtype="<f4")
         chunks.append(struct.pack("<H", len(name_bytes)))
         chunks.append(name_bytes)
         chunks.append(struct.pack("<B", data.ndim))

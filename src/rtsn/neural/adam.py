@@ -7,13 +7,14 @@ import numpy as np
 
 from .engine import Tensor
 
+BETA1 = 0.9
+BETA2 = 0.999
+EPS = 1e-8
+
 
 @dataclass
 class AdamState:
     learning_rate: float = 1e-4
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
     step: int = 0
     m: dict[str, np.ndarray] = field(default_factory=dict)
     v: dict[str, np.ndarray] = field(default_factory=dict)
@@ -30,8 +31,8 @@ def adam_update(state: AdamState, params: list[Tensor],
         raise ValueError(f"{len(params)} params but {len(grads)} grads")
     state.step += 1
     t = state.step
-    correct1 = 1.0 - state.beta1 ** t
-    correct2 = 1.0 - state.beta2 ** t
+    correct1 = 1.0 - BETA1 ** t
+    correct2 = 1.0 - BETA2 ** t
     for p, g in zip(params, grads):
         if p.name is None:
             raise ValueError("adam_update needs named parameters")
@@ -44,8 +45,8 @@ def adam_update(state: AdamState, params: list[Tensor],
             raise FloatingPointError(f"non-finite gradient for parameter {p.name}")
         m = state.m.setdefault(p.name, np.zeros_like(p.data))
         v = state.v.setdefault(p.name, np.zeros_like(p.data))
-        m += (1.0 - state.beta1) * (g - m)
-        v += (1.0 - state.beta2) * (g * g - v)
+        m += (1.0 - BETA1) * (g - m)
+        v += (1.0 - BETA2) * (g * g - v)
         m_hat = m / correct1
         v_hat = v / correct2
-        p.data -= state.learning_rate * m_hat / (np.sqrt(v_hat) + state.eps)
+        p.data -= state.learning_rate * m_hat / (np.sqrt(v_hat) + EPS)

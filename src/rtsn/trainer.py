@@ -1,10 +1,14 @@
 """Truncated-BPTT training loop with lockstep utterance lanes.
 
-Each optimizer step advances a batch of utterance lanes by one fixed-length
-chunk.  LSTM state carries across chunks within an utterance but enters
-each chunk as a constant, so gradients never cross chunk boundaries.
-Exhausted lanes resample a fresh utterance (seeded) with zeroed state.
-Early stopping tracks validation loss and returns the best-epoch snapshot.
+A lane is an utterance plus the frame its next chunk starts at.  Each
+optimizer step advances every lane by one chunk of unroll_steps frames:
+frames start..start+unroll_steps-1, the utterance's last frame repeated
+where they run past its end, with only the real ones counted as valid.
+LSTM state carries across chunks within an utterance but enters each chunk
+as a constant, so gradients never cross chunk boundaries.  A lane whose
+start has reached its utterance's frame count resamples a fresh utterance
+(seeded) with zeroed state.  Early stopping tracks validation loss and
+returns the best-epoch snapshot.
 """
 from __future__ import annotations
 
@@ -15,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import neural as nn
-from .corpus import Corpus, NormStats, normalize
+from .corpus import Corpus, NormStats, normalize, read_wav
 from .dsp import StftConfig, decompose, lps_from_magnitude, stft
 from .model import ChunkData, RtsnParams, forward_chunk, frame_stack, zero_state
 
@@ -44,23 +48,6 @@ class TrainConfig:
             raise ValueError(
                 f"learning_rate must be finite and >= 0, got {self.learning_rate}"
             )
-
-
-@dataclass(frozen=True)
-class Chunk:
-    start: int
-    size: int
-    valid: int
-
-
-def make_chunks(num_frames: int, unroll_steps: int) -> list[Chunk]:
-    """Consecutive fixed-size chunks; the last one is padded with a mask."""
-    if num_frames < 1:
-        raise ValueError(f"num_frames must be >= 1, got {num_frames}")
-    chunks = []
-    for start in range(0, num_frames, unroll_steps):
-        chunks.append(Chunk(start, unroll_steps, min(unroll_steps, num_frames - start)))
-    return chunks
 
 
 class EarlyStopper:
@@ -97,8 +84,6 @@ class UtteranceData:
 
 
 def _wav_to_norm_lps(path: str, stft_config: StftConfig, stats: NormStats) -> np.ndarray:
-    from .corpus import read_wav
-
     spec = stft(read_wav(path), stft_config)
     return normalize(lps_from_magnitude(decompose(spec)[0]), stats).values
 
@@ -167,25 +152,6 @@ def evaluate(params: RtsnParams, utterances: list[UtteranceData]) -> float:
     return total / frames
 
 
-class _Lane:
-    __slots__ = ("utt", "chunks", "cursor")
-
-    def __init__(self):
-        self.utt: UtteranceData | None = None
-        self.chunks: list[Chunk] = []
-        self.cursor = 0
-
-    def exhausted(self) -> bool:
-        return self.utt is None or self.cursor >= len(self.chunks)
-
-
-def _chunk_rows(utt: UtteranceData, chunk: Chunk) -> tuple[np.ndarray, np.ndarray]:
-    """A chunk's noisy and clean stacks, the last frame's repeated as padding."""
-    idx = np.clip(np.arange(chunk.start, chunk.start + chunk.size),
-                  0, utt.num_frames - 1)
-    return utt.noisy_ctx[idx], utt.clean_stack[idx]
-
-
 def train(params: RtsnParams, corpus_or_utts, cfg: TrainConfig) -> TrainResult:
     """Train in place; returns the best-validation snapshot and the log."""
     if isinstance(corpus_or_utts, Corpus):
@@ -200,9 +166,15 @@ def train(params: RtsnParams, corpus_or_utts, cfg: TrainConfig) -> TrainResult:
         train_utts, val_utts = corpus_or_utts
     if not train_utts or not val_utts:
         raise ValueError("need at least one training and one validation utterance")
+    for kind, utts in (("training", train_utts), ("validation", val_utts)):
+        for i, utt in enumerate(utts):
+            if utt.num_frames < 1:
+                raise ValueError(f"{kind} utterance {i} has no frames")
 
-    lanes = [_Lane() for _ in range(cfg.utterances_per_batch)]
-    tensors = [t for _, t in params.named_tensors()]
+    unroll = cfg.unroll_steps
+    # each lane's utterance (None until its first draw) and next start frame
+    lanes: list[tuple[UtteranceData | None, int]] = [(None, 0)] * cfg.utterances_per_batch
+    tensors = list(params.tensors.values())
     adam = nn.AdamState(learning_rate=cfg.learning_rate)
     rng = np.random.default_rng(cfg.seed)
     state = zero_state(params, cfg.utterances_per_batch)
@@ -222,18 +194,17 @@ def train(params: RtsnParams, corpus_or_utts, cfg: TrainConfig) -> TrainResult:
         loss_sum = 0.0
         frame_sum = 0.0
         for step in range(1, steps_per_epoch + 1):
-            for b, lane in enumerate(lanes):
-                if lane.exhausted():
-                    lane.utt = train_utts[int(rng.integers(len(train_utts)))]
-                    lane.chunks = make_chunks(lane.utt.num_frames, cfg.unroll_steps)
-                    lane.cursor = 0
+            for b, (utt, start) in enumerate(lanes):
+                if utt is None or start >= utt.num_frames:
+                    lanes[b] = (train_utts[int(rng.integers(len(train_utts)))], 0)
                     for arr in state[0] + state[1]:
                         arr[b] = 0.0
-            chunks = [lane.chunks[lane.cursor] for lane in lanes]
-            noisy, clean = zip(*(_chunk_rows(lane.utt, chunk)
-                                 for lane, chunk in zip(lanes, chunks)))
-            data = ChunkData(np.stack(noisy), np.stack(clean),
-                             np.array([chunk.valid for chunk in chunks]))
+            rows = [(utt, np.minimum(np.arange(start, start + unroll), utt.num_frames - 1))
+                    for utt, start in lanes]
+            data = ChunkData(np.stack([utt.noisy_ctx[r] for utt, r in rows]),
+                             np.stack([utt.clean_stack[r] for utt, r in rows]),
+                             np.array([min(unroll, utt.num_frames - start)
+                                       for utt, start in lanes]))
             try:
                 result = forward_chunk(params, data, state)
             except FloatingPointError as e:
@@ -243,8 +214,7 @@ def train(params: RtsnParams, corpus_or_utts, cfg: TrainConfig) -> TrainResult:
             nn.adam_update(adam, tensors, grads)
             loss_sum += loss_value * result.loss.frames
             frame_sum += result.loss.frames
-            for lane in lanes:
-                lane.cursor += 1
+            lanes = [(utt, start + unroll) for utt, start in lanes]
         train_loss = loss_sum / frame_sum
         try:
             val_loss = evaluate(params, val_utts)

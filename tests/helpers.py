@@ -273,10 +273,11 @@ def pri_forward(params, lps) -> np.ndarray:
     x = np.stack([assemble_pri_input(values, t, cfg.lookahead)
                   for t in range(len(values))])[None]
     zeros = np.zeros((1, cfg.lstm_units), params.dtype)
-    for layer in params.lstm:
-        x = lstm_oracle(x, layer.w_in.data, layer.w_rec.data, layer.bias.data,
+    p = {name: t.data for name, t in params.tensors.items()}
+    for i in range(cfg.lstm_layers):
+        x = lstm_oracle(x, p[f"lstm{i}.w_in"], p[f"lstm{i}.w_rec"], p[f"lstm{i}.bias"],
                         zeros, zeros)[0]
-    stacks = x[0] @ params.proj_w.data.T + params.proj_b.data
+    stacks = x[0] @ p["proj.weight"].T + p["proj.bias"]
     return stacks.reshape(len(values), cfg.stack_rows, cfg.n_bins)
 
 
@@ -284,9 +285,11 @@ def _posterior_convs(params, v: np.ndarray) -> np.ndarray:
     """Conv stack over a batch of channel stacks (F, C, N) in one call: (F, N)."""
     v = np.asarray(v, dtype=params.dtype)
     out = nn.Tensor(np.ascontiguousarray(v.transpose(0, 2, 1)))
-    for i, conv in enumerate(params.convs):
-        out = nn.conv1d_freq(out, conv.kernels, conv.bias)
-        if i < len(params.convs) - 1:
+    layers = len(params.config.conv_channels)
+    for i in range(layers):
+        out = nn.conv1d_freq(out, params.tensors[f"conv{i}.weight"],
+                             params.tensors[f"conv{i}.bias"])
+        if i < layers - 1:
             out = nn.selu(out)
     return out.data[:, :, 0]
 

@@ -81,7 +81,7 @@ def test_02_gradient_suite(capsys):
     for seed in (0, 1, 2):
         params = init_params(TINY, TINY_STFT, None, seed=seed, dtype=np.float64)
         data = random_chunk(TINY, 1, 4, seed=100 + seed)
-        names = params.named_tensors()
+        names = list(params.tensors.items())
         loss = forward_chunk(params, data).loss.total
         analytic = nn.grads_for(loss, [t for _, t in names])
 

@@ -109,22 +109,23 @@ def test_parameter_count_matches_hand_formula():
 def test_init_properties():
     params = tiny_params(seed=3)
     h = TINY.lstm_units
-    for layer in params.lstm:
-        b = layer.bias.data
+    p = {name: t.data for name, t in params.tensors.items()}
+    for i in range(TINY.lstm_layers):
+        b = p[f"lstm{i}.bias"]
         assert_allclose(b[h : 2 * h], 1.0, rtol=0, atol=0)
         assert_allclose(b[:h], 0.0, rtol=0, atol=0)
         assert_allclose(b[2 * h :], 0.0, rtol=0, atol=0)
-        d = layer.w_in.shape[1]
-        assert np.max(np.abs(layer.w_in.data)) <= 1.0 / np.sqrt(d)
-        assert np.max(np.abs(layer.w_rec.data)) <= 1.0 / np.sqrt(h)
-    assert_allclose(params.proj_b.data, 0.0, rtol=0, atol=0)
-    assert np.max(np.abs(params.proj_w.data)) <= 1.0 / np.sqrt(h)
+        d = p[f"lstm{i}.w_in"].shape[1]
+        assert np.max(np.abs(p[f"lstm{i}.w_in"])) <= 1.0 / np.sqrt(d)
+        assert np.max(np.abs(p[f"lstm{i}.w_rec"])) <= 1.0 / np.sqrt(h)
+    assert_allclose(p["proj.bias"], 0.0, rtol=0, atol=0)
+    assert np.max(np.abs(p["proj.weight"])) <= 1.0 / np.sqrt(h)
 
     again = tiny_params(seed=3)
-    for (_, a), (_, b) in zip(params.named_tensors(), again.named_tensors()):
+    for a, b in zip(params.tensors.values(), again.tensors.values()):
         assert np.array_equal(a.data, b.data)
     other = tiny_params(seed=4)
-    assert not np.array_equal(params.proj_w.data, other.proj_w.data)
+    assert not np.array_equal(p["proj.weight"], other.tensors["proj.weight"].data)
 
 
 def test_init_default_dtype_is_float32():
@@ -383,7 +384,7 @@ def test_whole_model_gradient_spot_check():
     data = random_chunk(TINY, 1, 4, seed=10)
 
     loss = forward_chunk(params, data).loss.total
-    names = params.named_tensors()
+    names = list(params.tensors.items())
     analytic = nn.grads_for(loss, [t for _, t in names])
 
     def loss_value():
@@ -448,17 +449,17 @@ def test_enhance_utterance_needs_norm():
 def test_params_copy_is_deep():
     params = tiny_params()
     dup = params.copy()
-    dup.proj_w.data[0, 0] += 1.0
-    assert params.proj_w.data[0, 0] != dup.proj_w.data[0, 0]
+    dup.tensors["proj.weight"].data[0, 0] += 1.0
+    assert params.tensors["proj.weight"].data[0, 0] != dup.tensors["proj.weight"].data[0, 0]
     assert dup.norm is params.norm
-    assert [n for n, _ in dup.named_tensors()] == [n for n, _ in params.named_tensors()]
+    assert list(dup.tensors) == list(params.tensors)
 
 
 def test_frozen_params_share_arrays_as_named_constants():
     params = tiny_params()
     frozen = params.frozen()
     assert frozen.config is params.config and frozen.norm is params.norm
-    for (name, t), (fname, f) in zip(params.named_tensors(), frozen.named_tensors()):
+    for (name, t), (fname, f) in zip(params.tensors.items(), frozen.tensors.items()):
         assert fname == name and f.name == name
         assert f.data is t.data and not f.requires_grad
 
@@ -491,7 +492,8 @@ def test_enhance_lps_matches_one_block_oracle(frames):
     # GEMM covers, which may reorder each output's length-K reduction
     # (K = in channels x taps): at most about K float32 roundings apart.
     params = tiny_params(seed=4, dtype=np.float32)
-    k = max(c.kernels.shape[1] * c.kernels.shape[2] for c in params.convs)
+    k = max(t.shape[1] * t.shape[2] for name, t in params.tensors.items()
+            if name.endswith(".weight") and name.startswith("conv"))
     tol = k * np.finfo(np.float32).eps
     values = np.random.default_rng(14).standard_normal((frames, 9))
     got = enhance_lps(params, values)
@@ -549,7 +551,7 @@ def test_checkpoint_round_trip(tmp_path):
     loaded = load_checkpoint(p)
     assert loaded.config == params.config
     assert loaded.stft == params.stft
-    for (na, a), (nb, b) in zip(params.named_tensors(), loaded.named_tensors()):
+    for (na, a), (nb, b) in zip(params.tensors.items(), loaded.tensors.items()):
         assert na == nb
         assert np.array_equal(a.data, b.data), na
     assert_allclose(loaded.norm.mean, params.norm.mean.astype(np.float32),

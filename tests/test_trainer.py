@@ -7,13 +7,12 @@ from numpy.testing import assert_allclose
 from rtsn.corpus import NormStats, compute_norm_stats, normalize
 from rtsn.dsp import StftConfig, Waveform, decompose, lps_from_magnitude, stft
 from rtsn.model import ChunkData, RtsnConfig, forward_chunk, init_params
+from rtsn import trainer
 from rtsn.trainer import (
-    Chunk,
     EarlyStopper,
     TrainConfig,
     UtteranceData,
     evaluate,
-    make_chunks,
     prepare_utterance,
     sequence_loss,
     train,
@@ -52,7 +51,7 @@ def make_utts(n, num_samples=1200, seed0=0, dtype=np.float64):
 
 
 # ---------------------------------------------------------------------------
-# chunking and stopping
+# configuration and stopping
 # ---------------------------------------------------------------------------
 
 
@@ -68,16 +67,6 @@ def test_train_config_validation():
     for bad in (-1e-4, math.inf, math.nan):
         with pytest.raises(ValueError, match="learning_rate must be finite"):
             TrainConfig(learning_rate=bad)
-
-
-def test_make_chunks():
-    assert make_chunks(130, 64) == [
-        Chunk(0, 64, 64), Chunk(64, 64, 64), Chunk(128, 64, 2),
-    ]
-    assert make_chunks(64, 64) == [Chunk(0, 64, 64)]
-    assert make_chunks(1, 64) == [Chunk(0, 64, 1)]
-    with pytest.raises(ValueError, match="num_frames"):
-        make_chunks(0, 64)
 
 
 def test_early_stopper_scripted():
@@ -180,7 +169,7 @@ def test_train_learns_and_is_deterministic():
     assert [r.val_loss for r in a.log] == [r.val_loss for r in b.log]
     assert a.log[-1].train_loss < a.log[0].train_loss
     assert a.best_epoch >= 1
-    for (_, x), (_, y) in zip(a.params.named_tensors(), b.params.named_tensors()):
+    for x, y in zip(a.params.tensors.values(), b.params.tensors.values()):
         assert np.array_equal(x.data, y.data)
 
 
@@ -232,6 +221,45 @@ def test_train_rejects_non_finite_inputs():
     utts[0].noisy_ctx[3, 0, 0] = np.inf  # posterior context only
     with pytest.raises(FloatingPointError, match="^epoch 1 step 1: .* tensor noisy_ctx$"):
         train(tiny_params(), (utts[:1], utts[1:]), cfg)
+
+
+def test_lane_walks_its_utterance_by_start_frame(monkeypatch):
+    # one lane over one utterance for two epochs: each step's valid count,
+    # the frame its chunk starts at (found from the chunk's first row) and
+    # whether the lane's LSTM state entered the step zeroed
+    seen = []
+    real = trainer.forward_chunk
+
+    def spy(params, data, state=None):
+        if state is not None:  # a training step, not validation
+            first = data.noisy_ctx[0, 0]
+            start = [t for t in range(len(utt.noisy_ctx))
+                     if np.array_equal(utt.noisy_ctx[t], first)]
+            zeroed = not any(arr[0].any() for arr in state[0] + state[1])
+            seen.append((int(data.valid[0]), start, zeroed))
+        return real(params, data, state)
+
+    monkeypatch.setattr(trainer, "forward_chunk", spy)
+    cfg = TrainConfig(unroll_steps=64, utterances_per_batch=1, max_epochs=2, patience=5)
+    rng = np.random.default_rng(5)
+    for frames, valid, starts in [(130, [64, 64, 2], [0, 64, 128]), (1, [1], [0])]:
+        utt = prepare_utterance(rng.standard_normal((frames, 9)),
+                                rng.standard_normal((frames, 9)), TINY.lookahead,
+                                np.float64)
+        seen.clear()
+        train(tiny_params(), ([utt], [utt]), cfg)
+        walk = [(v, [s], s == 0) for v, s in zip(valid, starts)]
+        assert seen == 2 * walk, frames
+
+
+def test_train_rejects_zero_frame_utterances():
+    cfg = TrainConfig(unroll_steps=16, utterances_per_batch=2, max_epochs=1)
+    utts = make_utts(2, 800)
+    empty = prepare_utterance(np.zeros((0, 9)), np.zeros((0, 9)), TINY.lookahead)
+    with pytest.raises(ValueError, match="^training utterance 1 has no frames$"):
+        train(tiny_params(), ([utts[0], empty], utts[1:]), cfg)
+    with pytest.raises(ValueError, match="^validation utterance 0 has no frames$"):
+        train(tiny_params(), (utts[:1], [empty, utts[1]]), cfg)
 
 
 def test_train_from_corpus(tmp_path):
