@@ -8,6 +8,13 @@ scope.  backward() walks the graph once in reverse topological order, so
 accumulation order is deterministic run to run.  Storage follows the input
 dtype: float32 for training, float64 when tests need tight finite-difference
 agreement.
+
+A gradient lives only while backward needs it.  It is created by the first
+accumulation into its tensor, which adopts the array the closure hands over
+without a copy; every later accumulation sums out of place.  No gradient is
+ever written in place, so adopting views (reshape, transpose, concat's split,
+tsum's broadcast) is safe.  Once a node's closure has run, its gradient is
+dropped, so only the frontier of live gradients is held; leaves keep theirs.
 """
 from __future__ import annotations
 
@@ -86,8 +93,12 @@ def _unbroadcast(grad: np.ndarray, shape: tuple) -> np.ndarray:
 
 
 def _accum(t: Tensor, g: np.ndarray) -> None:
+    """Add g into t.grad.  The first accumulation adopts g (cast to t's
+    dtype) as t.grad without a copy, and later ones sum out of place, so
+    neither g nor an adopted array is ever written into."""
     if t.requires_grad:
-        t.grad += g.astype(t.data.dtype, copy=False)
+        g = g.astype(t.data.dtype, copy=False)
+        t.grad = g if t.grad is None else t.grad + g
 
 
 # ---------------------------------------------------------------------------
@@ -205,24 +216,32 @@ def _topo_order(root: Tensor) -> list[Tensor]:
 
 
 def backward(loss: Tensor) -> None:
-    """Populate .grad on every requires_grad tensor reachable from loss."""
+    """Set .grad on the leaves reachable from loss.
+
+    Gradients start as None and are created by their first accumulation.
+    Each interior node's gradient is dropped as soon as its closure has run,
+    and a node no gradient reached is skipped, so afterwards interior nodes
+    hold None and leaves hold their gradient, or None if none reached them.
+    """
     if loss.data.size != 1:
         raise ValueError(f"backward needs a scalar loss, got shape {loss.data.shape}")
     order = _topo_order(loss)
     for node in order:
-        if node.requires_grad:
-            node.grad = np.zeros_like(node.data)
+        node.grad = None
     loss.grad = np.ones_like(loss.data)
     for node in reversed(order):
-        if node._backward is not None and node.requires_grad:
+        if node._backward is not None and node.grad is not None:
             node._backward(node.grad)
+            node.grad = None
 
 
 def grads_for(loss: Tensor, params: list[Tensor]) -> list[np.ndarray]:
     """Run backward and collect gradients for the given parameters.
 
     A parameter that never entered the loss graph is an error; a parameter
-    in the graph with no influence gets an exact zero gradient.
+    in the graph with no influence gets an exact zero gradient.  A returned
+    gradient may be an adopted view, read-only; it stays the parameter's
+    .grad until the next backward.
     """
     order = _topo_order(loss)
     in_graph = {id(t) for t in order}
@@ -232,4 +251,4 @@ def grads_for(loss: Tensor, params: list[Tensor]) -> list[np.ndarray]:
                 f"tensor {p.name or '<unnamed>'} is not part of the loss graph"
             )
     backward(loss)
-    return [p.grad for p in params]
+    return [np.zeros_like(p.data) if p.grad is None else p.grad for p in params]

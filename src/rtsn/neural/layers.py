@@ -100,8 +100,9 @@ def lstm_cell(x, w_in, w_rec, bias, h: np.ndarray, c: np.ndarray) -> Tensor:
     view, because the halving writes into it.  A step is then the recurrent
     GEMV plus elementwise work into preallocated arrays.
 
-    The backward runs one reverse loop over the stored gate values, then
-    forms the weight, bias and input gradients as whole-chunk GEMMs.
+    The backward runs one reverse loop over the stored gate values, into
+    preallocated (B, H) scratch by out=, then forms the weight, bias and
+    input gradients as whole-chunk GEMMs over the batch-major (B, T, 4H) dz.
     """
     x, w_in, w_rec, bias = (as_tensor(t) for t in (x, w_in, w_rec, bias))
     hidden = h.shape[1]
@@ -135,18 +136,34 @@ def lstm_cell(x, w_in, w_rec, bias, h: np.ndarray, c: np.ndarray) -> Tensor:
 
     def backward(g):
         dz = np.empty(x.data.shape[:2] + (4 * hidden,), dtype=acts.dtype)  # (B, T, 4H)
-        dh_next = dc_next = 0.0
+        # (B, H) scratch: the carried dh/dc, this step's dh/dc, tanh(c), two temps
+        dh_next, dc_next, dh, dc, tc, t1, t2 = np.zeros((7,) + h.shape, dtype=acts.dtype)
         for t in reversed(range(steps)):
-            gi, gf, gg, go = np.split(acts[t], 4, axis=1)
-            tc = np.tanh(cs[t + 1])
-            dh = g[:, t] + dh_next
-            dc = dc_next + dh * go * (1.0 - tc * tc)
-            dz[:, t, :hidden] = dc * gg * gi * (1.0 - gi)
-            dz[:, t, hidden : 2 * hidden] = dc * cs[t] * gf * (1.0 - gf)
-            dz[:, t, 2 * hidden : 3 * hidden] = dc * gi * (1.0 - gg * gg)
-            dz[:, t, 3 * hidden :] = dh * tc * go * (1.0 - go)
-            dh_next = dz[:, t] @ w_rec.data
-            dc_next = dc * gf
+            gi, gf, gg, go = (acts[t][:, k * hidden : (k + 1) * hidden] for k in range(4))
+            di, df, dg, do = (dz[:, t, k * hidden : (k + 1) * hidden] for k in range(4))
+            np.tanh(cs[t + 1], out=tc)
+            np.add(g[:, t], dh_next, out=dh)
+            # each product runs left to right as the formula beside it reads,
+            # so the rounding is that of the plain numpy expression
+            np.multiply(dh, go, out=t1)  # dc = dc_next + dh * go * (1 - tc * tc)
+            np.multiply(tc, tc, out=t2)
+            np.subtract(1.0, t2, out=t2)
+            t1 *= t2
+            np.add(dc_next, t1, out=dc)
+            np.multiply(dc, gg, out=di)  # dc * gg * gi * (1 - gi)
+            di *= gi
+            di *= np.subtract(1.0, gi, out=t1)
+            np.multiply(dc, cs[t], out=df)  # dc * c_prev * gf * (1 - gf)
+            df *= gf
+            df *= np.subtract(1.0, gf, out=t1)
+            np.multiply(dc, gi, out=dg)  # dc * gi * (1 - gg * gg)
+            np.multiply(gg, gg, out=t1)
+            dg *= np.subtract(1.0, t1, out=t1)
+            np.multiply(dh, tc, out=do)  # dh * tc * go * (1 - go)
+            do *= go
+            do *= np.subtract(1.0, go, out=t1)
+            np.matmul(dz[:, t], w_rec.data, out=dh_next)
+            np.multiply(dc, gf, out=dc_next)
         dz_flat = dz.reshape(-1, 4 * hidden)
         _accum(w_in, dz_flat.T @ x.data.reshape(len(dz_flat), -1))
         _accum(w_rec, dz_flat.T @ hs[:-1].swapaxes(0, 1).reshape(len(dz_flat), -1))

@@ -214,6 +214,8 @@ def train(params: RtsnParams, corpus_or_utts, cfg: TrainConfig) -> TrainResult:
             nn.adam_update(adam, tensors, grads)
             loss_sum += loss_value * result.loss.frames
             frame_sum += result.loss.frames
+            # the step's graph dies here, not during the next forward
+            del result, grads
             lanes = [(utt, start + unroll) for utt, start in lanes]
         train_loss = loss_sum / frame_sum
         try:

@@ -4,8 +4,9 @@ The signal oracles are reimplemented independently of the package; the
 per-frame model oracles route single frames through its public layers,
 the prior through the LSTM oracle, which steps the gate equations one
 frame at a time; the SELU, conv and gather oracles are the straightforward
-layer implementations the fast ones replaced; matmul and tmean are graph
-primitives that only the tests compose with.
+layer implementations the fast ones replaced, and so is the LSTM backward
+oracle; matmul and tmean are graph primitives that only the tests compose
+with.
 """
 import math
 
@@ -178,6 +179,36 @@ def lstm_oracle(x, w_in, w_rec, bias, h, c):
         h, c = lstm_step(x[:, t], h, c, w_in, w_rec, bias)
         outs.append(h)
     return np.stack(outs, axis=1), h, c
+
+
+def lstm_backward_oracle(backward, g):
+    """nn.lstm_cell's backward in plain allocating numpy expressions:
+    (dx, dw_in, dw_rec, dbias) for the output gradient g, from the forward
+    state that the node's backward closure holds."""
+    saved = dict(zip(backward.__code__.co_freevars,
+                     (cell.cell_contents for cell in backward.__closure__)))
+    acts, cs, hs, hidden = saved["acts"], saved["cs"], saved["hs"], saved["hidden"]
+    x, w_in, w_rec = saved["x"].data, saved["w_in"].data, saved["w_rec"].data
+    dz = np.empty(x.shape[:2] + (4 * hidden,), dtype=acts.dtype)  # (B, T, 4H)
+    dh_next = dc_next = 0.0
+    for t in reversed(range(saved["steps"])):
+        gi, gf, gg, go = np.split(acts[t], 4, axis=1)
+        tc = np.tanh(cs[t + 1])
+        dh = g[:, t] + dh_next
+        dc = dc_next + dh * go * (1.0 - tc * tc)
+        dz[:, t, :hidden] = dc * gg * gi * (1.0 - gi)
+        dz[:, t, hidden : 2 * hidden] = dc * cs[t] * gf * (1.0 - gf)
+        dz[:, t, 2 * hidden : 3 * hidden] = dc * gi * (1.0 - gg * gg)
+        dz[:, t, 3 * hidden :] = dh * tc * go * (1.0 - go)
+        dh_next = dz[:, t] @ w_rec
+        dc_next = dc * gf
+    dz_flat = dz.reshape(-1, 4 * hidden)
+    return (
+        (dz_flat @ w_in).reshape(x.shape),
+        dz_flat.T @ x.reshape(len(dz_flat), -1),
+        dz_flat.T @ hs[:-1].swapaxes(0, 1).reshape(len(dz_flat), -1),
+        dz_flat.sum(axis=0),
+    )
 
 
 def synth_voice(seed: int, num_samples: int = SAMPLE_RATE,

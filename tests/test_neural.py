@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -10,6 +11,7 @@ from helpers import (
     conv1d_einsum,
     fd_gradient,
     gather_steps_grad,
+    lstm_backward_oracle,
     lstm_oracle,
     matmul,
     rel_err,
@@ -17,6 +19,7 @@ from helpers import (
     tmean,
 )
 from rtsn.model import gather_index
+from rtsn.neural.engine import _node
 
 FD_TOL = 1e-6
 
@@ -308,6 +311,23 @@ def test_lstm_cell_float32_batch_gradients_match_oracle():
         _assert_within(grad, fd_gradient(loss, ref[i]), tol, f"gradient {i}")
 
 
+@pytest.mark.parametrize("b", [1, 16])
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_lstm_cell_backward_matches_allocating_oracle(b, dtype):
+    # The backward runs into preallocated scratch by out=, in the operation
+    # order of the oracle's plain expressions: all four gradients are
+    # bit-identical to the oracle's, at batch 1 and at a training batch.
+    rng = np.random.default_rng(37 + b)
+    *arrays, h, c = (a.astype(dtype) for a in _lstm_arrays(rng, b, 10, 24, 32))
+    params = [nn.parameter(a, f"p{i}") for i, a in enumerate(arrays)]
+    out = nn.lstm_cell(*params, h, c)
+    g = rng.standard_normal(out.shape).astype(dtype)
+    out._backward(g)
+    for i, (p, want) in enumerate(zip(params, lstm_backward_oracle(out._backward, g))):
+        assert p.grad.dtype == dtype
+        assert np.array_equal(p.grad, want), f"gradient {i}"
+
+
 @pytest.mark.parametrize("d, hdim, shared", [(1, 1, True), (3, 3, True), (4, 5, False)])
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
 def test_lstm_cell_leaves_weights_untouched(d, hdim, shared, dtype):
@@ -573,6 +593,67 @@ def test_backward_deterministic():
         return g
 
     assert np.array_equal(run(), run())
+
+
+@pytest.mark.parametrize("depth", [4, 16])
+def test_backward_holds_only_the_live_gradients(depth):
+    # A chain of selu nodes over a 1 M-value float64 parameter: a node's
+    # gradient is created by its first accumulation and dropped once its
+    # closure has run, so backward holds about two chain-sized arrays
+    # whatever the depth, not one per node.
+    p = nn.parameter(np.linspace(-2.0, 2.0, 1 << 20), "p")
+    y = p
+    for _ in range(depth):
+        y = nn.selu(y)
+    loss = nn.tsum(y)
+    tracemalloc.start()
+    try:
+        (g,) = nn.grads_for(loss, [p])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert g.shape == p.shape
+    assert peak <= 3 * p.data.nbytes, f"peak {peak / p.data.nbytes:.1f}x the input"
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_adopted_broadcast_gradient_accumulates_out_of_place(dtype):
+    # The first tsum's backward hands p a read-only broadcast view, which p
+    # adopts; the second accumulation must sum out of place, not into it.
+    p = nn.parameter(np.arange(6, dtype=dtype).reshape(2, 3), "p")
+    (g,) = nn.grads_for(nn.add(nn.tsum(p), nn.tsum(p)), [p])
+    assert g.shape == p.shape and g.dtype == dtype
+    assert np.array_equal(g, np.full((2, 3), 2.0))
+
+
+def test_backward_keeps_leaf_gradients_and_drops_interior_ones():
+    p = nn.parameter(np.array([1.0, -2.0]), "p")
+    q = nn.parameter(np.array([0.5, 3.0]), "q")
+    x = nn.Tensor(np.array([2.0, 1.0]))
+    prod = nn.mul(p, q)
+    act = nn.selu(nn.add(prod, x))
+    loss = nn.tsum(nn.square(act))
+    nn.backward(loss)
+    interior = [t for t in nn.engine._topo_order(loss) if t._backward is not None]
+    assert len(interior) == 5 and prod in interior
+    assert all(t.grad is None for t in interior)
+    assert isinstance(p.grad, np.ndarray) and isinstance(q.grad, np.ndarray)
+    assert x.grad is None
+    # a second backward starts afresh rather than adding to the first
+    first = p.grad.copy()
+    nn.backward(loss)
+    assert np.array_equal(p.grad, first)
+
+
+def test_node_no_gradient_reaches_is_skipped():
+    # An op whose backward routes nothing to its input: the square node
+    # below it never gets a gradient, so its closure is skipped, and p, in
+    # the graph but unreached, still gets an exact zero gradient.
+    p = nn.parameter(np.array([1.0, -2.0]), "p")
+    sq = nn.square(p)
+    blocked = _node(sq.data.copy(), (sq,), lambda g: None, "block")
+    (g,) = nn.grads_for(nn.tsum(blocked), [p])
+    assert g.dtype == p.dtype and np.array_equal(g, np.zeros(2))
 
 
 def test_reused_node_accumulates_once_per_path():

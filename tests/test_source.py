@@ -104,3 +104,72 @@ def test_no_dead_definitions_in_src():
                for path in sorted(SRC.rglob("*.py"))}
     found = dead_definitions(sources)
     assert not found, "defined but never referenced: " + "; ".join(found)
+
+
+def gradient_writes(source: str) -> list[str]:
+    """Writes into the incoming gradient inside a backward closure (a
+    function named backward nested in another function): augmented
+    assignment to it or to a subscript of it, assignment to a subscript of
+    it, or passing it, a subscript of it or a tuple holding one as out=.
+    The engine adopts the arrays closures hand over without a copy, views
+    of other gradients among them, so such a write could corrupt another
+    node's gradient."""
+    tree = ast.parse(source)
+
+    def is_grad(node, name):
+        while isinstance(node, ast.Subscript):
+            node = node.value
+        return isinstance(node, ast.Name) and node.id == name
+
+    found = []
+    for fn in ast.walk(tree):
+        if not (isinstance(fn, ast.FunctionDef) and fn.name == "backward"
+                and fn not in tree.body):
+            continue
+        name = fn.args.args[0].arg
+        for node in ast.walk(fn):
+            if isinstance(node, ast.AugAssign):
+                hits = [node.target]
+            elif isinstance(node, ast.Assign):
+                hits = [t for t in node.targets if isinstance(t, ast.Subscript)]
+            elif isinstance(node, ast.keyword) and node.arg == "out":
+                hits = node.value.elts if isinstance(node.value, ast.Tuple) else [node.value]
+            else:
+                continue
+            if any(is_grad(t, name) for t in hits):
+                found.append(f"line {node.lineno}: backward({name})")
+    return found
+
+
+def test_gradient_write_check_flags_what_it_should():
+    source = (
+        "import numpy as np\n"
+        "def backward(loss):\n"
+        "    loss += 1\n"                         # top level: not a closure
+        "def op(x):\n"
+        "    def backward(g):\n"
+        "        g = g.reshape(-1)\n"             # rebinding the name is fine
+        "        gx = g * 2\n"
+        "        gx += g\n"                       # writing a fresh array is fine
+        "        np.negative(g, out=gx)\n"
+        "        g += 1\n"
+        "        g[0] = 0\n"
+        "        g[:, 1] *= 2\n"
+        "        np.exp(gx, out=g[1:])\n"
+        "        np.divmod(gx, 2, out=(gx, g))\n"
+        "    def forward(g):\n"
+        "        g += 1\n"                        # not a backward
+        "    return backward\n"
+    )
+    assert gradient_writes(source) == [
+        "line 10: backward(g)", "line 11: backward(g)", "line 12: backward(g)",
+        "line 13: backward(g)", "line 14: backward(g)",
+    ]
+
+
+def test_backward_closures_never_write_into_their_gradient():
+    files = sorted((SRC / "rtsn" / "neural").rglob("*.py"))
+    assert files
+    found = [f"{path.relative_to(SRC)} {hit}"
+             for path in files for hit in gradient_writes(path.read_text(encoding="utf-8"))]
+    assert not found, "backward writes into its incoming gradient: " + "; ".join(found)

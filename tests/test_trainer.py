@@ -1,4 +1,6 @@
 import math
+import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -260,6 +262,37 @@ def test_train_rejects_zero_frame_utterances():
         train(tiny_params(), ([utts[0], empty], utts[1:]), cfg)
     with pytest.raises(ValueError, match="^validation utterance 0 has no frames$"):
         train(tiny_params(), (utts[:1], [empty, utts[1]]), cfg)
+
+
+def test_train_step_graph_dies_before_the_next_step():
+    # A step's graph and gradients must be gone before the next step's
+    # forward, so a 3-step epoch peaks no higher than a 1-step one; holding
+    # the previous step's graph adds a whole training graph (a third or
+    # more of the 1-step peak here).
+    # Slack: 5 % of the 1-step peak, for Python-level allocations.
+    config = replace(TINY, conv_channels=(16, 8, 4, 1))
+    unroll, lanes = 64, 8
+    cfg = TrainConfig(unroll_steps=unroll, utterances_per_batch=lanes, max_epochs=1)
+
+    def epoch_peak(steps):
+        # every lane exhausts its utterance in one chunk, so steps * lanes
+        # utterances of unroll frames make an epoch of `steps` steps
+        rng = np.random.default_rng(0)
+        utts = [prepare_utterance(rng.standard_normal((unroll, 9)),
+                                  rng.standard_normal((unroll, 9)), TINY.lookahead,
+                                  np.float64)
+                for _ in range(steps * lanes + 1)]
+        params = init_params(config, TINY_STFT, NormStats(np.zeros(9), np.ones(9)),
+                             seed=0, dtype=np.float64)
+        tracemalloc.start()
+        try:
+            train(params, (utts[1:], utts[:1]), cfg)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    one, three = epoch_peak(1), epoch_peak(3)
+    assert three <= 1.05 * one, f"3-step peak {three} vs 1-step peak {one}"
 
 
 def test_train_from_corpus(tmp_path):
