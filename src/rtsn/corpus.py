@@ -114,6 +114,8 @@ def mix_with_reference(
     noise is shorter than the speech).  If the raw sum peaks above 1, both
     the mixture and the clean reference are rescaled by the same factor so
     the mixture peaks at 0.999; the pair therefore stays at the target SNR.
+    An SNR so low that the noise gain overflows, or that the rescaled clean
+    reference underflows to silence, is a ValueError.
     """
     if not math.isfinite(snr_db):
         raise ValueError(f"non-finite snr_db {snr_db}")
@@ -137,7 +139,12 @@ def mix_with_reference(
     seg_rms = _rms(segment)
     if seg_rms == 0.0:
         raise ValueError("silent noise segment (RMS = 0)")
-    gain = (speech_rms / seg_rms) * 10.0 ** (-snr_db / 20.0)
+    try:
+        gain = (speech_rms / seg_rms) * 10.0 ** (-snr_db / 20.0)
+    except OverflowError:
+        gain = math.inf
+    if not math.isfinite(gain):
+        raise ValueError(f"snr_db {snr_db} is out of range: the noise gain overflows")
     mixture = s + gain * segment
     clean = s.copy()
     peak = float(np.max(np.abs(mixture)))
@@ -145,6 +152,9 @@ def mix_with_reference(
         factor = PEAK_TARGET / peak
         mixture = mixture * factor
         clean = clean * factor
+        if _rms(clean) == 0.0:
+            raise ValueError(f"snr_db {snr_db} is out of range: "
+                             "the rescaled clean reference is silent")
     rate = speech.sample_rate_hz
     return Waveform(mixture, rate), Waveform(clean, rate)
 

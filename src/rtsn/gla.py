@@ -34,20 +34,18 @@ def griffin_lim(
 ) -> Waveform:
     """Reconstruct a waveform from a target magnitude and an initial phase.
 
-    All spectrogram arithmetic runs in double precision.  With iterations=0
-    the result degenerates to a plain inverse transform of
-    magnitude * exp(j*phase), which equals the iterations=1 output.  The
-    optional callback receives (iteration, waveform) for each iterate.
+    All spectrogram arithmetic runs in double precision.  At least one
+    iterate is taken: iterations=0 runs as iterations=1 does, a plain
+    inverse transform of magnitude * exp(j*phase), and the callback then
+    sees iterate 1.  The optional callback receives (iteration, waveform)
+    for each iterate.
     """
     spec = compose(magnitude, phase, config.stft, orig_len)
-    if config.iterations == 0:
-        return istft(spec)
-    for i in range(1, config.iterations + 1):
+    for i in range(1, max(1, config.iterations) + 1):
+        if i > 1:
+            spec = compose(magnitude, np.angle(stft(x, config.stft).coeffs),
+                           config.stft, orig_len)
         x = istft(spec)
         if callback is not None:
             callback(i, x)
-        if i == config.iterations:
-            return x
-        spec = compose(magnitude, np.angle(stft(x, config.stft).coeffs),
-                       config.stft, orig_len)
-    raise AssertionError("unreachable")
+    return x

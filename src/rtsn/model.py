@@ -7,11 +7,12 @@ one graph node over the whole chunk, and its (h, c) state arrays advance
 in place from one chunk to the next.  Stage two (the posterior network)
 collects every stack overlapping frame t together with the noisy frames
 themselves into a channel image and reduces it to one enhanced frame with
-1-D convolutions over frequency and SELU between them.  The image is
-built channel-last, (frames, bins, channels), by the one copy that
-assembles it, so every convolution runs as im2col GEMMs over the
-contiguous channels of each bin with no transposes in between.  Training
-minimizes the posterior error plus prior_weight times the stack error.
+1-D convolutions over frequency and SELU between them.  One gather_steps
+node writes that image channel-last, (frames, bins, channels), gathered
+stacks first and noisy context after, so every convolution runs as im2col
+GEMMs over the contiguous channels of each bin with no transposes in
+between.  Training minimizes the posterior error plus prior_weight times
+the stack error, one stack_loss node.
 
 Every per-step input and target comes from one layout, the frame stack:
 frames t-lookahead..t+lookahead of step t, edge-replicated (frame_stack).
@@ -286,7 +287,7 @@ class ChunkResult:
 def _prior(params: RtsnParams, windows: np.ndarray,
            state: tuple[list, list]) -> nn.Tensor:
     """LSTM stack then projection from (B, U, (lookahead+1)*N) inputs:
-    (B, U, R, N) stacks, one node per layer."""
+    the stacks flat, (B*U, R*N), one node per layer."""
     batch, steps, _ = windows.shape
     p = params.tensors
     hs, cs = state
@@ -295,9 +296,7 @@ def _prior(params: RtsnParams, windows: np.ndarray,
         x = nn.lstm_cell(x, p[f"lstm{i}.w_in"], p[f"lstm{i}.w_rec"],
                          p[f"lstm{i}.bias"], hs[i], cs[i])
     flat = nn.reshape(x, (batch * steps, -1))
-    proj = nn.linear(flat, p["proj.weight"], p["proj.bias"])
-    rows = params.config.stack_rows
-    return nn.reshape(proj, (batch, steps, rows, params.config.n_bins))
+    return nn.linear(flat, p["proj.weight"], p["proj.bias"])
 
 
 def _conv_stack(params: RtsnParams, v: nn.Tensor) -> nn.Tensor:
@@ -321,13 +320,13 @@ def forward_chunk(params: RtsnParams, data: ChunkData,
     advances them in place to the state after the chunk, so passing the
     same state to the next chunk carries it on (None starts from zero and
     discards it).  The prior runs over the whole chunk, one graph node per
-    LSTM layer; the posterior (gather, concat, conv stack) then runs over
-    consecutive blocks of steps holding at most POST_BLOCK_FRAMES frames
-    (batch x steps; one step per block when the batch alone is larger), and
-    the block outputs are concatenated into x_hat.  With params.frozen()
-    nothing is recorded, so a block's intermediates are freed before the
-    next block starts and the memory beyond the O(steps) inputs and outputs
-    does not grow with the chunk.
+    LSTM layer; the posterior (a gather_steps image, then the conv stack)
+    runs over consecutive blocks of steps holding at most POST_BLOCK_FRAMES
+    frames (batch x steps; one step per block when the batch alone is
+    larger), and the block outputs are concatenated into x_hat.  With
+    params.frozen() nothing is recorded, so a block's intermediates are
+    freed before the next block starts and the memory beyond the O(steps)
+    inputs and outputs does not grow with the chunk.
     """
     dtype = params.dtype
     lookahead = params.config.lookahead
@@ -337,29 +336,30 @@ def forward_chunk(params: RtsnParams, data: ChunkData,
         state = zero_state(params, batch)
     # frames t..t+lookahead of each step, the stacks' last rows, in one
     # contiguous copy that lstm_cell reads in place at batch 1
-    x_bar = _prior(params, np.ascontiguousarray(noisy_ctx[:, :, lookahead:])
-                   .reshape(batch, steps, -1), state)
+    stacks = _prior(params, np.ascontiguousarray(noisy_ctx[:, :, lookahead:])
+                    .reshape(batch, steps, -1), state)
+    n_bins = params.config.n_bins
+    x_bar = nn.reshape(stacks, (batch, steps, params.config.stack_rows, n_bins))
     valid = None if data.valid is None else data.valid[:, None, None]
     gather_idx = np.broadcast_to(gather_index(steps, lookahead, valid),
                                  (batch, steps, params.config.stack_rows))
-    channels = params.config.posterior_channels
-    n_bins = params.config.n_bins
+    # the posterior's context enters as a named constant, as the prior's
+    # windows do, so a non-finite value in it is reported by that name
+    context = nn.Tensor(noisy_ctx, name="noisy_ctx").data
     block = max(1, POST_BLOCK_FRAMES // batch)
     blocks = []
     for start in range(0, steps, block):
         rows = slice(start, start + block)
-        gathered = nn.gather_steps(x_bar, gather_idx[:, rows])
-        ctx = nn.Tensor(noisy_ctx[:, rows].swapaxes(2, 3), name="noisy_ctx")
-        # the one copy into the channel-last (frames, bins, channels) layout
-        v = nn.concat([nn.transpose(gathered, (0, 1, 3, 2)), ctx], axis=3)
-        size = v.shape[1]
-        flat = nn.reshape(v, (batch * size, n_bins, channels))
-        blocks.append(nn.reshape(_conv_stack(params, flat), (batch, size, n_bins)))
+        image = nn.gather_steps(x_bar, gather_idx[:, rows], context[:, rows])
+        blocks.append(nn.reshape(_conv_stack(params, image), (batch, -1, n_bins)))
     x_hat = nn.concat(blocks, axis=1)
     loss = None
     if data.clean_stack is not None:
         mask = None if data.valid is None else np.arange(steps) < data.valid[:, None]
-        loss = mol_loss(x_hat, data.clean_stack[:, :, lookahead], x_bar,
+        # The loss reads the flat stacks, not x_bar: the blocks' gather
+        # gradients sum in block order into x_bar, and the stack error's
+        # gradient is added to that whole sum at the projection.
+        loss = mol_loss(x_hat, data.clean_stack[:, :, lookahead], stacks,
                         data.clean_stack, params.config.prior_weight, mask)
     return ChunkResult(x_hat, x_bar, loss)
 
@@ -391,33 +391,12 @@ def mol_loss(pred_frames, target_frames, pred_stacks, target_stacks,
     Per frame: squared distance between the enhanced and clean frame, plus
     prior_weight times the squared Frobenius distance between the emitted
     stack and the clean frame stack.  A mask of zeros drops padded frames
-    from both terms.
+    from both terms.  The total is one nn.stack_loss node over the two
+    predictions.
     """
-    pred_frames = nn.as_tensor(pred_frames)
-    pred_stacks = nn.as_tensor(pred_stacks)
-    dtype = pred_frames.dtype
-    target_frames = nn.as_tensor(target_frames, dtype=dtype)
-    target_stacks = nn.as_tensor(target_stacks, dtype=dtype)
-    post = nn.tsum(nn.square(nn.sub(pred_frames, target_frames)), axis=-1)
-    pri = nn.tsum(nn.square(nn.sub(pred_stacks, target_stacks)), axis=(-2, -1))
-    if mask is not None:
-        m = np.asarray(mask, dtype=dtype)
-        count = float(m.sum())
-        if count <= 0:
-            raise ValueError("mask excludes every frame")
-        post = nn.mul(post, nn.Tensor(m))
-        pri = nn.mul(pri, nn.Tensor(m))
-    else:
-        count = float(np.prod(post.shape)) if post.shape else 1.0
-    post_sum = nn.tsum(post)
-    pri_sum = nn.tsum(pri)
-    total = nn.mul(nn.add(post_sum, nn.mul(pri_sum, prior_weight)), 1.0 / count)
-    return LossOut(
-        total=total,
-        post=float(post_sum.data) / count,
-        pri=float(pri_sum.data) / count,
-        frames=count,
-    )
+    total, post_sum, pri_sum, count = nn.stack_loss(
+        pred_frames, target_frames, pred_stacks, target_stacks, prior_weight, mask)
+    return LossOut(total=total, post=post_sum / count, pri=pri_sum / count, frames=count)
 
 
 def enhance_lps(params: RtsnParams, norm_values: np.ndarray) -> np.ndarray:

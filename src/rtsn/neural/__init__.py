@@ -3,36 +3,26 @@
 from .adam import AdamState, adam_update
 from .engine import (
     Tensor,
-    add,
     as_tensor,
     backward,
     concat,
     grads_for,
-    mul,
     parameter,
     reshape,
-    square,
-    sub,
-    transpose,
-    tsum,
 )
 from .layers import (
-    SELU_ALPHA,
-    SELU_SCALE,
     conv1d_freq,
     gather_steps,
     linear,
     lstm_cell,
     selu,
+    stack_loss,
 )
 
 __all__ = [
     "AdamState",
-    "SELU_ALPHA",
-    "SELU_SCALE",
     "Tensor",
     "adam_update",
-    "add",
     "as_tensor",
     "backward",
     "concat",
@@ -41,12 +31,8 @@ __all__ = [
     "grads_for",
     "linear",
     "lstm_cell",
-    "mul",
     "parameter",
     "reshape",
     "selu",
-    "square",
-    "sub",
-    "transpose",
-    "tsum",
+    "stack_loss",
 ]

@@ -7,14 +7,15 @@ nothing is recorded, so each intermediate is freed once it goes out of
 scope.  backward() walks the graph once in reverse topological order, so
 accumulation order is deterministic run to run.  Storage follows the input
 dtype: float32 for training, float64 when tests need tight finite-difference
-agreement.
+agreement.  The engine's own ops are reshape and concat; every other node
+is a fused layer with a handwritten backward (layers.py).
 
 A gradient lives only while backward needs it.  It is created by the first
 accumulation into its tensor, which adopts the array the closure hands over
 without a copy; every later accumulation sums out of place.  No gradient is
-ever written in place, so adopting views (reshape, transpose, concat's split,
-tsum's broadcast) is safe.  Once a node's closure has run, its gradient is
-dropped, so only the frontier of live gradients is held; leaves keep theirs.
+ever written in place, so adopting the views that reshape and concat's split
+hand over is safe.  Once a node's closure has run, its gradient is dropped,
+so only the frontier of live gradients is held; leaves keep theirs.
 """
 from __future__ import annotations
 
@@ -62,13 +63,8 @@ def parameter(data, name: str) -> Tensor:
     return Tensor(np.asarray(data), requires_grad=True, name=name)
 
 
-def as_tensor(x, dtype=None) -> Tensor:
-    if isinstance(x, Tensor):
-        return x
-    arr = np.asarray(x)
-    if dtype is not None:
-        arr = arr.astype(dtype, copy=False)
-    return Tensor(arr)
+def as_tensor(x) -> Tensor:
+    return x if isinstance(x, Tensor) else Tensor(x)
 
 
 def _node(data, parents, backward, op: str) -> Tensor:
@@ -81,17 +77,6 @@ def _node(data, parents, backward, op: str) -> Tensor:
                   backward=backward if requires else None)
 
 
-def _unbroadcast(grad: np.ndarray, shape: tuple) -> np.ndarray:
-    """Reduce a gradient back to the shape it was broadcast from."""
-    extra = grad.ndim - len(shape)
-    if extra > 0:
-        grad = grad.sum(axis=tuple(range(extra)))
-    axes = tuple(i for i, n in enumerate(shape) if n == 1 and grad.shape[i] != 1)
-    if axes:
-        grad = grad.sum(axis=axes, keepdims=True)
-    return grad
-
-
 def _accum(t: Tensor, g: np.ndarray) -> None:
     """Add g into t.grad.  The first accumulation adopts g (cast to t's
     dtype) as t.grad without a copy, and later ones sum out of place, so
@@ -102,60 +87,8 @@ def _accum(t: Tensor, g: np.ndarray) -> None:
 
 
 # ---------------------------------------------------------------------------
-# primitive ops
+# layout ops
 # ---------------------------------------------------------------------------
-
-
-def add(a, b) -> Tensor:
-    a, b = as_tensor(a), as_tensor(b)
-
-    def backward(g):
-        _accum(a, _unbroadcast(g, a.data.shape))
-        _accum(b, _unbroadcast(g, b.data.shape))
-
-    return _node(a.data + b.data, (a, b), backward, "add")
-
-
-def sub(a, b) -> Tensor:
-    a, b = as_tensor(a), as_tensor(b)
-
-    def backward(g):
-        _accum(a, _unbroadcast(g, a.data.shape))
-        _accum(b, -_unbroadcast(g, b.data.shape))
-
-    return _node(a.data - b.data, (a, b), backward, "sub")
-
-
-def mul(a, b) -> Tensor:
-    a, b = as_tensor(a), as_tensor(b)
-
-    def backward(g):
-        _accum(a, _unbroadcast(g * b.data, a.data.shape))
-        _accum(b, _unbroadcast(g * a.data, b.data.shape))
-
-    return _node(a.data * b.data, (a, b), backward, "mul")
-
-
-def square(a) -> Tensor:
-    a = as_tensor(a)
-
-    def backward(g):
-        _accum(a, g * (2.0 * a.data))
-
-    return _node(a.data * a.data, (a,), backward, "square")
-
-
-def tsum(a, axis=None, keepdims: bool = False) -> Tensor:
-    a = as_tensor(a)
-    out = a.data.sum(axis=axis, keepdims=keepdims)
-
-    def backward(g):
-        gg = g
-        if axis is not None and not keepdims:
-            gg = np.expand_dims(g, axis)
-        _accum(a, np.broadcast_to(gg, a.data.shape))
-
-    return _node(out, (a,), backward, "tsum")
 
 
 def reshape(a, shape) -> Tensor:
@@ -165,17 +98,6 @@ def reshape(a, shape) -> Tensor:
         _accum(a, g.reshape(a.data.shape))
 
     return _node(a.data.reshape(shape), (a,), backward, "reshape")
-
-
-def transpose(a, axes) -> Tensor:
-    """a.transpose(axes) as a view; the gradient is transposed back."""
-    a = as_tensor(a)
-    inverse = np.argsort(axes)
-
-    def backward(g):
-        _accum(a, g.transpose(inverse))
-
-    return _node(a.data.transpose(axes), (a,), backward, "transpose")
 
 
 def concat(tensors, axis: int = 0) -> Tensor:
@@ -223,9 +145,13 @@ def backward(loss: Tensor) -> None:
     and a node no gradient reached is skipped, so afterwards interior nodes
     hold None and leaves hold their gradient, or None if none reached them.
     """
+    _backward_over(loss, _topo_order(loss))
+
+
+def _backward_over(loss: Tensor, order: list[Tensor]) -> None:
+    """backward(loss) over order, loss's graph in topological order."""
     if loss.data.size != 1:
         raise ValueError(f"backward needs a scalar loss, got shape {loss.data.shape}")
-    order = _topo_order(loss)
     for node in order:
         node.grad = None
     loss.grad = np.ones_like(loss.data)
@@ -250,5 +176,5 @@ def grads_for(loss: Tensor, params: list[Tensor]) -> list[np.ndarray]:
             raise ValueError(
                 f"tensor {p.name or '<unnamed>'} is not part of the loss graph"
             )
-    backward(loss)
+    _backward_over(loss, order)
     return [np.zeros_like(p.data) if p.grad is None else p.grad for p in params]

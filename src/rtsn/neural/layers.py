@@ -1,4 +1,5 @@
-"""Differentiable layers: SELU, dense, LSTM layer, frequency 1-D convolution.
+"""Differentiable layers: SELU, dense, LSTM layer, frequency 1-D convolution,
+the posterior's input image and the training loss.
 
 Each layer is a single fused graph node with a handwritten backward pass;
 finite-difference tests in the suite check every one of them.
@@ -260,12 +261,18 @@ def conv1d_freq(x, kernels, bias) -> Tensor:
                  "conv1d_freq")
 
 
-def gather_steps(x, idx: np.ndarray) -> Tensor:
-    """Gather whole rows of a (B, T, R, N) tensor along the step axis.
+def gather_steps(x, idx: np.ndarray, context: np.ndarray) -> Tensor:
+    """The posterior's channel-last input image: whole (R, N) rows of a
+    (B, T, R, N) tensor gathered along the step axis, then a constant
+    context, as one (B*U, N, M*R + C) array.
 
     idx is an integer array (B, U, M) of step indices into x for any U, so
-    one call can serve a block of U output rows; the result is
-    (B, U, M*R, N) with out[b, u, m*R + r] = x[b, idx[b, u, m], r].
+    one call can serve a block of U output frames, and context is (B, U, C,
+    N).  With f = b*U + u,
+      out[f, n, m*R + r] = x[b, idx[b, u, m], r, n],
+      out[f, n, M*R + c] = context[b, u, c, n].
+    Only x gets a gradient: the gathered channels' gradient is scattered
+    back onto the steps they were read from.
     """
     x = as_tensor(x)
     b, t, r, n = x.data.shape
@@ -275,24 +282,74 @@ def gather_steps(x, idx: np.ndarray) -> Tensor:
     if idx.size and (idx.min() < 0 or idx.max() >= t):
         raise ValueError("gather index out of range")
     u, m = idx.shape[1:]
+    context = np.asarray(context)
+    if context.ndim != 4 or context.shape[:2] != (b, u) or context.shape[3] != n:
+        raise ValueError(f"context shape {context.shape} does not match "
+                         f"({b}, {u}, channels, {n})")
     b_idx = np.arange(b)[:, None, None]
-    out = x.data[b_idx, idx]  # (B, U, M, R, N)
+    mr = m * r
+    image = np.empty((b, u, n, mr + context.shape[2]), dtype=x.data.dtype)
+    image[..., :mr] = x.data[b_idx, idx].reshape(b, u, mr, n).swapaxes(2, 3)
+    image[..., mr:] = context.swapaxes(2, 3)
 
     def backward(g):
-        if x.requires_grad:
-            # Scatter-add each gathered (R, N) slab back onto its step.  A
-            # stable sort by (batch, step) ranks the repeats of every index in
-            # read order; each rank's indices are distinct, so one buffered
-            # add per rank sums the repeats in np.add.at's order.
-            keys = (b_idx * t + idx).reshape(-1)
-            order = np.argsort(keys, kind="stable")
-            first = np.flatnonzero(np.diff(keys[order], prepend=-1))
-            rank = np.arange(keys.size) - np.repeat(first, np.diff(first, append=keys.size))
-            rows = g.reshape(-1, r * n)
-            gx = np.zeros((b * t, r * n), dtype=g.dtype)
-            for level in range(rank.max(initial=-1) + 1):
-                sel = order[rank == level]
-                gx[keys[sel]] += rows[sel]
-            _accum(x, gx.reshape(x.data.shape))
+        # Scatter-add each gathered (R, N) slab back onto its step.  A stable
+        # sort by (batch, step) ranks the repeats of every index in read
+        # order; each rank's indices are distinct, so one buffered add per
+        # rank sums the repeats in np.add.at's order.
+        keys = (b_idx * t + idx).reshape(-1)
+        order = np.argsort(keys, kind="stable")
+        first = np.flatnonzero(np.diff(keys[order], prepend=-1))
+        rank = np.arange(keys.size) - np.repeat(first, np.diff(first, append=keys.size))
+        rows = g[..., :mr].reshape(b * u, n, m, r).transpose(0, 2, 3, 1).reshape(-1, r * n)
+        gx = np.zeros((b * t, r * n), dtype=g.dtype)
+        for level in range(rank.max(initial=-1) + 1):
+            sel = order[rank == level]
+            gx[keys[sel]] += rows[sel]
+        _accum(x, gx.reshape(x.data.shape))
 
-    return _node(out.reshape(b, u, m * r, n), (x,), backward, "gather_steps")
+    return _node(image.reshape(b * u, n, -1), (x,), backward, "gather_steps")
+
+
+def stack_loss(frames, target_frames, stacks, target_stacks, prior_weight: float,
+               mask: np.ndarray | None = None):
+    """The training objective as one node: (total, post_sum, pri_sum, count).
+
+    frames (..., N) and stacks (..., R, N) are the predictions, stacks in
+    any shape of target_stacks' size (read in its shape); the targets and
+    the mask (...) of 0/1 frame weights, all ones when None, are constants.
+    With count = sum(mask) and per frame the squared errors
+      post = |frames - target_frames|^2,  pri = |stacks - target_stacks|^2,
+    post_sum and pri_sum are the masked sums of post and pri in the
+    predictions' dtype, and total = (post_sum + prior_weight * pri_sum) /
+    count in float64.  The backward is closed form: frames get
+    2 (frames - target_frames) mask / count and stacks prior_weight times
+    the same of theirs, each scale rounded to the predictions' dtype before
+    it meets the mask.
+    """
+    frames, stacks = as_tensor(frames), as_tensor(stacks)
+    dtype = frames.dtype
+    m = (np.ones(frames.shape[:-1], dtype=dtype) if mask is None
+         else np.asarray(mask, dtype=dtype))
+    count = float(m.sum())
+    if count <= 0:
+        raise ValueError("mask excludes every frame")
+    diff_frames = frames.data - np.asarray(target_frames, dtype=dtype)
+    target_stacks = np.asarray(target_stacks, dtype=dtype)
+    diff_stacks = stacks.data.reshape(target_stacks.shape) - target_stacks
+    post_sum = ((diff_frames * diff_frames).sum(axis=-1) * m).sum()
+    pri_sum = ((diff_stacks * diff_stacks).sum(axis=(-2, -1)) * m).sum()
+    weight = np.asarray(prior_weight, dtype=np.float64)
+    scale = np.asarray(1.0 / count)
+    total = (post_sum + pri_sum * weight) * scale
+
+    def backward(g):
+        g_post = g * scale
+        g_pri = (g_post * weight).astype(dtype)
+        g_post = g_post.astype(dtype)
+        _accum(frames, (g_post * m)[..., None] * (2.0 * diff_frames))
+        _accum(stacks, ((g_pri * m)[..., None, None] * (2.0 * diff_stacks))
+               .reshape(stacks.shape))
+
+    return (_node(total, (frames, stacks), backward, "stack_loss"),
+            float(post_sum), float(pri_sum), count)

@@ -5,8 +5,9 @@ per-frame model oracles route single frames through its public layers,
 the prior through the LSTM oracle, which steps the gate equations one
 frame at a time; the SELU, conv and gather oracles are the straightforward
 layer implementations the fast ones replaced, and so is the LSTM backward
-oracle; matmul and tmean are graph primitives that only the tests compose
-with.
+oracle; the posterior image oracle is the gather, transpose and concat
+that gather_steps fuses; matmul, mul, weighted_sum and tmean are graph
+primitives that only the tests compose with.
 """
 import math
 
@@ -16,6 +17,7 @@ import rtsn.neural as nn
 from rtsn.dsp import LpsSequence
 from rtsn.model import ChunkData, forward_chunk, frame_stack
 from rtsn.neural.engine import _accum, _node
+from rtsn.neural.layers import SELU_ALPHA, SELU_SCALE
 
 SAMPLE_RATE = 8000
 
@@ -91,6 +93,33 @@ def matmul(a, b) -> nn.Tensor:
     return _node(a.data @ b.data, (a, b), backward, "matmul")
 
 
+def mul(a, b) -> nn.Tensor:
+    """a * b elementwise as a graph node; b has a's shape or is a constant
+    that broadcasts against it."""
+    a, b = nn.as_tensor(a), nn.as_tensor(b)
+
+    def backward(g):
+        _accum(a, g * b.data)
+        _accum(b, g * a.data)
+
+    return _node(a.data * b.data, (a, b), backward, "mul")
+
+
+def weighted_sum(tensors, weights=None) -> nn.Tensor:
+    """sum(t * w) over the tensors and their constant weights (1 when
+    None) as one graph node.  A tensor may appear more than once, and each
+    gets the read-only broadcast g * w per appearance."""
+    tensors = [nn.as_tensor(t) for t in tensors]
+    weights = [1.0] * len(tensors) if weights is None else list(weights)
+
+    def backward(g):
+        for t, w in zip(tensors, weights):
+            _accum(t, np.broadcast_to(g * w, t.data.shape))
+
+    total = sum(float(np.sum(t.data * w)) for t, w in zip(tensors, weights))
+    return _node(np.asarray(total), tuple(tensors), backward, "weighted_sum")
+
+
 def tmean(a) -> nn.Tensor:
     """Mean of every element as a graph node."""
     a = nn.as_tensor(a)
@@ -107,12 +136,12 @@ def selu_where(x) -> nn.Tensor:
     scale*alpha*(exp(x) - 1), and the slope from the saved exp."""
     x = nn.as_tensor(x)
     expneg = np.exp(np.minimum(x.data, 0.0))
-    out = np.where(x.data > 0, nn.SELU_SCALE * x.data,
-                   nn.SELU_SCALE * nn.SELU_ALPHA * (expneg - 1.0))
+    out = np.where(x.data > 0, SELU_SCALE * x.data,
+                   SELU_SCALE * SELU_ALPHA * (expneg - 1.0))
 
     def backward(g):
-        _accum(x, g * np.where(x.data > 0, nn.SELU_SCALE,
-                               nn.SELU_SCALE * nn.SELU_ALPHA * expneg))
+        _accum(x, g * np.where(x.data > 0, SELU_SCALE,
+                               SELU_SCALE * SELU_ALPHA * expneg))
 
     return _node(out.astype(x.data.dtype, copy=False), (x,), backward, "selu_where")
 
@@ -145,13 +174,26 @@ def conv1d_einsum(x, kernels, bias) -> nn.Tensor:
                  "conv1d_einsum")
 
 
+def posterior_image(x: np.ndarray, idx: np.ndarray, context: np.ndarray) -> np.ndarray:
+    """nn.gather_steps' image by its parts: the gathered (B, U, M*R, N) rows
+    and the (B, U, C, N) context, each transposed channel-last, then
+    concatenated along channels and flattened to (B*U, N, M*R + C)."""
+    b, _, r, n = x.shape
+    u, m = idx.shape[1:]
+    gathered = x[np.arange(b)[:, None, None], idx].reshape(b, u, m * r, n)
+    image = np.concatenate([gathered.transpose(0, 1, 3, 2),
+                            context.transpose(0, 1, 3, 2)], axis=3)
+    return image.reshape(b * u, n, -1)
+
+
 def gather_steps_grad(x_shape, idx: np.ndarray, g: np.ndarray) -> np.ndarray:
     """Gradient of nn.gather_steps by np.add.at: every gathered (R, N) slab
-    of g added back onto the step it was read from."""
+    of the image gradient g added back onto the step it was read from."""
     b, _, r, n = x_shape
     gx = np.zeros(x_shape, dtype=g.dtype)
     u, m = idx.shape[1:]
-    np.add.at(gx, (np.arange(b)[:, None, None], idx), g.reshape(b, u, m, r, n))
+    slabs = g[..., : m * r].reshape(b, u, n, m, r).transpose(0, 1, 3, 4, 2)
+    np.add.at(gx, (np.arange(b)[:, None, None], idx), slabs)
     return gx
 
 

@@ -91,6 +91,29 @@ def test_mix_missing_input_fails_cleanly(tmp_path, capsys):
     assert not (tmp_path / "x.wav").exists()
 
 
+@pytest.mark.parametrize("snr", ["-7000", "-6150"])
+def test_mix_snr_beyond_float_range_fails_cleanly(tmp_path, capsys, snr):
+    make_inputs(tmp_path)
+    rc, out, err = run(["mix", "--speech", tmp_path / "sp0.wav",
+                        "--noise", tmp_path / "noise.wav",
+                        "--snr", snr, "--out", tmp_path / "x.wav"], capsys)
+    assert rc == 1 and out == ""
+    assert err.startswith(f"error: snr_db {float(snr)} is out of range")
+    assert err.count("\n") == 1
+    assert not (tmp_path / "x.wav").exists()
+
+
+def test_build_corpus_snr_beyond_float_range_fails_cleanly(tmp_path, capsys):
+    make_inputs(tmp_path)
+    (tmp_path / "manifest.csv").write_text("sp0.wav,noise.wav,0,1,a.wav\n"
+                                           "sp1.wav,noise.wav,-7000,1,b.wav\n")
+    rc, out, err = run(["build-corpus", "--manifest", tmp_path / "manifest.csv",
+                        "--seed", "0"], capsys)
+    assert rc == 1
+    assert err == ("error: manifest line 2: snr_db -7000.0 is out of range: "
+                   "the noise gain overflows\n")
+
+
 # ---------------------------------------------------------------------------
 # build-corpus
 # ---------------------------------------------------------------------------

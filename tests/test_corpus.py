@@ -200,6 +200,19 @@ def test_mix_input_validation():
             mix_with_reference(speech, speech, snr, 0)
 
 
+@pytest.mark.parametrize("snr, why", [
+    (-7000.0, "the noise gain overflows"),
+    (-6150.0, "the rescaled clean reference is silent"),
+])
+def test_mix_rejects_snr_beyond_float_range(snr, why):
+    # 10 ** 350 overflows a float; at -6150 dB the gain is finite but the
+    # peak rescale takes the clean reference below the smallest float power
+    speech = Waveform(synth_voice(1, 500))
+    noise = Waveform(synth_noise(2, 800))
+    with pytest.raises(ValueError, match=f"snr_db {snr} is out of range: {why}"):
+        mix_with_reference(speech, noise, snr, 0)
+
+
 # ---------------------------------------------------------------------------
 # normalization statistics
 # ---------------------------------------------------------------------------

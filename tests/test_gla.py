@@ -28,6 +28,15 @@ def test_zero_iterations_equals_one():
     assert_allclose(zero.samples, one.samples, rtol=0, atol=0)
 
 
+def test_zero_iterations_run_one_iterate():
+    magnitude, phase, noisy, _ = clean_mag_noisy_phase(1, 0.0)
+    seen = []
+    out = griffin_lim(magnitude, phase, GlaConfig(0, CFG.stft), len(noisy),
+                      callback=lambda i, w: seen.append((i, w.samples.copy())))
+    assert [i for i, _ in seen] == [1]
+    assert_allclose(out.samples, seen[0][1], rtol=0, atol=0)
+
+
 def test_callback_sees_every_iterate():
     magnitude, phase, noisy, _ = clean_mag_noisy_phase(2, 5.0)
     seen = []

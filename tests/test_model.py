@@ -377,6 +377,29 @@ def test_prior_records_one_node_per_lstm_layer():
     assert sizes[0] == sizes[1]
 
 
+def test_training_chunk_graph_holds_only_layers():
+    # A chunk of the default training shape, 16 lanes x 64 steps (four
+    # posterior blocks), over TINY, which has the default's layer counts:
+    # the node count depends only on those.  Every interior node is a layer
+    # or a layout op.  60 nodes: 16 parameters and the input windows, two
+    # LSTM layers, the projection and the reshapes around it, per block
+    # the image, four convs, three SELUs and a reshape, then the concat
+    # and the loss.
+    default = RtsnConfig()
+    assert (TINY.lstm_layers, len(TINY.conv_channels)) == (
+        default.lstm_layers, len(default.conv_channels))
+    params = tiny_params(dtype=np.float32)
+    valid = np.full(16, 64)
+    valid[5] = 23
+    loss = forward_chunk(params, random_chunk(TINY, 16, 64, seed=4, valid=valid)).loss
+    order = _topo_order(loss.total)
+    interior = {t.name for t in order if t._backward is not None}
+    assert interior == {"lstm_cell", "reshape", "linear", "gather_steps",
+                        "conv1d_freq", "selu", "concat", "stack_loss"}
+    assert len(order) <= 60
+    assert sum(t.name == "gather_steps" for t in order) == 4
+
+
 def test_whole_model_gradient_spot_check():
     # full-coordinate sweep lives in the acceptance suite; here a handful of
     # coordinates per tensor against central differences

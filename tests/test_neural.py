@@ -14,12 +14,16 @@ from helpers import (
     lstm_backward_oracle,
     lstm_oracle,
     matmul,
+    mul,
+    posterior_image,
     rel_err,
     selu_where,
     tmean,
+    weighted_sum,
 )
 from rtsn.model import gather_index
 from rtsn.neural.engine import _node
+from rtsn.neural.layers import SELU_ALPHA, SELU_SCALE
 
 FD_TOL = 1e-6
 
@@ -44,7 +48,7 @@ def check_grads(build, arrays, tol=FD_TOL, eps=1e-5):
 def _proj(t, seed):
     """Random fixed projection to a scalar so gradients are non-uniform."""
     rng = np.random.default_rng(seed)
-    return nn.tsum(nn.mul(t, rng.standard_normal(t.shape)))
+    return weighted_sum([t], [rng.standard_normal(t.shape)])
 
 
 # ---------------------------------------------------------------------------
@@ -65,7 +69,7 @@ def test_nonfinite_op_output_names_the_op():
         with pytest.raises(FloatingPointError, match="non-finite values in tensor linear"):
             nn.linear(big, big)
         with pytest.raises(FloatingPointError, match="tensor mul"):
-            nn.mul(big, big)
+            mul(big, big)
 
 
 def test_tensor_dtypes():
@@ -77,22 +81,12 @@ def test_tensor_dtypes():
 def test_backward_requires_scalar():
     p = nn.parameter(np.ones((2, 2)), "p")
     with pytest.raises(ValueError, match="scalar"):
-        nn.backward(nn.square(p))
+        nn.backward(mul(p, p))
 
 
 # ---------------------------------------------------------------------------
 # primitive gradients
 # ---------------------------------------------------------------------------
-
-
-def test_add_sub_mul_gradients_with_broadcast():
-    rng = np.random.default_rng(1)
-    a = rng.standard_normal((3, 4))
-    b = rng.standard_normal((1, 4))
-    check_grads(lambda x, y: _proj(nn.add(x, y), 0), [a, b])
-    check_grads(lambda x, y: _proj(nn.sub(x, y), 1), [a, b])
-    check_grads(lambda x, y: _proj(nn.mul(x, y), 2), [a, b])
-    check_grads(lambda x: _proj(nn.mul(x, 2.5), 3), [a])
 
 
 def test_matmul_gradient():
@@ -102,24 +96,9 @@ def test_matmul_gradient():
     check_grads(lambda x, y: _proj(matmul(x, y), 4), [a, b])
 
 
-def test_square_gradient():
-    rng = np.random.default_rng(3)
-    check_grads(lambda x: _proj(nn.square(x), 5), [rng.standard_normal((4, 3))])
-
-
-@pytest.mark.parametrize("axis,keepdims", [
-    (None, False), (0, False), (1, False), (-1, False),
-    ((-2, -1), False), (1, True), ((0, 2), False),
-])
-def test_sum_gradient_axes(axis, keepdims):
-    rng = np.random.default_rng(6)
-    a = rng.standard_normal((2, 3, 4))
-    check_grads(lambda x: _proj(nn.tsum(x, axis=axis, keepdims=keepdims), 7), [a])
-
-
 def test_mean_gradient():
     rng = np.random.default_rng(7)
-    check_grads(lambda x: tmean(nn.square(x)), [rng.standard_normal((3, 5))])
+    check_grads(lambda x: tmean(mul(x, x)), [rng.standard_normal((3, 5))])
 
 
 def test_reshape_gradient():
@@ -127,14 +106,6 @@ def test_reshape_gradient():
     a = rng.standard_normal((2, 6))
     check_grads(lambda x: _proj(nn.reshape(x, (3, 4)), 8), [a])
     check_grads(lambda x: _proj(nn.reshape(x, (12,)), 9), [a])
-
-
-def test_transpose_gradient():
-    rng = np.random.default_rng(9)
-    a = rng.standard_normal((2, 3, 4))
-    assert np.array_equal(nn.transpose(nn.Tensor(a), (2, 0, 1)).data, a.transpose(2, 0, 1))
-    check_grads(lambda x: _proj(nn.transpose(x, (2, 0, 1)), 11), [a])
-    check_grads(lambda x: _proj(nn.transpose(x, (0, 2, 1)), 10), [a])
 
 
 def test_concat_gradient():
@@ -295,7 +266,7 @@ def test_lstm_cell_float32_batch_gradients_match_oracle():
     proj = rng.standard_normal((b, t, hdim)).astype(np.float32)
     params = [nn.parameter(a, f"p{i}") for i, a in enumerate(arrays32)]
     out = nn.lstm_cell(*params, h, c)
-    grads = nn.grads_for(nn.tsum(nn.mul(out, proj)), params)
+    grads = nn.grads_for(weighted_sum([out], [proj]), params)
     want, want_h, want_c = lstm_oracle(*ref, h0, c0)
     tol = 8 * (d + hdim + b * t) * F32_EPS
     _assert_within(out.data, want, tol, "hidden states")
@@ -343,7 +314,7 @@ def test_lstm_cell_leaves_weights_untouched(d, hdim, shared, dtype):
     before = [a.tobytes() for a in weights]
     params = [nn.parameter(a, f"p{i}") for i, a in enumerate(weights)]
     out = nn.lstm_cell(nn.Tensor(x), *params, h, c)
-    nn.grads_for(nn.tsum(out), params)
+    nn.grads_for(weighted_sum([out]), params)
     assert [a.tobytes() for a in weights] == before
 
 
@@ -423,7 +394,7 @@ def _value_and_grads(layer, arrays, weights):
     """layer(*arrays) and the gradient of sum(layer * weights) for every array."""
     params = [nn.parameter(np.array(a), f"p{i}") for i, a in enumerate(arrays)]
     out = layer(*params)
-    loss = nn.tsum(nn.mul(out, nn.Tensor(weights)))
+    loss = weighted_sum([out], [weights])
     return [out.data] + nn.grads_for(loss, params)
 
 
@@ -467,24 +438,34 @@ def test_selu_matches_where_oracle(dtype):
     for what, a, b in zip(("output", "x grad"), got, want):
         assert a.dtype == dtype
         assert_close_to_scale(a, b, tol, what)
-    assert_allclose(got[1][0, 0, :4], nn.SELU_SCALE * nn.SELU_ALPHA * weights[0, 0, :4],
+    assert_allclose(got[1][0, 0, :4], SELU_SCALE * SELU_ALPHA * weights[0, 0, :4],
                     rtol=4 * np.finfo(dtype).eps)
+
+
+def _context(idx, n, channels=2, seed=0):
+    """A random (B, U, channels, N) context for gather_steps over idx."""
+    b, u, _ = idx.shape
+    return np.random.default_rng(seed).standard_normal((b, u, channels, n))
 
 
 def assert_gather_matches_loop(x, idx):
     b, u, m = idx.shape
     r, n = x.shape[2:]
-    got = nn.gather_steps(nn.Tensor(x), idx).data
-    assert got.shape == (b, u, m * r, n)
+    ctx = _context(idx, n)
+    got = nn.gather_steps(nn.Tensor(x), idx, ctx).data
+    assert got.shape == (b * u, n, m * r + ctx.shape[2])
     for bi in range(b):
         for ui in range(u):
             for mi in range(m):
                 for ri in range(r):
                     assert_allclose(
-                        got[bi, ui, mi * r + ri],
+                        got[bi * u + ui, :, mi * r + ri],
                         x[bi, idx[bi, ui, mi], ri],
                         rtol=0, atol=0,
                     )
+            for ci in range(ctx.shape[2]):
+                assert_allclose(got[bi * u + ui, :, m * r + ci], ctx[bi, ui, ci],
+                                rtol=0, atol=0)
 
 
 def test_gather_steps_matches_loop():
@@ -503,13 +484,29 @@ def test_gather_steps_block_rows_match_loop():
         assert_gather_matches_loop(x, rng.integers(0, t, size=(b, u, m)))
 
 
+@pytest.mark.parametrize("dtype", [np.float64, np.float32])
+@pytest.mark.parametrize("channels", [0, 1, 5])
+def test_gather_steps_matches_composition_oracle(dtype, channels):
+    # the image is the gathered rows and the context, each transposed
+    # channel-last, concatenated and flattened to frames: the same values
+    rng = np.random.default_rng(40 + channels)
+    b, t, r, n, lookahead = 3, 8, 5, 6, 2
+    x = rng.standard_normal((b, t, r, n)).astype(dtype)
+    idx = np.broadcast_to(gather_index(t, lookahead)[2:7], (b, 5, 2 * lookahead + 1))
+    ctx = _context(idx, n, channels, seed=channels).astype(dtype)
+    got = nn.gather_steps(nn.Tensor(x), idx, ctx)
+    assert got.dtype == dtype
+    assert np.array_equal(got.data, posterior_image(x, idx, ctx))
+
+
 def test_gather_steps_gradient_with_repeats():
     rng = np.random.default_rng(18)
     b, t, r, n, m = 2, 4, 2, 3, 3
     x = rng.standard_normal((b, t, r, n))
     idx = rng.integers(0, t, size=(b, t, m))
     idx[0, 0, :] = 1  # repeated index exercises gradient accumulation
-    check_grads(lambda xx: _proj(nn.gather_steps(xx, idx), 20), [x])
+    ctx = _context(idx, n)
+    check_grads(lambda xx: _proj(nn.gather_steps(xx, idx, ctx), 20), [x])
 
 
 def test_gather_steps_block_rows_gradient():
@@ -523,8 +520,8 @@ def test_gather_steps_block_rows_gradient():
     second[1, 0, :] = 3  # repeated index inside a block
 
     def build(xx):
-        return nn.add(_proj(nn.gather_steps(xx, first), 24),
-                      _proj(nn.gather_steps(xx, second), 25))
+        return weighted_sum([_proj(nn.gather_steps(xx, first, _context(first, n)), 24),
+                             _proj(nn.gather_steps(xx, second, _context(second, n)), 25)])
 
     check_grads(build, [x])
     p = nn.parameter(x.copy(), "x")
@@ -546,19 +543,73 @@ def test_gather_steps_gradient_matches_add_at_oracle(dtype):
                         rng.integers(0, t, size=(rows.stop - rows.start, m))])
         idx[1, 0] = 3
         p = nn.parameter(x.copy(), "x")
-        out = nn.gather_steps(p, idx)
+        out = nn.gather_steps(p, idx, _context(idx, n).astype(dtype))
         g = rng.standard_normal(out.shape).astype(dtype)
-        (got,) = nn.grads_for(nn.tsum(nn.mul(out, nn.Tensor(g))), [p])
+        (got,) = nn.grads_for(weighted_sum([out], [g]), [p])
         assert got.dtype == dtype
         assert np.array_equal(got, gather_steps_grad(x.shape, idx, g))
 
 
 def test_gather_steps_index_validation():
     x = nn.Tensor(np.zeros((1, 3, 2, 2)))
+    ctx = np.zeros((1, 3, 1, 2))
     with pytest.raises(ValueError, match="out of range"):
-        nn.gather_steps(x, np.array([[[3], [0], [0]]]))
+        nn.gather_steps(x, np.array([[[3], [0], [0]]]), ctx)
     with pytest.raises(ValueError, match="incompatible"):
-        nn.gather_steps(x, np.zeros((2, 3, 1), dtype=int))
+        nn.gather_steps(x, np.zeros((2, 3, 1), dtype=int), ctx)
+
+
+@pytest.mark.parametrize("shape", [(1, 2, 1, 2), (2, 3, 1, 2), (1, 3, 1, 3), (1, 3, 2)])
+def test_gather_steps_rejects_mismatched_context(shape):
+    # the context must be (B, U, channels, N) for x (B, T, R, N) and idx (B, U, M)
+    x = nn.Tensor(np.zeros((1, 4, 2, 2)))
+    idx = np.zeros((1, 3, 1), dtype=int)
+    match = r"context shape .* does not match \(1, 3, channels, 2\)"
+    with pytest.raises(ValueError, match=match):
+        nn.gather_steps(x, idx, np.zeros(shape))
+
+
+@pytest.mark.parametrize("prior_weight", [0.0, 2.5])
+def test_stack_loss_gradients_with_partial_mask(prior_weight):
+    # Both predictions' gradients in float64 with a partial mask, against
+    # central differences and against the closed form 2 (x - target) mask /
+    # count, times prior_weight for the stacks.  The stacks may come in any
+    # shape of their size, the flat projection among them.
+    rng = np.random.default_rng(41)
+    b, u, r, n = 2, 4, 3, 5
+    frames, target_frames = rng.standard_normal((2, b, u, n))
+    stacks, target_stacks = rng.standard_normal((2, b, u, r, n))
+    mask = np.array([[1, 1, 0, 1], [0, 1, 0, 0]], dtype=bool)
+
+    def loss(f, s):
+        return nn.stack_loss(f, target_frames, s, target_stacks, prior_weight, mask)[0]
+
+    check_grads(loss, [frames, stacks])
+    params = [nn.parameter(frames.copy(), "f"), nn.parameter(stacks.copy(), "s")]
+    got_frames, got_stacks = nn.grads_for(loss(*params), params)
+    scale = 2.0 * mask / mask.sum()
+    assert_allclose(got_frames, scale[..., None] * (frames - target_frames),
+                    rtol=1e-14, atol=1e-15)
+    assert_allclose(got_stacks,
+                    prior_weight * scale[..., None, None] * (stacks - target_stacks),
+                    rtol=1e-14, atol=1e-15)
+    flat = [params[0], nn.parameter(stacks.reshape(b * u, r * n), "flat")]
+    got_flat = nn.grads_for(loss(*flat), flat)[1]
+    assert np.array_equal(got_flat, got_stacks.reshape(b * u, r * n))
+
+
+def test_stack_loss_returns_masked_sums_and_count():
+    # one masked frame out of three; errors 1 and 4 on the frames kept
+    frames = nn.Tensor(np.array([[[1.0], [2.0], [9.0]]]))
+    stacks = nn.Tensor(np.ones((1, 3, 1, 1)))
+    total, post_sum, pri_sum, count = nn.stack_loss(
+        frames, np.zeros((1, 3, 1)), stacks, np.zeros((1, 3, 1, 1)), 3.0,
+        np.array([[1, 1, 0]]))
+    assert (post_sum, pri_sum, count) == (5.0, 2.0, 2.0)
+    assert total.dtype == np.float64 and float(total.data) == (5.0 + 3.0 * 2.0) / 2.0
+    with pytest.raises(ValueError, match="mask excludes every frame"):
+        nn.stack_loss(frames, np.zeros((1, 3, 1)), stacks, np.zeros((1, 3, 1, 1)), 3.0,
+                      np.zeros((1, 3)))
 
 
 # ---------------------------------------------------------------------------
@@ -569,7 +620,7 @@ def test_gather_steps_index_validation():
 def test_grads_for_detached_param_raises():
     p = nn.parameter(np.ones(3), "attached")
     q = nn.parameter(np.ones(3), "detached")
-    loss = nn.tsum(nn.square(p))
+    loss = weighted_sum([mul(p, p)])
     with pytest.raises(ValueError, match="detached is not part of the loss graph"):
         nn.grads_for(loss, [p, q])
 
@@ -577,7 +628,7 @@ def test_grads_for_detached_param_raises():
 def test_in_graph_but_zero_influence_gets_zero_grad():
     p = nn.parameter(np.ones(3), "p")
     q = nn.parameter(np.ones(3), "q")
-    loss = nn.tsum(nn.add(nn.mul(q, 0.0), nn.square(p)))
+    loss = weighted_sum([mul(q, 0.0), mul(p, p)])
     gp, gq = nn.grads_for(loss, [p, q])
     assert_allclose(gp, 2.0, rtol=0, atol=0)
     assert_allclose(gq, 0.0, rtol=0, atol=0)
@@ -588,7 +639,8 @@ def test_backward_deterministic():
         rng = np.random.default_rng(19)
         p = nn.parameter(rng.standard_normal((8, 8)), "p")
         x = nn.Tensor(rng.standard_normal((8, 8)))
-        loss = nn.tsum(nn.square(matmul(nn.selu(nn.mul(p, x)), p)))
+        y = matmul(nn.selu(mul(p, x)), p)
+        loss = weighted_sum([mul(y, y)])
         (g,) = nn.grads_for(loss, [p])
         return g
 
@@ -605,7 +657,7 @@ def test_backward_holds_only_the_live_gradients(depth):
     y = p
     for _ in range(depth):
         y = nn.selu(y)
-    loss = nn.tsum(y)
+    loss = weighted_sum([y])
     tracemalloc.start()
     try:
         (g,) = nn.grads_for(loss, [p])
@@ -618,10 +670,11 @@ def test_backward_holds_only_the_live_gradients(depth):
 
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
 def test_adopted_broadcast_gradient_accumulates_out_of_place(dtype):
-    # The first tsum's backward hands p a read-only broadcast view, which p
-    # adopts; the second accumulation must sum out of place, not into it.
+    # The sum's backward hands p a read-only broadcast view for its first
+    # appearance, which p adopts; the second accumulation must sum out of
+    # place, not into it.
     p = nn.parameter(np.arange(6, dtype=dtype).reshape(2, 3), "p")
-    (g,) = nn.grads_for(nn.add(nn.tsum(p), nn.tsum(p)), [p])
+    (g,) = nn.grads_for(weighted_sum([p, p]), [p])
     assert g.shape == p.shape and g.dtype == dtype
     assert np.array_equal(g, np.full((2, 3), 2.0))
 
@@ -630,9 +683,9 @@ def test_backward_keeps_leaf_gradients_and_drops_interior_ones():
     p = nn.parameter(np.array([1.0, -2.0]), "p")
     q = nn.parameter(np.array([0.5, 3.0]), "q")
     x = nn.Tensor(np.array([2.0, 1.0]))
-    prod = nn.mul(p, q)
-    act = nn.selu(nn.add(prod, x))
-    loss = nn.tsum(nn.square(act))
+    prod = mul(p, q)
+    act = nn.selu(mul(prod, x))
+    loss = weighted_sum([mul(act, act)])
     nn.backward(loss)
     interior = [t for t in nn.engine._topo_order(loss) if t._backward is not None]
     assert len(interior) == 5 and prod in interior
@@ -650,17 +703,17 @@ def test_node_no_gradient_reaches_is_skipped():
     # below it never gets a gradient, so its closure is skipped, and p, in
     # the graph but unreached, still gets an exact zero gradient.
     p = nn.parameter(np.array([1.0, -2.0]), "p")
-    sq = nn.square(p)
+    sq = mul(p, p)
     blocked = _node(sq.data.copy(), (sq,), lambda g: None, "block")
-    (g,) = nn.grads_for(nn.tsum(blocked), [p])
+    (g,) = nn.grads_for(weighted_sum([blocked]), [p])
     assert g.dtype == p.dtype and np.array_equal(g, np.zeros(2))
 
 
 def test_reused_node_accumulates_once_per_path():
     # y = p*p contributes through two paths when summed with itself
     p = nn.parameter(np.array([3.0]), "p")
-    y = nn.square(p)
-    loss = nn.tsum(nn.add(y, y))
+    y = mul(p, p)
+    loss = weighted_sum([y, y])
     (g,) = nn.grads_for(loss, [p])
     assert_allclose(g, 12.0, rtol=0, atol=0)  # d/dp of 2*p^2
 

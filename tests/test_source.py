@@ -46,20 +46,22 @@ def test_no_unused_imports_in_src():
     assert not found, "unused imports: " + "; ".join(found)
 
 
-def dead_definitions(sources: dict[str, str]) -> list[str]:
+def dead_definitions(sources: dict[str, str], public: str = "rtsn/__init__.py") -> list[str]:
     """Top-level functions and classes, and non-dunder methods, of the
     given modules (file name -> source) that none of them reads by name or
-    attribute and no __all__ among them lists."""
+    attribute and the public module's __all__ does not list.  Another
+    module's __all__, a subpackage's re-exports, is no use: an op that only
+    tests call is dead however it is exported."""
     trees = {name: ast.parse(source) for name, source in sources.items()}
     used = set()
-    for tree in trees.values():
+    for name, tree in trees.items():
         for node in ast.walk(tree):
             if isinstance(node, ast.Name):
                 used.add(node.id)
             elif isinstance(node, ast.Attribute):
                 used.add(node.attr)
-            elif any(isinstance(t, ast.Name) and t.id == "__all__"
-                     for t in getattr(node, "targets", [])):
+            elif name == public and any(isinstance(t, ast.Name) and t.id == "__all__"
+                                        for t in getattr(node, "targets", [])):
                 used.update(ast.literal_eval(node.value))
     defs = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
     found = []
@@ -93,9 +95,23 @@ def test_dead_definition_check_flags_what_it_should():
         ),
         "b.py": "from a import helper\nhelper.__name__\ndef reader(): ...\n",
     }
-    assert dead_definitions(sources) == [
+    assert dead_definitions(sources, public="a.py") == [
         "a.py line 5: dead", "a.py line 9: Box.unused", "a.py line 10: Unused",
         "b.py line 3: reader",
+    ]
+
+
+def test_dead_definition_check_counts_only_the_public_all():
+    sources = {
+        "pkg/__init__.py": "from .sub import public_op\n__all__ = ['public_op']\n",
+        "pkg/sub/__init__.py": (
+            "from .ops import public_op, test_only_op\n"
+            "__all__ = ['public_op', 'test_only_op']\n"
+        ),
+        "pkg/sub/ops.py": "def public_op(): ...\ndef test_only_op(): ...\n",
+    }
+    assert dead_definitions(sources, public="pkg/__init__.py") == [
+        "pkg/sub/ops.py line 2: test_only_op",
     ]
 
 
