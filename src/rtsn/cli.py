@@ -30,7 +30,7 @@ from .model import (
     load_checkpoint,
     save_checkpoint,
 )
-from .settings import build, parse_settings, schema
+from .settings import build, decode_utf8, parse_settings, schema
 from .trainer import TrainConfig, train
 
 # A config file sets every config field except n_bins, which follows from
@@ -39,7 +39,7 @@ CONFIG_KEYS = schema(StftConfig, RtsnConfig, TrainConfig, skip=("n_bins", "seed"
 
 
 def load_train_setup(path: str, seed: int) -> tuple[RtsnConfig, StftConfig, TrainConfig]:
-    values = parse_settings(Path(path).read_text(encoding="utf-8"), CONFIG_KEYS, path)
+    values = parse_settings(decode_utf8(Path(path).read_bytes(), path), CONFIG_KEYS, path)
     stft_config = build(StftConfig, values)
     model_config = build(RtsnConfig, values, n_bins=stft_config.n_bins)
     return model_config, stft_config, build(TrainConfig, values, seed=seed)

@@ -7,6 +7,7 @@ noisy log-power spectra only, so a validation file change never moves them.
 from __future__ import annotations
 
 import csv
+import io
 import math
 import os
 import struct
@@ -26,6 +27,7 @@ from .dsp import (
     lps_from_magnitude,
     stft,
 )
+from .settings import decode_utf8
 
 PCM_SCALE = 32768.0
 STD_FLOOR = 1e-5
@@ -48,12 +50,16 @@ def read_wav(path: str | os.PathLike) -> Waveform:
             raw = f.readframes(f.getnframes())
     except wave.Error as e:
         raise ValueError(f"{path}: unsupported wav encoding ({e})") from e
+    except EOFError:
+        raise ValueError(f"{path}: empty or truncated wav header") from None
     if channels != 1:
         raise ValueError(f"{path}: channels={channels} unsupported (need mono)")
     if width != 2:
         raise ValueError(
             f"{path}: sample width {8 * width} bits unsupported (need 16-bit PCM)"
         )
+    if len(raw) % width:
+        raise ValueError(f"{path}: data chunk ends inside a sample ({len(raw)} bytes)")
     samples = np.frombuffer(raw, dtype="<i2").astype(np.float64) / PCM_SCALE
     return Waveform(samples, rate)
 
@@ -71,8 +77,6 @@ def write_wav(path: str | os.PathLike, w: Waveform) -> None:
 
 
 def _encode_wav(pcm: np.ndarray, rate: int) -> bytes:
-    import io
-
     buf = io.BytesIO()
     with wave.open(buf, "wb") as f:
         f.setnchannels(1)
@@ -282,7 +286,7 @@ def clean_path_for(output_path: str) -> str:
 def parse_manifest(path: str | os.PathLike) -> list[MixtureSpec]:
     """Parse manifest lines speech,noise,snr_db,seed,output; skip blank and # lines."""
     specs = []
-    with open(path, newline="", encoding="utf-8") as f:
+    with io.StringIO(decode_utf8(Path(path).read_bytes(), path), newline="") as f:
         for ln, line in enumerate(f, start=1):
             if not line.strip() or line.lstrip().startswith("#"):
                 continue
@@ -400,7 +404,7 @@ def load_corpus(
     if not stats_path.exists() or not split_path.exists():
         return None
     roles = {}
-    for line in split_path.read_text(encoding="utf-8").splitlines():
+    for line in decode_utf8(split_path.read_bytes(), split_path).splitlines():
         if not line.strip():
             continue
         out, _, role = line.rpartition(",")

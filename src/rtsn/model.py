@@ -55,7 +55,7 @@ from .dsp import (
     stft,
 )
 from .gla import GlaConfig, griffin_lim
-from .settings import build, format_settings, parse_settings, schema
+from .settings import build, decode_utf8, format_settings, parse_settings, schema
 
 CHECKPOINT_MAGIC = b"RTSNCKPT"
 CHECKPOINT_VERSION = 1
@@ -484,7 +484,7 @@ def load_checkpoint(path) -> RtsnParams:
         raise ValueError(f"{path}: unsupported checkpoint version {version}")
     (config_len,) = struct.unpack("<I", take(4, "header"))
     keys = schema(RtsnConfig, StftConfig)
-    values = parse_settings(bytes(take(config_len, "config text")).decode("utf-8"),
+    values = parse_settings(decode_utf8(bytes(take(config_len, "config text")), path),
                             keys, path)
     missing = [k for k in keys if k not in values]
     if missing:
@@ -499,7 +499,7 @@ def load_checkpoint(path) -> RtsnParams:
     tensors: dict[str, np.ndarray] = {}
     for _ in range(count):
         (name_len,) = struct.unpack("<H", take(2, "tensor header"))
-        name = bytes(take(name_len, "tensor header")).decode("utf-8")
+        name = decode_utf8(bytes(take(name_len, "tensor header")), f"{path} tensor name")
         (rank,) = struct.unpack("<B", take(1, "tensor header"))
         dims = struct.unpack(f"<{rank}I", take(4 * rank, "tensor header"))
         size = int(np.prod(dims, dtype=np.int64)) if rank else 1

@@ -4,7 +4,6 @@ from .adam import AdamState, adam_update
 from .engine import (
     Tensor,
     as_tensor,
-    backward,
     concat,
     grads_for,
     parameter,
@@ -24,7 +23,6 @@ __all__ = [
     "Tensor",
     "adam_update",
     "as_tensor",
-    "backward",
     "concat",
     "conv1d_freq",
     "gather_steps",

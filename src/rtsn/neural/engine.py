@@ -2,20 +2,21 @@
 
 Graphs are built eagerly: every operation returns a Tensor holding its
 value and, when any input requires a gradient, its parents and a closure
-that routes the output gradient to those parents.  Over constant inputs
-nothing is recorded, so each intermediate is freed once it goes out of
-scope.  backward() walks the graph once in reverse topological order, so
-accumulation order is deterministic run to run.  Storage follows the input
-dtype: float32 for training, float64 when tests need tight finite-difference
-agreement.  The engine's own ops are reshape and concat; every other node
-is a fused layer with a handwritten backward (layers.py).
+that maps the output gradient to the parents' gradients.  Over constant
+inputs nothing is recorded, so each intermediate is freed once it goes out
+of scope.  Storage follows the input dtype: float32 for training, float64
+when tests need tight finite-difference agreement.  The engine's own ops
+are reshape and concat; every other node is a fused layer with a
+handwritten backward (layers.py).
 
-A gradient lives only while backward needs it.  It is created by the first
-accumulation into its tensor, which adopts the array the closure hands over
-without a copy; every later accumulation sums out of place.  No gradient is
-ever written in place, so adopting the views that reshape and concat's split
-hand over is safe.  Once a node's closure has run, its gradient is dropped,
-so only the frontier of live gradients is held; leaves keep theirs.
+A closure returns one gradient per parent, in parent order, None where it
+forms none, and never writes into the gradient it is given.  grads_for
+alone accumulates: it walks the graph once in reverse topological order,
+so every sum runs in the same order run to run, and holds the gradients in
+a local map.  A node's first gradient is adopted without a copy and later
+ones are summed out of place, so adopting the views that reshape and
+concat's split hand over is safe.  A node's entry leaves the map when its
+closure runs, so only the frontier of live gradients is held.
 """
 from __future__ import annotations
 
@@ -25,7 +26,7 @@ _FLOAT_TYPES = (np.float32, np.float64)
 
 
 class Tensor:
-    __slots__ = ("data", "grad", "requires_grad", "name", "_parents", "_backward")
+    __slots__ = ("data", "requires_grad", "name", "_parents", "_backward")
 
     def __init__(self, data, requires_grad: bool = False, name: str | None = None,
                  parents: tuple = (), backward=None):
@@ -37,7 +38,6 @@ class Tensor:
                 f"non-finite values in tensor {name or '<unnamed>'}"
             )
         self.data = arr
-        self.grad = None
         self.requires_grad = requires_grad
         self.name = name
         self._parents = parents
@@ -77,15 +77,6 @@ def _node(data, parents, backward, op: str) -> Tensor:
                   backward=backward if requires else None)
 
 
-def _accum(t: Tensor, g: np.ndarray) -> None:
-    """Add g into t.grad.  The first accumulation adopts g (cast to t's
-    dtype) as t.grad without a copy, and later ones sum out of place, so
-    neither g nor an adopted array is ever written into."""
-    if t.requires_grad:
-        g = g.astype(t.data.dtype, copy=False)
-        t.grad = g if t.grad is None else t.grad + g
-
-
 # ---------------------------------------------------------------------------
 # layout ops
 # ---------------------------------------------------------------------------
@@ -95,7 +86,7 @@ def reshape(a, shape) -> Tensor:
     a = as_tensor(a)
 
     def backward(g):
-        _accum(a, g.reshape(a.data.shape))
+        return (g.reshape(a.data.shape),)
 
     return _node(a.data.reshape(shape), (a,), backward, "reshape")
 
@@ -106,8 +97,7 @@ def concat(tensors, axis: int = 0) -> Tensor:
     splits = np.cumsum(sizes)[:-1]
 
     def backward(g):
-        for t, piece in zip(tensors, np.split(g, splits, axis=axis)):
-            _accum(t, piece)
+        return np.split(g, splits, axis=axis)
 
     return _node(np.concatenate([t.data for t in tensors], axis=axis),
                  tuple(tensors), backward, "concat")
@@ -137,37 +127,14 @@ def _topo_order(root: Tensor) -> list[Tensor]:
     return order
 
 
-def backward(loss: Tensor) -> None:
-    """Set .grad on the leaves reachable from loss.
-
-    Gradients start as None and are created by their first accumulation.
-    Each interior node's gradient is dropped as soon as its closure has run,
-    and a node no gradient reached is skipped, so afterwards interior nodes
-    hold None and leaves hold their gradient, or None if none reached them.
-    """
-    _backward_over(loss, _topo_order(loss))
-
-
-def _backward_over(loss: Tensor, order: list[Tensor]) -> None:
-    """backward(loss) over order, loss's graph in topological order."""
-    if loss.data.size != 1:
-        raise ValueError(f"backward needs a scalar loss, got shape {loss.data.shape}")
-    for node in order:
-        node.grad = None
-    loss.grad = np.ones_like(loss.data)
-    for node in reversed(order):
-        if node._backward is not None and node.grad is not None:
-            node._backward(node.grad)
-            node.grad = None
-
-
 def grads_for(loss: Tensor, params: list[Tensor]) -> list[np.ndarray]:
-    """Run backward and collect gradients for the given parameters.
+    """Gradients of the scalar loss for the given parameters.
 
     A parameter that never entered the loss graph is an error; a parameter
-    in the graph with no influence gets an exact zero gradient.  A returned
-    gradient may be an adopted view, read-only; it stays the parameter's
-    .grad until the next backward.
+    in the graph with no influence gets an exact zero gradient.  Each node's
+    gradient is the sum, in the graph's reverse topological order, of what
+    its consumers' closures return for it, cast to its dtype; constant nodes
+    get none.  A returned gradient may be an adopted view, read-only.
     """
     order = _topo_order(loss)
     in_graph = {id(t) for t in order}
@@ -176,5 +143,17 @@ def grads_for(loss: Tensor, params: list[Tensor]) -> list[np.ndarray]:
             raise ValueError(
                 f"tensor {p.name or '<unnamed>'} is not part of the loss graph"
             )
-    _backward_over(loss, order)
-    return [np.zeros_like(p.data) if p.grad is None else p.grad for p in params]
+    if loss.data.size != 1:
+        raise ValueError(f"grads_for needs a scalar loss, got shape {loss.data.shape}")
+    grads = {id(loss): np.ones_like(loss.data)}
+    for node in reversed(order):
+        if node._backward is None or id(node) not in grads:
+            continue
+        for parent, g in zip(node._parents, node._backward(grads.pop(id(node))),
+                             strict=True):
+            if g is None or not parent.requires_grad:
+                continue
+            g = g.astype(parent.data.dtype, copy=False)
+            held = grads.get(id(parent))
+            grads[id(parent)] = g if held is None else held + g
+    return [grads[id(p)] if id(p) in grads else np.zeros_like(p.data) for p in params]

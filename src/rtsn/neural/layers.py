@@ -1,14 +1,16 @@
 """Differentiable layers: SELU, dense, LSTM layer, frequency 1-D convolution,
 the posterior's input image and the training loss.
 
-Each layer is a single fused graph node with a handwritten backward pass;
-finite-difference tests in the suite check every one of them.
+Each layer is a single fused graph node with a handwritten backward
+closure that returns its parents' gradients in parent order, None for a
+constant input it skips; the engine's grads_for sums them.  Finite-difference
+tests in the suite check every one of them.
 """
 from __future__ import annotations
 
 import numpy as np
 
-from .engine import Tensor, _accum, _node, as_tensor
+from .engine import Tensor, _node, as_tensor
 
 SELU_ALPHA = 1.6732632423543772
 SELU_SCALE = 1.0507009873554805
@@ -60,7 +62,7 @@ def selu(x) -> Tensor:
             ob += SELU_SCALE * SELU_ALPHA
             ob -= t
             ob *= gb
-        _accum(x, gx)
+        return (gx,)
 
     return _node(out, (x,), backward, "selu")
 
@@ -76,10 +78,8 @@ def linear(x, weight, bias=None) -> Tensor:
         parents = (x, weight, bias)
 
     def backward(g):
-        _accum(x, g @ weight.data)
-        _accum(weight, g.T @ x.data)
-        if bias is not None:
-            _accum(bias, g.sum(axis=0))
+        grads = (g @ weight.data, g.T @ x.data)
+        return grads if bias is None else grads + (g.sum(axis=0),)
 
     return _node(out, parents, backward, "linear")
 
@@ -166,11 +166,10 @@ def lstm_cell(x, w_in, w_rec, bias, h: np.ndarray, c: np.ndarray) -> Tensor:
             np.matmul(dz[:, t], w_rec.data, out=dh_next)
             np.multiply(dc, gf, out=dc_next)
         dz_flat = dz.reshape(-1, 4 * hidden)
-        _accum(w_in, dz_flat.T @ x.data.reshape(len(dz_flat), -1))
-        _accum(w_rec, dz_flat.T @ hs[:-1].swapaxes(0, 1).reshape(len(dz_flat), -1))
-        _accum(bias, dz_flat.sum(axis=0))
-        if x.requires_grad:
-            _accum(x, (dz_flat @ w_in.data).reshape(x.data.shape))
+        return ((dz_flat @ w_in.data).reshape(x.data.shape) if x.requires_grad else None,
+                dz_flat.T @ x.data.reshape(len(dz_flat), -1),
+                dz_flat.T @ hs[:-1].swapaxes(0, 1).reshape(len(dz_flat), -1),
+                dz_flat.sum(axis=0))
 
     out = _node(hs[1:].swapaxes(0, 1), (x, w_in, w_rec, bias), backward, "lstm_cell")
     h[...], c[...] = hs[-1], cs[-1]
@@ -250,12 +249,11 @@ def conv1d_freq(x, kernels, bias) -> Tensor:
         gw = np.zeros((k * c_in, c_out), dtype=g.dtype)
         for rows, cols in _col_blocks(x.data, k):
             gw += cols.T @ g[rows]
-        _accum(kernels, gw.reshape(k, c_in, c_out).transpose(2, 1, 0))
-        _accum(bias, g.sum(axis=0))
+        gx = None
         if x.requires_grad:
             flipped = kernels.data[:, :, ::-1].transpose(2, 0, 1).reshape(k * c_out, c_in)
-            _accum(x, _correlate(g.reshape(frames, n, c_out), flipped, k)
-                   .reshape(frames, n, c_in))
+            gx = _correlate(g.reshape(frames, n, c_out), flipped, k).reshape(frames, n, c_in)
+        return gx, gw.reshape(k, c_in, c_out).transpose(2, 1, 0), g.sum(axis=0)
 
     return _node(out.reshape(frames, n, c_out), (x, kernels, bias), backward,
                  "conv1d_freq")
@@ -306,7 +304,7 @@ def gather_steps(x, idx: np.ndarray, context: np.ndarray) -> Tensor:
         for level in range(rank.max(initial=-1) + 1):
             sel = order[rank == level]
             gx[keys[sel]] += rows[sel]
-        _accum(x, gx.reshape(x.data.shape))
+        return (gx.reshape(x.data.shape),)
 
     return _node(image.reshape(b * u, n, -1), (x,), backward, "gather_steps")
 
@@ -347,9 +345,8 @@ def stack_loss(frames, target_frames, stacks, target_stacks, prior_weight: float
         g_post = g * scale
         g_pri = (g_post * weight).astype(dtype)
         g_post = g_post.astype(dtype)
-        _accum(frames, (g_post * m)[..., None] * (2.0 * diff_frames))
-        _accum(stacks, ((g_pri * m)[..., None, None] * (2.0 * diff_stacks))
-               .reshape(stacks.shape))
+        return ((g_post * m)[..., None] * (2.0 * diff_frames),
+                ((g_pri * m)[..., None, None] * (2.0 * diff_stacks)).reshape(stacks.shape))
 
     return (_node(total, (frames, stacks), backward, "stack_loss"),
             float(post_sum), float(pri_sum), count)

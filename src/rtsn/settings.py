@@ -37,6 +37,17 @@ def schema(*classes: type, skip: tuple[str, ...] = ()) -> dict[str, Callable[[st
     }
 
 
+def decode_utf8(data: bytes, source) -> str:
+    """data as UTF-8 text; bytes that are not valid UTF-8 raise a
+    ValueError naming source and the line that holds them."""
+    try:
+        return data.decode("utf-8")
+    except UnicodeDecodeError as e:
+        line = data.count(b"\n", 0, e.start) + 1
+        raise ValueError(f"{source} line {line}: not valid UTF-8 "
+                         f"({data[e.start : e.end]!r})") from None
+
+
 def format_settings(*configs) -> str:
     """One `key=value` line per field, in declaration order."""
     lines = []

@@ -16,7 +16,7 @@ import numpy as np
 import rtsn.neural as nn
 from rtsn.dsp import LpsSequence
 from rtsn.model import ChunkData, forward_chunk, frame_stack
-from rtsn.neural.engine import _accum, _node
+from rtsn.neural.engine import _node
 from rtsn.neural.layers import SELU_ALPHA, SELU_SCALE
 
 SAMPLE_RATE = 8000
@@ -87,8 +87,7 @@ def matmul(a, b) -> nn.Tensor:
     a, b = nn.as_tensor(a), nn.as_tensor(b)
 
     def backward(g):
-        _accum(a, g @ b.data.T)
-        _accum(b, a.data.T @ g)
+        return g @ b.data.T, a.data.T @ g
 
     return _node(a.data @ b.data, (a, b), backward, "matmul")
 
@@ -99,8 +98,7 @@ def mul(a, b) -> nn.Tensor:
     a, b = nn.as_tensor(a), nn.as_tensor(b)
 
     def backward(g):
-        _accum(a, g * b.data)
-        _accum(b, g * a.data)
+        return g * b.data, g * a.data
 
     return _node(a.data * b.data, (a, b), backward, "mul")
 
@@ -113,8 +111,7 @@ def weighted_sum(tensors, weights=None) -> nn.Tensor:
     weights = [1.0] * len(tensors) if weights is None else list(weights)
 
     def backward(g):
-        for t, w in zip(tensors, weights):
-            _accum(t, np.broadcast_to(g * w, t.data.shape))
+        return [np.broadcast_to(g * w, t.data.shape) for t, w in zip(tensors, weights)]
 
     total = sum(float(np.sum(t.data * w)) for t, w in zip(tensors, weights))
     return _node(np.asarray(total), tuple(tensors), backward, "weighted_sum")
@@ -126,7 +123,7 @@ def tmean(a) -> nn.Tensor:
     n = a.data.size
 
     def backward(g):
-        _accum(a, np.broadcast_to(g / n, a.data.shape))
+        return (np.broadcast_to(g / n, a.data.shape),)
 
     return _node(a.data.mean(), (a,), backward, "tmean")
 
@@ -140,8 +137,7 @@ def selu_where(x) -> nn.Tensor:
                    SELU_SCALE * SELU_ALPHA * (expneg - 1.0))
 
     def backward(g):
-        _accum(x, g * np.where(x.data > 0, SELU_SCALE,
-                               SELU_SCALE * SELU_ALPHA * expneg))
+        return (g * np.where(x.data > 0, SELU_SCALE, SELU_SCALE * SELU_ALPHA * expneg),)
 
     return _node(out.astype(x.data.dtype, copy=False), (x,), backward, "selu_where")
 
@@ -161,14 +157,15 @@ def conv1d_einsum(x, kernels, bias) -> nn.Tensor:
     out = out + bias.data[None, :, None]
 
     def backward(g):
-        _accum(kernels, np.einsum("bon,bcnj->ocj", g, windows, optimize=True))
-        _accum(bias, g.sum(axis=(0, 2)))
+        gx = None
         if x.requires_grad:
             gpad = np.zeros_like(padded)
             contrib = np.einsum("bon,ocj->bcnj", g, kernels.data, optimize=True)
             for j in range(k):
                 gpad[:, :, j : j + n] += contrib[:, :, :, j]
-            _accum(x, gpad[:, :, half : half + n])
+            gx = gpad[:, :, half : half + n]
+        return (gx, np.einsum("bon,bcnj->ocj", g, windows, optimize=True),
+                g.sum(axis=(0, 2)))
 
     return _node(out.astype(x.data.dtype, copy=False), (x, kernels, bias), backward,
                  "conv1d_einsum")

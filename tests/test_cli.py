@@ -138,6 +138,30 @@ def test_build_corpus_bad_manifest(tmp_path, capsys):
                        capsys)
     assert rc == 1
     assert "line 1" in err
+    (tmp_path / "manifest.csv").write_bytes(b"sp0.wav,noise.wav,0,1,m\xff.wav\n")
+    rc, out, err = run(["build-corpus", "--manifest", tmp_path / "manifest.csv"],
+                       capsys)
+    assert rc == 1
+    assert err == f"error: {tmp_path / 'manifest.csv'} line 1: not valid UTF-8 (b'\\xff')\n"
+
+
+@pytest.mark.parametrize("keep, message", [
+    (0, "empty or truncated wav header"),
+    (4, "empty or truncated wav header"),
+    (-1, "data chunk ends inside a sample (4799 bytes)"),
+], ids=["empty", "header_cut", "data_cut"])
+def test_wav_cut_short_fails_cleanly(tmp_path, capsys, keep, message):
+    # an empty WAV, one cut inside its header (b"RIFF") and one cut inside
+    # a sample, read by spectrogram and by build-corpus: exit 1 and one
+    # stderr line naming the file
+    make_inputs(tmp_path)
+    bad = tmp_path / "sp1.wav"
+    bad.write_bytes(bad.read_bytes()[:keep])
+    rc, out, err = run(["spectrogram", "--in", bad, "--out", tmp_path / "s.pgm"], capsys)
+    assert (rc, err) == (1, f"error: {bad}: {message}\n")
+    rc, out, err = run(["build-corpus", "--manifest", tmp_path / "manifest.csv"], capsys)
+    assert rc == 1
+    assert err.count("\n") == 1 and f"{bad}: {message}" in err
 
 
 # ---------------------------------------------------------------------------
@@ -353,6 +377,12 @@ def test_train_bad_config_value(tmp_path, capsys):
                         "--out", tmp_path / "m.ckpt"], capsys)
     assert rc == 1
     assert "lstm_units" in err
+    (tmp_path / "tiny.cfg").write_bytes(b"lookahead = 1\n# \xe9t\xe9\n")
+    rc, out, err = run(["train", "--manifest", tmp_path / "manifest.csv",
+                        "--config", tmp_path / "tiny.cfg",
+                        "--out", tmp_path / "m.ckpt"], capsys)
+    assert rc == 1
+    assert err == f"error: {tmp_path / 'tiny.cfg'} line 2: not valid UTF-8 (b'\\xe9')\n"
 
 
 # ---------------------------------------------------------------------------

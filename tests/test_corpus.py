@@ -88,6 +88,31 @@ def test_wav_rejects_stereo_and_wrong_width(tmp_path):
         read_wav(q)
 
 
+def test_wav_empty_or_cut_short_raises_naming_the_file(tmp_path):
+    # Every prefix of a valid file reads as a shorter file or raises a
+    # ValueError naming it: an empty file, a header cut short and a data
+    # chunk that ends inside a sample among them.
+    blob = tmp_path / "full.wav"
+    write_wav(blob, Waveform(np.linspace(-0.5, 0.5, 5)))
+    data = blob.read_bytes()
+    p = tmp_path / "cut.wav"
+    failed = []
+    for n in range(len(data)):
+        p.write_bytes(data[:n])
+        try:
+            read_wav(p)
+        except ValueError as e:
+            assert str(p) in str(e), (n, str(e))
+            failed.append(n)
+    assert {0, 4, 20, len(data) - 1} <= set(failed)
+    p.write_bytes(b"")
+    with pytest.raises(ValueError, match="empty or truncated wav header"):
+        read_wav(p)
+    p.write_bytes(data[:-1])
+    with pytest.raises(ValueError, match="data chunk ends inside a sample"):
+        read_wav(p)
+
+
 def test_wav_write_is_deterministic(tmp_path):
     x = synth_voice(1, 777)
     a, b = tmp_path / "a.wav", tmp_path / "b.wav"
@@ -333,6 +358,9 @@ def test_parse_manifest_line_numbers(tmp_path):
     p.write_text("# only a comment\n\n")
     with pytest.raises(ValueError, match="empty manifest"):
         parse_manifest(p)
+    p.write_bytes(b"a.wav,n.wav,5,1,o.wav\nb\xff.wav,n.wav,5,1,o2.wav\n")
+    with pytest.raises(ValueError, match=r"m\.csv line 2: not valid UTF-8"):
+        parse_manifest(p)
 
 
 def test_parse_manifest_fields(tmp_path):
@@ -497,6 +525,11 @@ def test_load_corpus_round_trip(tmp_path):
     assert sorted(loaded.train_pairs) == sorted(built.train_pairs)
     assert sorted(loaded.val_pairs) == sorted(built.val_pairs)
     assert_allclose(loaded.stats.mean, built.stats.mean, rtol=0, atol=0)
+
+    split = tmp_path / "split.csv"
+    split.write_bytes(split.read_bytes() + b"\xff,val\n")
+    with pytest.raises(ValueError, match=r"split\.csv line \d+: not valid UTF-8"):
+        load_corpus(manifest, tmp_path)
 
     (tmp_path / "stats.bin").unlink()
     assert load_corpus(manifest, tmp_path) is None

@@ -4,6 +4,7 @@ import re
 import struct
 import tempfile
 import tracemalloc
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -430,6 +431,38 @@ def test_whole_model_gradient_spot_check():
             assert err < 1e-6, f"{name}[{j}]: rel err {err}"
 
 
+def test_training_step_sums_gradients_in_block_order(monkeypatch):
+    # The projection's input gradient of a float32 training step, rebuilt by
+    # calling the node closures in hand: each block's gather gradient, summed
+    # into x_bar in block order, then the stack error's gradient added at the
+    # flat projection output.  With one step per block every step is read
+    # by three blocks, and float32 sums round differently in another order,
+    # so the weight and bias gradients pin that order bit for bit.  A prior
+    # weight of 1 keeps the stack gradient from rounding the block sums'
+    # last bits away.
+    monkeypatch.setattr(rtsn.model, "POST_BLOCK_FRAMES", 2)
+    cfg = replace(TINY, prior_weight=1.0)
+    params = init_params(cfg, TINY_STFT, seed=0)
+    result = forward_chunk(params, random_chunk(cfg, 2, 5, seed=12, valid=[5, 4]))
+    weight, bias = params.tensors["proj.weight"], params.tensors["proj.bias"]
+    got = nn.grads_for(result.loss.total, [weight, bias])
+
+    x_hat = result.loss.total._parents[0]
+    g_frames, g_stacks = result.loss.total._backward(np.ones((), np.float32))
+    x_bar_grad = None
+    for node, g in zip(x_hat._parents, x_hat._backward(g_frames), strict=True):
+        while node is not result.x_bar:  # reshape, convs and SELUs, the gather
+            g, node = node._backward(g)[0], node._parents[0]
+        x_bar_grad = g if x_bar_grad is None else x_bar_grad + g
+    assert len(x_hat._parents) == 5
+    (flat,) = result.x_bar._backward(x_bar_grad)
+    (proj,) = result.x_bar._parents
+    _, want_weight, want_bias = proj._backward(g_stacks.reshape(flat.shape) + flat)
+    assert got[0].dtype == np.float32
+    assert np.array_equal(got[0], want_weight)
+    assert np.array_equal(got[1], want_bias)
+
+
 def test_pri_post_routes_match_full_forward():
     # the vectorized full-sequence forward must equal the per-frame assembly
     # route built from pri_forward + assemble_posterior_input + post_forward
@@ -702,6 +735,18 @@ def test_checkpoint_corruption_errors(tmp_path):
 
     p.write_bytes(bytes(blob) + b"\x00")
     with pytest.raises(ValueError, match="trailing"):
+        load_checkpoint(p)
+
+    # the config text starts after the magic, version and length words
+    bad = bytearray(blob)
+    bad[16] = 0xFF
+    p.write_bytes(bad)
+    with pytest.raises(ValueError, match=re.escape(f"{p} line 1: not valid UTF-8")):
+        load_checkpoint(p)
+    bad = bytearray(blob)
+    bad[bytes(blob).index(b"proj.bias")] = 0xFF
+    p.write_bytes(bad)
+    with pytest.raises(ValueError, match=re.escape(f"{p} tensor name line 1: not valid")):
         load_checkpoint(p)
 
     # norm.std is the last tensor in the file

@@ -1,5 +1,6 @@
 import math
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
@@ -29,7 +30,7 @@ FD_TOL = 1e-6
 
 
 def check_grads(build, arrays, tol=FD_TOL, eps=1e-5):
-    """Compare backward() gradients of build(*tensors) against central FD."""
+    """Compare grads_for gradients of build(*tensors) against central FD."""
     arrays = [np.asarray(a, dtype=np.float64) for a in arrays]
     params = [nn.parameter(a.copy(), f"p{i}") for i, a in enumerate(arrays)]
     loss = build(*params)
@@ -81,7 +82,7 @@ def test_tensor_dtypes():
 def test_backward_requires_scalar():
     p = nn.parameter(np.ones((2, 2)), "p")
     with pytest.raises(ValueError, match="scalar"):
-        nn.backward(mul(p, p))
+        nn.grads_for(mul(p, p), [p])
 
 
 # ---------------------------------------------------------------------------
@@ -293,10 +294,11 @@ def test_lstm_cell_backward_matches_allocating_oracle(b, dtype):
     params = [nn.parameter(a, f"p{i}") for i, a in enumerate(arrays)]
     out = nn.lstm_cell(*params, h, c)
     g = rng.standard_normal(out.shape).astype(dtype)
-    out._backward(g)
-    for i, (p, want) in enumerate(zip(params, lstm_backward_oracle(out._backward, g))):
-        assert p.grad.dtype == dtype
-        assert np.array_equal(p.grad, want), f"gradient {i}"
+    grads = out._backward(g)
+    for i, (grad, want) in enumerate(zip(grads, lstm_backward_oracle(out._backward, g),
+                                         strict=True)):
+        assert grad.dtype == dtype
+        assert np.array_equal(grad, want), f"gradient {i}"
 
 
 @pytest.mark.parametrize("d, hdim, shared", [(1, 1, True), (3, 3, True), (4, 5, False)])
@@ -379,7 +381,8 @@ def test_conv1d_gradients_constant_input():
     x = nn.Tensor(rng.standard_normal((2, 6, 3)))
     arrays = [rng.standard_normal((2, 3, 3)), rng.standard_normal(2)]
     check_grads(lambda kk, bb: _proj(nn.conv1d_freq(x, kk, bb), 37), arrays)
-    assert x.grad is None
+    out = nn.conv1d_freq(x, *(nn.parameter(a, f"p{i}") for i, a in enumerate(arrays)))
+    assert out._backward(np.ones(out.shape))[0] is None
 
 
 def test_conv1d_validation():
@@ -680,22 +683,36 @@ def test_adopted_broadcast_gradient_accumulates_out_of_place(dtype):
 
 
 def test_backward_keeps_leaf_gradients_and_drops_interior_ones():
+    # Every gradient handed to an interior node is dead once the closure
+    # that consumes it has run; the leaves' gradients are returned, and the
+    # constant x, in the graph, gets none formed: an exact zero.
     p = nn.parameter(np.array([1.0, -2.0]), "p")
     q = nn.parameter(np.array([0.5, 3.0]), "q")
     x = nn.Tensor(np.array([2.0, 1.0]))
     prod = mul(p, q)
     act = nn.selu(mul(prod, x))
     loss = weighted_sum([mul(act, act)])
-    nn.backward(loss)
     interior = [t for t in nn.engine._topo_order(loss) if t._backward is not None]
     assert len(interior) == 5 and prod in interior
-    assert all(t.grad is None for t in interior)
-    assert isinstance(p.grad, np.ndarray) and isinstance(q.grad, np.ndarray)
-    assert x.grad is None
+    handed = []
+
+    def spy(closure):
+        def backward(g):
+            assert all(ref() is None for ref in handed), "a consumed gradient is live"
+            handed.append(weakref.ref(g))
+            return closure(g)
+        return backward
+
+    for t in interior:
+        t._backward = spy(t._backward)
+    gp, gq, gx = nn.grads_for(loss, [p, q, x])
+    assert len(handed) == 5
+    assert all(ref() is None for ref in handed)
+    assert isinstance(gp, np.ndarray) and isinstance(gq, np.ndarray)
+    assert np.array_equal(gx, np.zeros(2))
     # a second backward starts afresh rather than adding to the first
-    first = p.grad.copy()
-    nn.backward(loss)
-    assert np.array_equal(p.grad, first)
+    first = gp.copy()
+    assert np.array_equal(nn.grads_for(loss, [p])[0], first)
 
 
 def test_node_no_gradient_reaches_is_skipped():
@@ -704,7 +721,7 @@ def test_node_no_gradient_reaches_is_skipped():
     # the graph but unreached, still gets an exact zero gradient.
     p = nn.parameter(np.array([1.0, -2.0]), "p")
     sq = mul(p, p)
-    blocked = _node(sq.data.copy(), (sq,), lambda g: None, "block")
+    blocked = _node(sq.data.copy(), (sq,), lambda g: (None,), "block")
     (g,) = nn.grads_for(weighted_sum([blocked]), [p])
     assert g.dtype == p.dtype and np.array_equal(g, np.zeros(2))
 

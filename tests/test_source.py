@@ -46,6 +46,45 @@ def test_no_unused_imports_in_src():
     assert not found, "unused imports: " + "; ".join(found)
 
 
+_DEFS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+
+
+def _local_names(fn) -> set[str]:
+    """Names that fn's parameters, and the defs in fn's own scope outside
+    any nested scope, bind."""
+    a = fn.args
+    found = {arg.arg for arg in a.posonlyargs + a.args + a.kwonlyargs + [a.vararg, a.kwarg]
+             if arg is not None}
+    todo = [] if isinstance(fn, ast.Lambda) else list(fn.body)
+    while todo:
+        node = todo.pop()
+        if isinstance(node, _DEFS):
+            found.add(node.name)
+        elif not isinstance(node, ast.Lambda):
+            todo.extend(ast.iter_child_nodes(node))
+    return found
+
+
+def _reads(tree) -> set[str]:
+    """Names and attributes tree reads, less each name that refers, where
+    it is read, to a parameter or nested def of an enclosing function: a
+    closure or argument named like a top-level def is not a use of it."""
+    used = set()
+
+    def visit(node, local):
+        if isinstance(node, ast.Name) and node.id not in local:
+            used.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            used.add(node.attr)
+        elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            local = local | _local_names(node)
+        for child in ast.iter_child_nodes(node):
+            visit(child, local)
+
+    visit(tree, frozenset())
+    return used
+
+
 def dead_definitions(sources: dict[str, str], public: str = "rtsn/__init__.py") -> list[str]:
     """Top-level functions and classes, and non-dunder methods, of the
     given modules (file name -> source) that none of them reads by name or
@@ -55,26 +94,23 @@ def dead_definitions(sources: dict[str, str], public: str = "rtsn/__init__.py") 
     trees = {name: ast.parse(source) for name, source in sources.items()}
     used = set()
     for name, tree in trees.items():
-        for node in ast.walk(tree):
-            if isinstance(node, ast.Name):
-                used.add(node.id)
-            elif isinstance(node, ast.Attribute):
-                used.add(node.attr)
-            elif name == public and any(isinstance(t, ast.Name) and t.id == "__all__"
-                                        for t in getattr(node, "targets", [])):
-                used.update(ast.literal_eval(node.value))
-    defs = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+        used |= _reads(tree)
+        if name == public:
+            for node in ast.walk(tree):
+                if any(isinstance(t, ast.Name) and t.id == "__all__"
+                       for t in getattr(node, "targets", [])):
+                    used.update(ast.literal_eval(node.value))
     found = []
     for name, tree in trees.items():
         for node in tree.body:
-            if not isinstance(node, defs):
+            if not isinstance(node, _DEFS):
                 continue
             if node.name not in used:
                 found.append(f"{name} line {node.lineno}: {node.name}")
             if isinstance(node, ast.ClassDef):
                 found += [f"{name} line {item.lineno}: {node.name}.{item.name}"
                           for item in node.body
-                          if isinstance(item, defs[:2]) and item.name not in used
+                          if isinstance(item, _DEFS[:2]) and item.name not in used
                           and not (item.name.startswith("__") and item.name.endswith("__"))]
     return found
 
@@ -115,6 +151,37 @@ def test_dead_definition_check_counts_only_the_public_all():
     ]
 
 
+def test_dead_definition_check_sees_nested_closures():
+    # A name read where an enclosing function nests a def of that name, or
+    # takes a parameter of that name, refers to that, not to the top-level
+    # def.
+    sources = {
+        "a.py": (
+            "__all__ = ['op', 'outer', 'user', 'node']\n"
+            "def backward(loss): ...\n"          # only locals share its name
+            "def helper(): ...\n"
+            "def caller(): ...\n"
+            "def op(x):\n"
+            "    def backward(g):\n"
+            "        return helper()\n"          # read inside a closure: a use
+            "    return backward\n"
+            "def outer(x):\n"
+            "    if x:\n"
+            "        def caller(): ...\n"
+            "    return lambda: caller()\n"      # outer's caller, in a lambda
+            "def reader(): ...\n"
+            "def user():\n"
+            "    def other(): ...\n"
+            "    return reader\n"                # no nested reader: a use
+            "def node(data, backward=None):\n"
+            "    return backward\n"              # the parameter
+        ),
+    }
+    assert dead_definitions(sources, public="a.py") == [
+        "a.py line 2: backward", "a.py line 4: caller",
+    ]
+
+
 def test_no_dead_definitions_in_src():
     sources = {str(path.relative_to(SRC)): path.read_text(encoding="utf-8")
                for path in sorted(SRC.rglob("*.py"))}
@@ -127,9 +194,9 @@ def gradient_writes(source: str) -> list[str]:
     function named backward nested in another function): augmented
     assignment to it or to a subscript of it, assignment to a subscript of
     it, or passing it, a subscript of it or a tuple holding one as out=.
-    The engine adopts the arrays closures hand over without a copy, views
-    of other gradients among them, so such a write could corrupt another
-    node's gradient."""
+    grads_for adopts the gradients closures return without a copy, and
+    reshape's and concat's are views of the gradient they were given, so
+    such a write could corrupt another node's gradient."""
     tree = ast.parse(source)
 
     def is_grad(node, name):
