@@ -2,17 +2,21 @@
 
 Every command exits 0 on success and nonzero with a one-line diagnostic on
 standard error otherwise.  Output files are written to a temp file and
-renamed, so failures leave no partial artifacts.  RTSN_THREADS caps the
-numeric library thread pools (default 1 for run-to-run determinism).
+renamed, so failures leave no partial artifacts.
+
+RTSN_THREADS sets how many worker threads share the posterior's conv and
+SELU work (default: every CPU the process may use, and never more).  The
+numeric libraries' own thread pools are pinned to one thread unless their
+variables are set, because a multi-threaded GEMM changes the output bytes;
+the worker split does not, so output is the same at every worker count.
 """
 from __future__ import annotations
 
 import os
 
-_THREADS = os.environ.get("RTSN_THREADS", "1")
 for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS",
              "NUMEXPR_NUM_THREADS"):
-    os.environ.setdefault(_var, _THREADS)
+    os.environ.setdefault(_var, "1")
 
 import argparse
 import sys
@@ -30,6 +34,7 @@ from .model import (
     load_checkpoint,
     save_checkpoint,
 )
+from .neural.layers import _worker_count
 from .settings import build, decode_utf8, parse_settings, schema
 from .trainer import TrainConfig, train
 
@@ -172,8 +177,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
     try:
+        _worker_count()  # a bad RTSN_THREADS fails before any work starts
+        args = build_parser().parse_args(argv)
         return args.func(args)
     except (ValueError, OSError, FloatingPointError) as e:
         print(f"error: {e}", file=sys.stderr)

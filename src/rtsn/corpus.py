@@ -47,7 +47,8 @@ def read_wav(path: str | os.PathLike) -> Waveform:
             channels = f.getnchannels()
             width = f.getsampwidth()
             rate = f.getframerate()
-            raw = f.readframes(f.getnframes())
+            declared = f.getnframes()
+            raw = f.readframes(declared)
     except wave.Error as e:
         raise ValueError(f"{path}: unsupported wav encoding ({e})") from e
     except EOFError:
@@ -60,6 +61,9 @@ def read_wav(path: str | os.PathLike) -> Waveform:
         )
     if len(raw) % width:
         raise ValueError(f"{path}: data chunk ends inside a sample ({len(raw)} bytes)")
+    if len(raw) < declared * width:
+        raise ValueError(f"{path}: data chunk holds {len(raw) // width} of "
+                         f"{declared} declared samples")
     samples = np.frombuffer(raw, dtype="<i2").astype(np.float64) / PCM_SCALE
     return Waveform(samples, rate)
 

@@ -60,10 +60,10 @@ from .settings import build, decode_utf8, format_settings, parse_settings, schem
 CHECKPOINT_MAGIC = b"RTSNCKPT"
 CHECKPOINT_VERSION = 1
 # Most frames (batch x steps) the posterior convolves at once.  The im2col
-# columns are built a few frames at a time (at most 4 MB, layers._COLS_BLOCK),
-# so a block's largest buffer is an activation: conv0's output and the SELU
-# after it, each 256 frames x 129 bins x 256 ch x 4 B = 34 MB at the
-# default config.
+# columns are built a few frames at a time (at most 4 MB per worker thread,
+# layers._COLS_BLOCK), so a block's largest buffer is an activation: conv0's
+# output and the SELU after it, each 256 frames x 129 bins x 256 ch x 4 B =
+# 34 MB at the default config.
 POST_BLOCK_FRAMES = 256
 
 # ---------------------------------------------------------------------------

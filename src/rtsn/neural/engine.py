@@ -130,15 +130,20 @@ def _topo_order(root: Tensor) -> list[Tensor]:
 def grads_for(loss: Tensor, params: list[Tensor]) -> list[np.ndarray]:
     """Gradients of the scalar loss for the given parameters.
 
-    A parameter that never entered the loss graph is an error; a parameter
-    in the graph with no influence gets an exact zero gradient.  Each node's
-    gradient is the sum, in the graph's reverse topological order, of what
-    its consumers' closures return for it, cast to its dtype; constant nodes
-    get none.  A returned gradient may be an adopted view, read-only.
+    A constant (requires_grad False) or a parameter that never entered the
+    loss graph is an error; a parameter in the graph with no influence gets
+    an exact zero gradient.  Each node's gradient is the sum, in the graph's
+    reverse topological order, of what its consumers' closures return for
+    it, cast to its dtype; constant nodes get none.  A returned gradient may
+    be an adopted view, read-only.
     """
     order = _topo_order(loss)
     in_graph = {id(t) for t in order}
     for p in params:
+        if not p.requires_grad:
+            raise ValueError(
+                f"tensor {p.name or '<unnamed>'} is a constant, not a parameter"
+            )
         if id(p) not in in_graph:
             raise ValueError(
                 f"tensor {p.name or '<unnamed>'} is not part of the loss graph"

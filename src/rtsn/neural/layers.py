@@ -5,8 +5,16 @@ Each layer is a single fused graph node with a handwritten backward
 closure that returns its parents' gradients in parent order, None for a
 constant input it skips; the engine's grads_for sums them.  Finite-difference
 tests in the suite check every one of them.
+
+The posterior's heavy loops, the conv GEMMs and the SELU passes, run on a
+small pool of worker threads without changing a byte (see the worker pool
+section below); everything else runs on the calling thread.
 """
 from __future__ import annotations
+
+import os
+import threading
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
@@ -16,16 +24,97 @@ SELU_ALPHA = 1.6732632423543772
 SELU_SCALE = 1.0507009873554805
 
 
+# ---------------------------------------------------------------------------
+# worker pool
+# ---------------------------------------------------------------------------
+#
+# The conv GEMMs and the SELU passes are split across worker threads; numpy
+# drops the GIL inside them.  Each worker runs exactly the BLAS call or the
+# elementwise block that the one-thread loop runs, on the same operands, and
+# every sum is formed in the same order, so the output bytes do not depend
+# on the worker count.  BLAS itself must stay at one thread per caller (the
+# CLI pins it): a multi-threaded GEMM splits its sums and changes the bytes.
+
+# (workers, pool of workers - 1 threads or None), made on first use
+_POOL: tuple[int, ThreadPoolExecutor | None] | None = None
+_POOL_LOCK = threading.Lock()
+
+
+def _worker_count() -> int:
+    """The worker count RTSN_THREADS asks for, a positive integer, clamped
+    to the CPUs this process may run on; that many when it is unset."""
+    cpus = len(os.sched_getaffinity(0))
+    value = os.environ.get("RTSN_THREADS")
+    if value is None:
+        return cpus
+    if not (value.isascii() and value.isdigit()) or int(value) < 1:
+        raise ValueError(f"RTSN_THREADS must be a positive integer, got {value!r}")
+    return min(int(value), cpus)
+
+
+def _workers() -> tuple[int, ThreadPoolExecutor | None]:
+    """(worker count, pool), the pool started on the first call."""
+    global _POOL
+    with _POOL_LOCK:
+        if _POOL is None:
+            n = _worker_count()
+            _POOL = (n, ThreadPoolExecutor(n - 1, thread_name_prefix="rtsn-layers")
+                     if n > 1 else None)
+        return _POOL
+
+
+def _run_shares(task, items) -> None:
+    """task(item) for every item, each once, in any order: the calling
+    thread and the pool threads take the next item until none is left.
+    Returns when all are done, re-raising a failure."""
+    workers, pool = _workers()
+    items = list(items)
+    if pool is None or len(items) < 2:
+        for item in items:
+            task(item)
+        return
+    lock = threading.Lock()
+    todo = iter(items)
+
+    def drain():
+        while True:
+            with lock:
+                item = next(todo, None)
+            if item is None:
+                return
+            task(item)
+
+    helpers = [pool.submit(drain) for _ in range(min(workers, len(items)) - 1)]
+    try:
+        drain()
+    finally:
+        for helper in helpers:
+            helper.result()
+
+
 # Values per block of an elementwise layer: 256 KB in float32, so the
 # several passes over one block run in cache.
 _ELEMENTWISE_BLOCK = 1 << 16
 
 
-def _flat_blocks(*arrays):
-    """Matching slices of contiguous same-size arrays, one block at a time."""
-    flats = [a.reshape(-1) for a in arrays]
-    for lo in range(0, flats[0].size, _ELEMENTWISE_BLOCK):
-        yield [f[lo : lo + _ELEMENTWISE_BLOCK] for f in flats]
+def _spans(size: int) -> list[slice]:
+    """Contiguous ranges of size values, at most one per worker, each
+    starting on an elementwise block boundary."""
+    blocks = -(-size // _ELEMENTWISE_BLOCK)
+    step = max(1, -(-blocks // _workers()[0])) * _ELEMENTWISE_BLOCK
+    return [slice(lo, min(size, lo + step)) for lo in range(0, size, step)]
+
+
+def _span_blocks(span: slice, *flats):
+    """Matching slices of same-size flat arrays over span, one elementwise
+    block at a time, each followed by a zero block and a scratch block of
+    its size: numpy's min/max/compare run several times faster against an
+    array than against a broadcast scalar."""
+    zero = np.zeros(min(span.stop - span.start, _ELEMENTWISE_BLOCK), dtype=flats[0].dtype)
+    temp = np.empty_like(zero)
+    for lo in range(span.start, span.stop, _ELEMENTWISE_BLOCK):
+        hi = min(span.stop, lo + _ELEMENTWISE_BLOCK)
+        yield [f[lo:hi] for f in flats] + [zero[: hi - lo], temp[: hi - lo]]
 
 
 def selu(x) -> Tensor:
@@ -36,32 +125,40 @@ def selu(x) -> Tensor:
     reads only the output y: the slope is SCALE where y > 0 and SCALE *
     ALPHA * exp(x) = y + SCALE * ALPHA elsewhere, that is min(y, 0) +
     SCALE * ALPHA - (SCALE * ALPHA - SCALE) * [y > 0].
+
+    Both directions split the values into one contiguous span per worker,
+    each a run of whole blocks with scratch of its own; the blocks and their
+    arithmetic are those of a one-thread pass, so the bytes are too.
     """
     x = as_tensor(x)
     out = np.empty(x.data.shape, dtype=x.data.dtype)
-    block = min(out.size, _ELEMENTWISE_BLOCK)
-    # numpy's min/max/compare run several times faster against an array
-    # than against a broadcast scalar
-    zero = np.zeros(block, dtype=out.dtype)
-    temp = np.empty(block, dtype=out.dtype)
-    for xb, ob in _flat_blocks(np.ascontiguousarray(x.data), out):
-        z, t = zero[: xb.size], temp[: xb.size]
-        np.minimum(xb, z, out=ob)
-        np.expm1(ob, out=ob)
-        ob *= SELU_ALPHA
-        ob += np.maximum(xb, z, out=t)
-        ob *= SELU_SCALE
+    x_flat, out_flat = np.ascontiguousarray(x.data).reshape(-1), out.reshape(-1)
+    spans = _spans(out.size)
+
+    def forward(span):
+        for xb, ob, z, t in _span_blocks(span, x_flat, out_flat):
+            np.minimum(xb, z, out=ob)
+            np.expm1(ob, out=ob)
+            ob *= SELU_ALPHA
+            ob += np.maximum(xb, z, out=t)
+            ob *= SELU_SCALE
+
+    _run_shares(forward, spans)
 
     def backward(g):
         gx = np.empty_like(out)
-        for yb, gb, ob in _flat_blocks(out, g, gx):
-            z, t = zero[: yb.size], temp[: yb.size]
-            np.greater(yb, z, out=t)
-            t *= SELU_SCALE * SELU_ALPHA - SELU_SCALE
-            np.minimum(yb, z, out=ob)
-            ob += SELU_SCALE * SELU_ALPHA
-            ob -= t
-            ob *= gb
+        g_flat, gx_flat = g.reshape(-1), gx.reshape(-1)
+
+        def span_grad(span):
+            for yb, gb, ob, z, t in _span_blocks(span, out_flat, g_flat, gx_flat):
+                np.greater(yb, z, out=t)
+                t *= SELU_SCALE * SELU_ALPHA - SELU_SCALE
+                np.minimum(yb, z, out=ob)
+                ob += SELU_SCALE * SELU_ALPHA
+                ob -= t
+                ob *= gb
+
+        _run_shares(span_grad, spans)
         return (gx,)
 
     return _node(out, (x,), backward, "selu")
@@ -201,21 +298,58 @@ def _im2col(x: np.ndarray, k: int) -> np.ndarray:
 _COLS_BLOCK = 1 << 20
 
 
-def _col_blocks(x: np.ndarray, k: int):
-    """(row slice, im2col columns) over consecutive blocks of x's frames."""
-    b, n, c = x.shape
-    frames = max(1, _COLS_BLOCK // (n * k * c))
-    for start in range(0, b, frames):
-        rows = slice(start * n, min(b, start + frames) * n)
-        yield rows, _im2col(x[start : start + frames], k)
+def _block_frames(x: np.ndarray, k: int) -> int:
+    """Frames of x per im2col row block."""
+    _, n, c = x.shape
+    return max(1, _COLS_BLOCK // (n * k * c))
+
+
+def _row_block(x: np.ndarray, k: int, frames: int, start: int):
+    """(row slice, im2col columns) of the row block of x's frames from start."""
+    n = x.shape[1]
+    stop = min(x.shape[0], start + frames)
+    return slice(start * n, stop * n), _im2col(x[start:stop], k)
 
 
 def _correlate(x: np.ndarray, w: np.ndarray, k: int) -> np.ndarray:
-    """im2col(x) @ w for x (B, N, C) and w (k*C, O): (B*N, O)."""
+    """im2col(x) @ w for x (B, N, C) and w (k*C, O): (B*N, O).
+
+    One GEMM per row block of a few frames, each block's columns built just
+    before it; the blocks are shared out among the workers, each writing
+    its own rows of the output, so their shapes and operands, and so the
+    bytes, are those of a one-thread loop.
+    """
     out = np.empty((x.shape[0] * x.shape[1], w.shape[1]), dtype=x.dtype)
-    for rows, cols in _col_blocks(x, k):
+    frames = _block_frames(x, k)
+
+    def block(start):
+        rows, cols = _row_block(x, k, frames, start)
         np.matmul(cols, w, out=out[rows])
+
+    _run_shares(block, range(0, x.shape[0], frames))
     return out
+
+
+def _kernel_grad(x: np.ndarray, g: np.ndarray, k: int) -> np.ndarray:
+    """im2col(x).T @ g, (k*C, O), summed over _correlate's row blocks in
+    block order.  The workers form the products of a run of as many blocks
+    as there are workers, then they are added in order, so at most that
+    many are held and the sum is the one-thread loop's."""
+    gw = np.zeros((k * x.shape[2], g.shape[1]), dtype=g.dtype)
+    frames = _block_frames(x, k)
+    starts = range(0, x.shape[0], frames)
+    wave = _workers()[0]
+    products = {}
+
+    def product(start):
+        rows, cols = _row_block(x, k, frames, start)
+        products[start] = cols.T @ g[rows]
+
+    for i in range(0, len(starts), wave):
+        _run_shares(product, starts[i : i + wave])
+        for start in starts[i : i + wave]:
+            gw += products.pop(start)
+    return gw
 
 
 def conv1d_freq(x, kernels, bias) -> Tensor:
@@ -230,6 +364,9 @@ def conv1d_freq(x, kernels, bias) -> Tensor:
       dW = im2col(x).T @ g,  dbias = sum of g over frames and bins,
       dx = im2col(g) @ W',  W'[j*O + o, c] = kernels[o, c, k-1-j],
     that is the forward again on g with the kernels flipped and transposed.
+    The row blocks of both GEMMs and of dW are shared out among the worker
+    threads (RTSN_THREADS), dW's products added in block order, so the
+    bytes are the same at every worker count.
     """
     x, kernels, bias = as_tensor(x), as_tensor(kernels), as_tensor(bias)
     c_out, c_in, k = kernels.data.shape
@@ -246,9 +383,7 @@ def conv1d_freq(x, kernels, bias) -> Tensor:
 
     def backward(g):
         g = g.reshape(-1, c_out)
-        gw = np.zeros((k * c_in, c_out), dtype=g.dtype)
-        for rows, cols in _col_blocks(x.data, k):
-            gw += cols.T @ g[rows]
+        gw = _kernel_grad(x.data, g, k)
         gx = None
         if x.requires_grad:
             flipped = kernels.data[:, :, ::-1].transpose(2, 0, 1).reshape(k * c_out, c_in)

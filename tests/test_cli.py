@@ -149,11 +149,12 @@ def test_build_corpus_bad_manifest(tmp_path, capsys):
     (0, "empty or truncated wav header"),
     (4, "empty or truncated wav header"),
     (-1, "data chunk ends inside a sample (4799 bytes)"),
-], ids=["empty", "header_cut", "data_cut"])
+    (-2, "data chunk holds 2399 of 2400 declared samples"),
+], ids=["empty", "header_cut", "data_cut", "samples_cut"])
 def test_wav_cut_short_fails_cleanly(tmp_path, capsys, keep, message):
-    # an empty WAV, one cut inside its header (b"RIFF") and one cut inside
-    # a sample, read by spectrogram and by build-corpus: exit 1 and one
-    # stderr line naming the file
+    # an empty WAV, one cut inside its header (b"RIFF"), one cut inside a
+    # sample and one short of a whole sample, read by spectrogram and by
+    # build-corpus: exit 1 and one stderr line naming the file
     make_inputs(tmp_path)
     bad = tmp_path / "sp1.wav"
     bad.write_bytes(bad.read_bytes()[:keep])
@@ -388,6 +389,31 @@ def test_train_bad_config_value(tmp_path, capsys):
 # ---------------------------------------------------------------------------
 # process-level entry point
 # ---------------------------------------------------------------------------
+
+
+def test_bad_rtsn_threads_fails_cleanly(monkeypatch, capsys):
+    monkeypatch.setenv("RTSN_THREADS", "abc")
+    rc, out, err = run(["--help"], capsys)
+    assert (rc, out, err) == (1, "", "error: RTSN_THREADS must be a positive integer, "
+                                     "got 'abc'\n")
+
+
+def test_train_and_enhance_bytes_equal_at_one_and_two_workers(tmp_path):
+    # the worker split changes no byte of a checkpoint or an enhanced WAV
+    for threads in ("1", "2"):
+        root = tmp_path / threads
+        root.mkdir()
+        make_inputs(root)
+        env = dict(os.environ, RTSN_THREADS=threads)
+        for argv in (["train", "--manifest", root / "manifest.csv", "--config",
+                      root / "tiny.cfg", "--out", root / "model.ckpt"],
+                     ["enhance", "--model", root / "model.ckpt",
+                      "--in", root / "mix_0_0.wav", "--out", root / "enh.wav"]):
+            proc = subprocess.run([sys.executable, "-m", "rtsn.cli"] + [str(a) for a in argv],
+                                  capture_output=True, text=True, env=env)
+            assert (proc.returncode, proc.stderr) == (0, ""), argv[0]
+    for name in ("model.ckpt", "enh.wav"):
+        assert (tmp_path / "1" / name).read_bytes() == (tmp_path / "2" / name).read_bytes()
 
 
 def test_module_entry_point_subprocess(tmp_path):

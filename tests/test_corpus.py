@@ -89,27 +89,33 @@ def test_wav_rejects_stereo_and_wrong_width(tmp_path):
 
 
 def test_wav_empty_or_cut_short_raises_naming_the_file(tmp_path):
-    # Every prefix of a valid file reads as a shorter file or raises a
-    # ValueError naming it: an empty file, a header cut short and a data
-    # chunk that ends inside a sample among them.
+    # Every prefix of a valid file either reads all of the samples its
+    # header declares or raises a ValueError naming it: an empty file, a
+    # header cut short, a data chunk that ends inside a sample and one cut
+    # short by whole samples among them.
     blob = tmp_path / "full.wav"
     write_wav(blob, Waveform(np.linspace(-0.5, 0.5, 5)))
     data = blob.read_bytes()
     p = tmp_path / "cut.wav"
     failed = []
-    for n in range(len(data)):
+    for n in range(len(data) + 1):
         p.write_bytes(data[:n])
         try:
-            read_wav(p)
+            samples = read_wav(p).samples
         except ValueError as e:
             assert str(p) in str(e), (n, str(e))
             failed.append(n)
-    assert {0, 4, 20, len(data) - 1} <= set(failed)
+        else:
+            assert len(samples) == 5, (n, len(samples))
+    assert {0, 4, 20, len(data) - 2, len(data) - 1} <= set(failed)
     p.write_bytes(b"")
     with pytest.raises(ValueError, match="empty or truncated wav header"):
         read_wav(p)
     p.write_bytes(data[:-1])
     with pytest.raises(ValueError, match="data chunk ends inside a sample"):
+        read_wav(p)
+    p.write_bytes(data[:-4])
+    with pytest.raises(ValueError, match="data chunk holds 3 of 5 declared samples"):
         read_wav(p)
 
 

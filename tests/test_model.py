@@ -14,6 +14,7 @@ from numpy.testing import assert_allclose
 
 import rtsn.model
 import rtsn.neural as nn
+import rtsn.neural.layers as layers
 from rtsn.neural.engine import _topo_order
 from rtsn.corpus import NormStats
 from rtsn.dsp import LpsSequence, StftConfig, Waveform
@@ -461,6 +462,52 @@ def test_training_step_sums_gradients_in_block_order(monkeypatch):
     assert got[0].dtype == np.float32
     assert np.array_equal(got[0], want_weight)
     assert np.array_equal(got[1], want_bias)
+
+
+def test_worker_split_changes_no_byte(monkeypatch, use_workers):
+    # The split conv and SELU (fast path) against the one-worker loop (slow
+    # path): enhance_lps output and every parameter gradient of a float32
+    # training step are array_equal at 1, 2 and 3 workers.  Blocks are made
+    # small enough that each conv runs one row block per frame and each
+    # SELU splits into one span per worker, and the dispatches are counted
+    # so the test cannot pass without exercising the split.
+    monkeypatch.setattr(layers, "_COLS_BLOCK", 1)
+    monkeypatch.setattr(layers, "_ELEMENTWISE_BLOCK", 16)
+    dispatched = []
+    run_shares = layers._run_shares
+
+    def counted(task, items):
+        items = list(items)
+        dispatched.append((task.__qualname__.split(".")[0], len(items)))
+        run_shares(task, items)
+
+    monkeypatch.setattr(layers, "_run_shares", counted)
+    params = tiny_params(dtype=np.float32)
+    tensors = list(params.tensors.values())
+    values = np.random.default_rng(5).standard_normal((40, 9)).astype(np.float32)
+    chunk = random_chunk(TINY, 2, 8, seed=6, valid=[8, 5])
+    chunk = ChunkData(chunk.noisy_ctx.astype(np.float32),
+                      chunk.clean_stack.astype(np.float32), chunk.valid)
+    results = {}
+    for workers in (1, 2, 3):
+        use_workers(workers)
+        dispatched.clear()
+        enhanced = enhance_lps(params, values)
+        assert dispatched.count(("_correlate", 40)) == 4  # a block per frame
+        assert [n for task, n in dispatched if task == "selu"] == [workers] * 3
+        dispatched.clear()
+        result = forward_chunk(params, chunk, zero_state(params, 2))
+        grads = nn.grads_for(result.loss.total, tensors)
+        # four forwards and four input gradients, conv0's to the gather
+        assert [n for task, n in dispatched if task == "_correlate"] == [16] * 8
+        assert [n for task, n in dispatched if task == "selu"] == [workers] * 6
+        products = [n for task, n in dispatched if task == "_kernel_grad"]
+        assert sum(products) == 4 * 16 and max(products) == workers
+        results[workers] = [enhanced] + grads
+    assert results[1][1].dtype == np.float32
+    for workers in (2, 3):
+        for want, got in zip(results[1], results[workers], strict=True):
+            assert got.dtype == want.dtype and np.array_equal(got, want)
 
 
 def test_pri_post_routes_match_full_forward():

@@ -1,4 +1,8 @@
 import math
+import os
+import re
+import sys
+import threading
 import tracemalloc
 import weakref
 
@@ -7,6 +11,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 import rtsn.neural as nn
+import rtsn.neural.layers as layers
 
 from helpers import (
     conv1d_einsum,
@@ -24,7 +29,7 @@ from helpers import (
 )
 from rtsn.model import gather_index
 from rtsn.neural.engine import _node
-from rtsn.neural.layers import SELU_ALPHA, SELU_SCALE
+from rtsn.neural.layers import SELU_ALPHA, SELU_SCALE, _worker_count
 
 FD_TOL = 1e-6
 
@@ -77,6 +82,56 @@ def test_tensor_dtypes():
     assert nn.Tensor(np.arange(3)).dtype == np.float64
     assert nn.Tensor(np.zeros(3, dtype=np.float32)).dtype == np.float32
     assert nn.Tensor(np.zeros(3, dtype=np.float64)).dtype == np.float64
+
+
+@pytest.mark.parametrize("value", ["0", "-2", "1.5", "abc", "", "+2", " 2"])
+def test_rtsn_threads_must_be_a_positive_integer(monkeypatch, value):
+    # parsed only: no pool of any size is started
+    monkeypatch.setenv("RTSN_THREADS", value)
+    message = f"RTSN_THREADS must be a positive integer, got {value!r}"
+    with pytest.raises(ValueError, match=re.escape(message)):
+        _worker_count()
+
+
+def test_rtsn_threads_sets_the_worker_count_up_to_the_cpus(monkeypatch):
+    cpus = len(os.sched_getaffinity(0))
+    monkeypatch.setenv("RTSN_THREADS", "100000")
+    assert _worker_count() == cpus
+    monkeypatch.setenv("RTSN_THREADS", "1")
+    assert _worker_count() == 1
+    monkeypatch.delenv("RTSN_THREADS")
+    assert _worker_count() == cpus
+
+
+def test_worker_pool_runs_every_item_once_and_reraises(use_workers):
+    # more workers than cores and a short switch interval, so the threads
+    # interleave as often as they can; a lost or doubled hand-out shows
+    use_workers(4)
+    taken, failures = [], []
+
+    def run():
+        try:
+            layers._run_shares(taken.append, range(5000))
+        except Exception as e:  # reported by the assertion below
+            failures.append(e)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        runner = threading.Thread(target=run)
+        runner.start()
+        runner.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not runner.is_alive() and not failures
+    assert sorted(taken) == list(range(5000))
+
+    def fail_on_7(item):
+        if item == 7:
+            raise KeyError(item)
+
+    with pytest.raises(KeyError):
+        layers._run_shares(fail_on_7, range(20))
 
 
 def test_backward_requires_scalar():
@@ -684,8 +739,8 @@ def test_adopted_broadcast_gradient_accumulates_out_of_place(dtype):
 
 def test_backward_keeps_leaf_gradients_and_drops_interior_ones():
     # Every gradient handed to an interior node is dead once the closure
-    # that consumes it has run; the leaves' gradients are returned, and the
-    # constant x, in the graph, gets none formed: an exact zero.
+    # that consumes it has run; the leaves' gradients are returned, and
+    # asking for the constant x, in the graph, is an error.
     p = nn.parameter(np.array([1.0, -2.0]), "p")
     q = nn.parameter(np.array([0.5, 3.0]), "q")
     x = nn.Tensor(np.array([2.0, 1.0]))
@@ -705,14 +760,27 @@ def test_backward_keeps_leaf_gradients_and_drops_interior_ones():
 
     for t in interior:
         t._backward = spy(t._backward)
-    gp, gq, gx = nn.grads_for(loss, [p, q, x])
+    with pytest.raises(ValueError, match="tensor <unnamed> is a constant, not a parameter"):
+        nn.grads_for(loss, [p, q, x])
+    gp, gq = nn.grads_for(loss, [p, q])
     assert len(handed) == 5
     assert all(ref() is None for ref in handed)
     assert isinstance(gp, np.ndarray) and isinstance(gq, np.ndarray)
-    assert np.array_equal(gx, np.zeros(2))
     # a second backward starts afresh rather than adding to the first
     first = gp.copy()
     assert np.array_equal(nn.grads_for(loss, [p])[0], first)
+
+
+def test_grads_for_rejects_a_constant_in_params():
+    # A frozen (named constant) weight beside a parameter: a zero gradient
+    # for it would let a trainer step without learning, so it is an error.
+    x = nn.parameter(np.array([[1.0, 2.0]]), "x")
+    w = nn.Tensor(np.array([[0.5, -1.0]]), name="w")
+    loss = weighted_sum([nn.linear(x, w)])
+    with pytest.raises(ValueError, match="tensor w is a constant, not a parameter"):
+        nn.grads_for(loss, [x, w])
+    (gx,) = nn.grads_for(loss, [x])
+    assert np.array_equal(gx, w.data)
 
 
 def test_node_no_gradient_reaches_is_skipped():

@@ -46,6 +46,50 @@ def test_no_unused_imports_in_src():
     assert not found, "unused imports: " + "; ".join(found)
 
 
+def concurrency_imports(sources: dict[str, str],
+                        home: str = "rtsn/neural/layers.py") -> list[str]:
+    """Imports of threading or concurrent.futures (or anything under them)
+    anywhere but home, the one module that runs work on threads."""
+    found = []
+    for name, source in sources.items():
+        if name == home:
+            continue
+        for node in ast.walk(ast.parse(source)):
+            if isinstance(node, ast.Import):
+                modules = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and not node.level:
+                modules = [node.module]
+            else:
+                continue
+            found += [f"{name} line {node.lineno}: {m}" for m in modules
+                      if m.split(".")[0] in ("threading", "concurrent")]
+    return found
+
+
+def test_concurrency_import_check_flags_what_it_should():
+    sources = {
+        "home.py": "import threading\nfrom concurrent.futures import ThreadPoolExecutor\n",
+        "a.py": (
+            "import os, threading as th\n"
+            "from concurrent import futures\n"
+            "import concurrent.futures\n"
+            "from .threading import local_module\n"   # a relative import: not it
+            "import threadpoolctl\n"                  # another package
+        ),
+    }
+    assert concurrency_imports(sources, home="home.py") == [
+        "a.py line 1: threading", "a.py line 2: concurrent", "a.py line 3: concurrent.futures",
+    ]
+
+
+def test_threads_are_started_only_by_the_layers():
+    sources = {str(path.relative_to(SRC)): path.read_text(encoding="utf-8")
+               for path in sorted(SRC.rglob("*.py"))}
+    assert "rtsn/neural/layers.py" in sources
+    found = concurrency_imports(sources)
+    assert not found, "concurrency outside neural/layers.py: " + "; ".join(found)
+
+
 _DEFS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
 
 
