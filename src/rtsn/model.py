@@ -62,8 +62,8 @@ CHECKPOINT_VERSION = 1
 # Most frames (batch x steps) the posterior convolves at once.  The im2col
 # columns are built a few frames at a time (at most 4 MB per worker thread,
 # layers._COLS_BLOCK), so a block's largest buffer is an activation: conv0's
-# output and the SELU after it, each 256 frames x 129 bins x 256 ch x 4 B =
-# 34 MB at the default config.
+# output, which the SELU after it overwrites, 256 frames x 129 bins x 256 ch
+# x 4 B = 34 MB at the default config.
 POST_BLOCK_FRAMES = 256
 
 # ---------------------------------------------------------------------------
@@ -300,12 +300,20 @@ def _prior(params: RtsnParams, windows: np.ndarray,
 
 
 def _conv_stack(params: RtsnParams, v: nn.Tensor) -> nn.Tensor:
+    """The posterior convs over a channel-last image, SELU between them.
+
+    Each SELU writes over the conv output it follows (selu's out=), so a
+    conv+SELU pair holds one array, graph or no graph: the conv node's
+    value becomes the SELU's output, which no backward minds, since the
+    conv backward reads only its input and kernels and the SELU backward
+    only its output.
+    """
     p = params.tensors
     last = len(params.config.conv_channels) - 1
     for i in range(last + 1):
         v = nn.conv1d_freq(v, p[f"conv{i}.weight"], p[f"conv{i}.bias"])
         if i < last:
-            v = nn.selu(v)
+            v = nn.selu(v, out=v.data)
     return v
 
 

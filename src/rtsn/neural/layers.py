@@ -6,9 +6,15 @@ closure that returns its parents' gradients in parent order, None for a
 constant input it skips; the engine's grads_for sums them.  Finite-difference
 tests in the suite check every one of them.
 
-The posterior's heavy loops, the conv GEMMs and the SELU passes, run on a
-small pool of worker threads without changing a byte (see the worker pool
-section below); everything else runs on the calling thread.
+The posterior's heavy loops, the conv GEMMs, their bias sums and the SELU
+passes, run on a small pool of worker threads without changing a byte (see
+the worker pool section below); everything else runs on the calling thread.
+
+Aliasing: a node's value may share memory with its parent's only where no
+backward reads what was overwritten.  selu(x, out=x.data) writes over its
+input, so a conv followed by a SELU holds one array: the SELU backward
+reads only its output, and the conv backward reads its input and kernels,
+never its own output.
 """
 from __future__ import annotations
 
@@ -117,7 +123,7 @@ def _span_blocks(span: slice, *flats):
         yield [f[lo:hi] for f in flats] + [zero[: hi - lo], temp[: hi - lo]]
 
 
-def selu(x) -> Tensor:
+def selu(x, out: np.ndarray | None = None) -> Tensor:
     """Self-normalizing exponential-linear activation, elementwise.
 
     Computed branch-free as SCALE * (max(x, 0) + ALPHA * expm1(min(x, 0)))
@@ -126,21 +132,39 @@ def selu(x) -> Tensor:
     ALPHA * exp(x) = y + SCALE * ALPHA elsewhere, that is min(y, 0) +
     SCALE * ALPHA - (SCALE * ALPHA - SCALE) * [y > 0].
 
+    out, as in numpy, is the array y is written to, a fresh one when None.
+    It must be a writeable C-contiguous array of x's shape and dtype, and
+    either x's own array or memory x does not touch; anything else raises
+    a ValueError.  Passing x's array computes y in place: each block takes
+    max(x, 0) into scratch before min(x, 0) overwrites x, so the bytes are
+    those of a fresh output.  The input's node then holds y, which is safe
+    only when no backward reads that node's value (conv1d_freq's does not).
+
     Both directions split the values into one contiguous span per worker,
     each a run of whole blocks with scratch of its own; the blocks and their
     arithmetic are those of a one-thread pass, so the bytes are too.
     """
     x = as_tensor(x)
-    out = np.empty(x.data.shape, dtype=x.data.dtype)
+    if out is None:
+        out = np.empty(x.data.shape, dtype=x.data.dtype)
+    elif not (isinstance(out, np.ndarray) and out.shape == x.data.shape
+              and out.dtype == x.data.dtype and out.flags.c_contiguous
+              and out.flags.writeable):
+        raise ValueError(f"selu: out must be a writeable C-contiguous "
+                         f"{x.data.dtype} array of shape {x.data.shape}")
+    elif np.may_share_memory(out, x.data) and not (
+            x.data.flags.c_contiguous and out.ctypes.data == x.data.ctypes.data):
+        raise ValueError("selu: out overlaps x without being x's own array")
     x_flat, out_flat = np.ascontiguousarray(x.data).reshape(-1), out.reshape(-1)
     spans = _spans(out.size)
 
     def forward(span):
         for xb, ob, z, t in _span_blocks(span, x_flat, out_flat):
+            np.maximum(xb, z, out=t)  # before ob, which may be xb, is written
             np.minimum(xb, z, out=ob)
             np.expm1(ob, out=ob)
             ob *= SELU_ALPHA
-            ob += np.maximum(xb, z, out=t)
+            ob += t
             ob *= SELU_SCALE
 
     _run_shares(forward, spans)
@@ -311,13 +335,15 @@ def _row_block(x: np.ndarray, k: int, frames: int, start: int):
     return slice(start * n, stop * n), _im2col(x[start:stop], k)
 
 
-def _correlate(x: np.ndarray, w: np.ndarray, k: int) -> np.ndarray:
-    """im2col(x) @ w for x (B, N, C) and w (k*C, O): (B*N, O).
+def _correlate(x: np.ndarray, w: np.ndarray, k: int,
+               bias: np.ndarray | None = None) -> np.ndarray:
+    """im2col(x) @ w (+ bias) for x (B, N, C) and w (k*C, O): (B*N, O).
 
     One GEMM per row block of a few frames, each block's columns built just
-    before it; the blocks are shared out among the workers, each writing
-    its own rows of the output, so their shapes and operands, and so the
-    bytes, are those of a one-thread loop.
+    before it and the bias added to the rows it wrote while they are in
+    cache; the blocks are shared out among the workers, each writing its
+    own rows of the output, so their shapes and operands, and so the bytes,
+    are those of a one-thread loop.
     """
     out = np.empty((x.shape[0] * x.shape[1], w.shape[1]), dtype=x.dtype)
     frames = _block_frames(x, k)
@@ -325,6 +351,8 @@ def _correlate(x: np.ndarray, w: np.ndarray, k: int) -> np.ndarray:
     def block(start):
         rows, cols = _row_block(x, k, frames, start)
         np.matmul(cols, w, out=out[rows])
+        if bias is not None:
+            out[rows] += bias
 
     _run_shares(block, range(0, x.shape[0], frames))
     return out
@@ -352,21 +380,42 @@ def _kernel_grad(x: np.ndarray, g: np.ndarray, k: int) -> np.ndarray:
     return gw
 
 
+def _bias_grad(g: np.ndarray) -> np.ndarray:
+    """g.sum(axis=0) of a (rows, O) g, one contiguous span of columns per
+    worker.  numpy sums a span of two or more columns in the order it sums
+    the whole array, so the bytes are the same; it sums a single column
+    pairwise, so no span is one column unless the whole array is."""
+    width = g.shape[1]
+    parts = max(1, min(_workers()[0], width // 2))
+    gb = np.empty(width, dtype=g.dtype)
+
+    def span(i):
+        cols = slice(width * i // parts, width * (i + 1) // parts)
+        np.sum(g[:, cols], axis=0, out=gb[cols])
+
+    _run_shares(span, range(parts))
+    return gb
+
+
 def conv1d_freq(x, kernels, bias) -> Tensor:
     """Cross-correlation along frequency with zero padding h = (k-1)/2.
 
     Channel-last: x is (frames, bins, in_channels), kernels (out_channels,
     in_channels, k) with odd k, and the output (frames, bins, out_channels)
-    keeps the bin count.  The forward is the GEMM im2col(x) @ W, with
+    keeps the bin count.  The forward is the GEMM im2col(x) @ W + bias, with
     W[j*C + c, o] = kernels[o, c, j]; the columns are built a few frames at
     a time and dropped after use, never kept for the backward.  With g the
     output gradient, the backward rebuilds them from x and computes
       dW = im2col(x).T @ g,  dbias = sum of g over frames and bins,
       dx = im2col(g) @ W',  W'[j*O + o, c] = kernels[o, c, k-1-j],
     that is the forward again on g with the kernels flipped and transposed.
-    The row blocks of both GEMMs and of dW are shared out among the worker
-    threads (RTSN_THREADS), dW's products added in block order, so the
-    bytes are the same at every worker count.
+    The row blocks of both GEMMs (each adding the bias to its own rows) and
+    of dW, and dbias's columns, are shared out among the worker threads
+    (RTSN_THREADS), dW's products added in block order, so the bytes are
+    the same at every worker count.
+
+    The backward never reads the output, so a following selu may write
+    over it (selu's out=): the node's value is then the SELU's output.
     """
     x, kernels, bias = as_tensor(x), as_tensor(kernels), as_tensor(bias)
     c_out, c_in, k = kernels.data.shape
@@ -378,8 +427,7 @@ def conv1d_freq(x, kernels, bias) -> Tensor:
         )
     frames, n, _ = x.data.shape
     w = kernels.data.transpose(2, 1, 0).reshape(k * c_in, c_out)
-    out = _correlate(x.data, w, k)
-    out += bias.data
+    out = _correlate(x.data, w, k, bias.data)
 
     def backward(g):
         g = g.reshape(-1, c_out)
@@ -388,7 +436,7 @@ def conv1d_freq(x, kernels, bias) -> Tensor:
         if x.requires_grad:
             flipped = kernels.data[:, :, ::-1].transpose(2, 0, 1).reshape(k * c_out, c_in)
             gx = _correlate(g.reshape(frames, n, c_out), flipped, k).reshape(frames, n, c_in)
-        return gx, gw.reshape(k, c_in, c_out).transpose(2, 1, 0), g.sum(axis=0)
+        return gx, gw.reshape(k, c_in, c_out).transpose(2, 1, 0), _bias_grad(g)
 
     return _node(out.reshape(frames, n, c_out), (x, kernels, bias), backward,
                  "conv1d_freq")

@@ -465,12 +465,13 @@ def test_training_step_sums_gradients_in_block_order(monkeypatch):
 
 
 def test_worker_split_changes_no_byte(monkeypatch, use_workers):
-    # The split conv and SELU (fast path) against the one-worker loop (slow
-    # path): enhance_lps output and every parameter gradient of a float32
-    # training step are array_equal at 1, 2 and 3 workers.  Blocks are made
-    # small enough that each conv runs one row block per frame and each
-    # SELU splits into one span per worker, and the dispatches are counted
-    # so the test cannot pass without exercising the split.
+    # The split conv (bias added inside each row block), its split bias
+    # gradient and the in-place SELU (fast path) against the one-worker loop
+    # (slow path): enhance_lps output and every parameter gradient of a
+    # float32 training step are array_equal at 1, 2 and 3 workers.  Blocks
+    # are made small enough that each conv runs one row block per frame and
+    # each SELU splits into one span per worker, and the dispatches are
+    # counted so the test cannot pass without exercising the split.
     monkeypatch.setattr(layers, "_COLS_BLOCK", 1)
     monkeypatch.setattr(layers, "_ELEMENTWISE_BLOCK", 16)
     dispatched = []
@@ -503,11 +504,53 @@ def test_worker_split_changes_no_byte(monkeypatch, use_workers):
         assert [n for task, n in dispatched if task == "selu"] == [workers] * 6
         products = [n for task, n in dispatched if task == "_kernel_grad"]
         assert sum(products) == 4 * 16 and max(products) == workers
+        # conv3..conv0's bias sums over 1, 2, 3 and 4 channels: spans of at
+        # least two columns, one per worker
+        assert ([n for task, n in dispatched if task == "_bias_grad"]
+                == [1, 1, 1, min(workers, 2)])
         results[workers] = [enhanced] + grads
     assert results[1][1].dtype == np.float32
     for workers in (2, 3):
         for want, got in zip(results[1], results[workers], strict=True):
             assert got.dtype == want.dtype and np.array_equal(got, want)
+
+
+def test_training_graph_holds_one_array_per_conv_and_selu():
+    # Every SELU writes over the conv output it follows, so the distinct
+    # arrays a float32 training graph holds (parameters aside) add up to one
+    # per node that makes a new array, with a conv+SELU pair counted once.
+    batch, steps = 16, 64
+    params = tiny_params(dtype=np.float32)
+    chunk = random_chunk(TINY, batch, steps, seed=8)
+    chunk = ChunkData(chunk.noisy_ctx.astype(np.float32),
+                      chunk.clean_stack.astype(np.float32), chunk.valid)
+    loss = forward_chunk(params, chunk).loss.total
+    nodes = _topo_order(loss)
+    selus = [node for node in nodes if node.name == "selu"]
+    blocks = -(-steps // (POST_BLOCK_FRAMES // batch))
+    assert len(selus) == 3 * blocks
+    for node in selus:
+        (conv,) = node._parents
+        assert conv.name == "conv1d_freq" and np.shares_memory(node.data, conv.data)
+
+    params_held = {id(t) for t in params.tensors.values()}
+    held = {}
+    for node in nodes:
+        if id(node) not in params_held:
+            base = node.data
+            while base.base is not None:
+                base = base.base
+            held[id(base)] = base.nbytes
+    frames, n, h = batch * steps, TINY.n_bins, TINY.lstm_units
+    want = 4 * (frames * (TINY.lookahead + 1) * n  # the prior's input windows
+                # each LSTM layer's hidden states, the initial one included
+                + TINY.lstm_layers * (steps + 1) * batch * h
+                + frames * h  # the projection's batch-major input
+                + frames * TINY.stack_rows * n  # the stacks
+                # the posterior image, then one array per conv (and its SELU)
+                + frames * n * (TINY.posterior_channels + sum(TINY.conv_channels))
+                + frames * n)  # x_hat
+    assert sum(held.values()) == want + 8  # and the float64 loss
 
 
 def test_pri_post_routes_match_full_forward():

@@ -486,18 +486,64 @@ def test_conv1d_matches_einsum_oracle(c_in, c_out, dtype):
 
 @pytest.mark.parametrize("dtype", [np.float64, np.float32])
 def test_selu_matches_where_oracle(dtype):
+    # Into a fresh output and in place (out= the input's own array): in
+    # place the input array ends up holding y, and y and its gradient are
+    # the bytes of the fresh output.
     rng = np.random.default_rng(27)
     x = (3.0 * rng.standard_normal((4, 129, 8))).astype(dtype)
     x[0, 0, :4] = 0.0  # the kink: slope scale*alpha, as exp(0) gives
     weights = rng.standard_normal(x.shape).astype(dtype)
     want = _value_and_grads(selu_where, (x,), weights)
-    got = _value_and_grads(nn.selu, (x,), weights)
+    fresh = _value_and_grads(nn.selu, (x,), weights)
     tol = 1e-14 if dtype == np.float64 else 4 * np.finfo(np.float32).eps
-    for what, a, b in zip(("output", "x grad"), got, want):
+    for what, a, b in zip(("output", "x grad"), fresh, want):
         assert a.dtype == dtype
         assert_close_to_scale(a, b, tol, what)
-    assert_allclose(got[1][0, 0, :4], SELU_SCALE * SELU_ALPHA * weights[0, 0, :4],
+    assert_allclose(fresh[1][0, 0, :4], SELU_SCALE * SELU_ALPHA * weights[0, 0, :4],
                     rtol=4 * np.finfo(dtype).eps)
+    inputs = []
+
+    def in_place(p):
+        inputs.append(p.data)
+        return nn.selu(p, out=p.data)
+
+    got = _value_and_grads(in_place, (x,), weights)
+    assert got[0] is inputs[0]
+    for a, b in zip(got, fresh, strict=True):
+        assert a.dtype == dtype and np.array_equal(a, b)
+
+
+@pytest.mark.parametrize("case", ["shape", "dtype", "strided", "fortran",
+                                  "read-only", "list", "overlap"])
+def test_selu_rejects_an_unusable_out(case):
+    # An out selu cannot write y into as one flat run of x's layout would
+    # lose y or corrupt x silently.
+    buf = np.random.default_rng(3).standard_normal(13)
+    x = buf[:12].reshape(3, 4)
+    out = {"shape": lambda: np.empty((4, 3)),
+           "dtype": lambda: np.empty((3, 4), np.float32),
+           "strided": lambda: np.empty((3, 8))[:, ::2],
+           "fortran": lambda: np.empty((3, 4), order="F"),
+           "read-only": lambda: np.lib.stride_tricks.as_strided(
+               np.empty((3, 4)), writeable=False),
+           "list": lambda: [[0.0] * 4] * 3,
+           "overlap": lambda: buf[1:].reshape(3, 4)}[case]()
+    keep = buf.copy()
+    with pytest.raises(ValueError, match="^selu: out "):
+        nn.selu(nn.Tensor(x), out=out)
+    assert np.array_equal(buf, keep)
+
+
+@pytest.mark.parametrize("width", [256, 64, 5, 3, 2, 1])
+@pytest.mark.parametrize("workers", [1, 2, 3])
+def test_bias_grad_column_spans_match_the_whole_sum(use_workers, width, workers):
+    # One span of columns per worker (fast path) against numpy's axis-0 sum
+    # (slow path), bit for bit: numpy sums a single column in another order,
+    # so a span of one column would differ.
+    use_workers(workers)
+    g = (10 * np.random.default_rng(width).standard_normal((3000, width))).astype(np.float32)
+    got = layers._bias_grad(g)
+    assert got.dtype == np.float32 and np.array_equal(got, g.sum(axis=0))
 
 
 def _context(idx, n, channels=2, seed=0):
