@@ -2,17 +2,18 @@
 
 Stage one (the prior network) runs a unidirectional LSTM over windows of
 noisy log-power frames and emits, per step, a stack of 2*lookahead+1 base
-predictions covering frames t-lookahead..t+lookahead.  Each LSTM layer is
-one graph node over the whole chunk, and its (h, c) state arrays advance
-in place from one chunk to the next.  Stage two (the posterior network)
-collects every stack overlapping frame t together with the noisy frames
-themselves into a channel image and reduces it to one enhanced frame with
-1-D convolutions over frequency and SELU between them.  One gather_steps
-node writes that image channel-last, (frames, bins, channels), gathered
-stacks first and noisy context after, so every convolution runs as im2col
-GEMMs over the contiguous channels of each bin with no transposes in
-between.  Training minimizes the posterior error plus prior_weight times
-the stack error, one stack_loss node.
+predictions covering frames t-lookahead..t+lookahead.  The whole LSTM
+stack is one graph node over the whole chunk, which runs its layers as a
+wavefront over blocks of steps on the worker pool, and each layer's (h, c)
+state arrays advance in place from one chunk to the next.  Stage two (the
+posterior network) collects every stack overlapping frame t together with
+the noisy frames themselves into a channel image and reduces it to one
+enhanced frame with 1-D convolutions over frequency and SELU between them.
+One gather_steps node writes that image channel-last, (frames, bins,
+channels), gathered stacks first and noisy context after, so every
+convolution runs as im2col GEMMs over the contiguous channels of each bin
+with no transposes in between.  Training minimizes the posterior error
+plus prior_weight times the stack error, one stack_loss node.
 
 Every per-step input and target comes from one layout, the frame stack:
 frames t-lookahead..t+lookahead of step t, edge-replicated (frame_stack).
@@ -287,14 +288,13 @@ class ChunkResult:
 def _prior(params: RtsnParams, windows: np.ndarray,
            state: tuple[list, list]) -> nn.Tensor:
     """LSTM stack then projection from (B, U, (lookahead+1)*N) inputs:
-    the stacks flat, (B*U, R*N), one node per layer."""
+    the stacks flat, (B*U, R*N).  The whole stack is one lstm_cell node."""
     batch, steps, _ = windows.shape
     p = params.tensors
     hs, cs = state
-    x = nn.Tensor(windows, name="windows")
-    for i in range(params.config.lstm_layers):
-        x = nn.lstm_cell(x, p[f"lstm{i}.w_in"], p[f"lstm{i}.w_rec"],
-                         p[f"lstm{i}.bias"], hs[i], cs[i])
+    x = nn.lstm_cell(nn.Tensor(windows, name="windows"),
+                     [(p[f"lstm{i}.w_in"], p[f"lstm{i}.w_rec"], p[f"lstm{i}.bias"],
+                       hs[i], cs[i]) for i in range(params.config.lstm_layers)])
     flat = nn.reshape(x, (batch * steps, -1))
     return nn.linear(flat, p["proj.weight"], p["proj.bias"])
 
@@ -306,7 +306,9 @@ def _conv_stack(params: RtsnParams, v: nn.Tensor) -> nn.Tensor:
     conv+SELU pair holds one array, graph or no graph: the conv node's
     value becomes the SELU's output, which no backward minds, since the
     conv backward reads only its input and kernels and the SELU backward
-    only its output.
+    only its output.  The first conv forms its input gradient for the
+    image's gathered channels only (the image node's grad_channels): the
+    noisy context channels are constants.
     """
     p = params.tensors
     last = len(params.config.conv_channels) - 1
@@ -327,11 +329,12 @@ def forward_chunk(params: RtsnParams, data: ChunkData,
     state is the per-layer LSTM (h, c) arrays from zero_state; lstm_cell
     advances them in place to the state after the chunk, so passing the
     same state to the next chunk carries it on (None starts from zero and
-    discards it).  The prior runs over the whole chunk, one graph node per
-    LSTM layer; the posterior (a gather_steps image, then the conv stack)
-    runs over consecutive blocks of steps holding at most POST_BLOCK_FRAMES
-    frames (batch x steps; one step per block when the batch alone is
-    larger), and the block outputs are concatenated into x_hat.  With
+    discards it).  The prior runs over the whole chunk, one lstm_cell node
+    for the whole stack, its layers overlapped block by block; the
+    posterior (a gather_steps image, then the conv stack) runs over
+    consecutive blocks of steps holding at most POST_BLOCK_FRAMES frames
+    (batch x steps; one step per block when the batch alone is larger),
+    and the block outputs are concatenated into x_hat.  With
     params.frozen() nothing is recorded, so a block's intermediates are
     freed before the next block starts and the memory beyond the O(steps)
     inputs and outputs does not grow with the chunk.

@@ -1,14 +1,17 @@
-"""Differentiable layers: SELU, dense, LSTM layer, frequency 1-D convolution,
-the posterior's input image and the training loss.
+"""Differentiable layers: SELU, dense, the LSTM stack, frequency 1-D
+convolution, the posterior's input image and the training loss.
 
 Each layer is a single fused graph node with a handwritten backward
 closure that returns its parents' gradients in parent order, None for a
 constant input it skips; the engine's grads_for sums them.  Finite-difference
 tests in the suite check every one of them.
 
-The posterior's heavy loops, the conv GEMMs, their bias sums and the SELU
-passes, run on a small pool of worker threads without changing a byte (see
-the worker pool section below); everything else runs on the calling thread.
+The heavy loops, the conv GEMMs, their bias sums, the SELU passes, the
+posterior image's copies and the LSTM stack's blocks, run on a small pool
+of worker threads without changing a byte (see the worker pool section
+below); everything else runs on the calling thread.  A pool thread only
+ever runs a share of one layer's work, never a layer itself, so every
+public layer and every backward closure is entered on the calling thread.
 
 Aliasing: a node's value may share memory with its parent's only where no
 backward reads what was overwritten.  selu(x, out=x.data) writes over its
@@ -21,6 +24,7 @@ from __future__ import annotations
 import os
 import threading
 from concurrent.futures import ThreadPoolExecutor
+from typing import NamedTuple
 
 import numpy as np
 
@@ -34,12 +38,17 @@ SELU_SCALE = 1.0507009873554805
 # worker pool
 # ---------------------------------------------------------------------------
 #
-# The conv GEMMs and the SELU passes are split across worker threads; numpy
-# drops the GIL inside them.  Each worker runs exactly the BLAS call or the
-# elementwise block that the one-thread loop runs, on the same operands, and
-# every sum is formed in the same order, so the output bytes do not depend
-# on the worker count.  BLAS itself must stay at one thread per caller (the
-# CLI pins it): a multi-threaded GEMM splits its sums and changes the bytes.
+# The conv GEMMs, the SELU passes and the posterior image's copies are split
+# across worker threads; numpy drops the GIL inside them.  Each worker runs
+# exactly the BLAS call or the elementwise block that the one-thread loop
+# runs, on the same operands, and every sum is formed in the same order, so
+# the output bytes do not depend on the worker count.  The LSTM stack runs
+# as a layer wavefront: its (layer, block of steps) tasks go to the pool
+# one anti-diagonal at a time, layer i on block k beside layer i + 1 on
+# block k - 1, each task the GEMM and steps of a one-layer run over the
+# same rows (see lstm_cell for the tail rule that keeps the bytes).  BLAS
+# itself must stay at one thread per caller (the CLI pins it): a
+# multi-threaded GEMM splits its sums and changes the bytes.
 
 # (workers, pool of workers - 1 threads or None), made on first use
 _POOL: tuple[int, ThreadPoolExecutor | None] | None = None
@@ -205,49 +214,60 @@ def linear(x, weight, bias=None) -> Tensor:
     return _node(out, parents, backward, "linear")
 
 
-def lstm_cell(x, w_in, w_rec, bias, h: np.ndarray, c: np.ndarray) -> Tensor:
-    """One LSTM layer over a whole chunk: x (B, T, D) -> hidden states (B, T, H).
+# Rows (batch x steps) per block of the LSTM stack's wavefront.  A block is
+# a layer's unit of work: its input GEMM and its run of recurrent steps.
+# 128 and 256 ran the default prior equally fast at batch 1 on 2 workers;
+# 128 gives a training chunk of 16 x 64 steps eight blocks to overlap.
+_LSTM_BLOCK_ROWS = 128
 
-    Gate order inside the packed 4H dimension is input, forget, cell, output;
-    w_in is (4H, D) and w_rec is (4H, H).  The input products of every step
-    are one 2-D GEMM, (T*B, D) @ w_in.T, before the recurrence, which keeps
-    only h @ w_rec.T.  The state arrays h and c (B, H) enter as constants and
-    are advanced in place to the state after the last step.
 
-    Each sigmoid is taken as 0.5 * tanh(0.5 * z) + 0.5, so a step runs one
-    tanh over all four gates.  The i, f and o columns of the input products
-    and of a private contiguous copy of w_rec.T are halved once up front:
-    scaling by a power of two is exact, so every gate sees the same 0.5 * z
-    as if it were halved after the sum.  The copy is always taken, never a
-    view, because the halving writes into it.  A step is then the recurrent
-    GEMV plus elementwise work into preallocated arrays.
+def _lstm_blocks(batch: int, steps: int) -> list[slice]:
+    """The wavefront's blocks of steps, _LSTM_BLOCK_ROWS rows each.  A tail
+    shorter than half a block joins the block before it, so no block is a
+    single row unless the whole chunk is (see lstm_cell).  One worker has
+    nothing to overlap, and its whole chunk is one block: smaller input
+    GEMMs would only run slower."""
+    size = max(1, _LSTM_BLOCK_ROWS // batch if _workers()[0] > 1 else steps)
+    starts = list(range(0, steps, size))
+    if len(starts) > 1 and 2 * (steps - starts[-1]) < size:
+        del starts[-1]
+    return [slice(lo, hi) for lo, hi in zip(starts, starts[1:] + [steps])]
 
-    The backward runs one reverse loop over the stored gate values, into
-    preallocated (B, H) scratch by out=, then forms the weight, bias and
-    input gradients as whole-chunk GEMMs over the batch-major (B, T, 4H) dz.
-    """
-    x, w_in, w_rec, bias = (as_tensor(t) for t in (x, w_in, w_rec, bias))
-    hidden = h.shape[1]
-    sigmoid_cols = (slice(0, 2 * hidden), slice(3 * hidden, 4 * hidden))  # i, f and o
-    x_tm = np.ascontiguousarray(x.data.swapaxes(0, 1))  # (T, B, D): steps contiguous
-    steps, batch, dim = x_tm.shape
-    acts = x_tm.reshape(-1, dim) @ w_in.data.T + bias.data
-    w = w_rec.data.T.copy()  # (H, 4H), ours to scale
-    for cols in sigmoid_cols:
-        for m in (acts[:, cols], w[:, cols]):
-            m *= 0.5
-    acts = acts.reshape(steps, batch, 4 * hidden)  # overwritten by gates i, f, g, o
-    hs = np.empty((steps + 1,) + h.shape, dtype=acts.dtype)  # hs[t + 1]: after step t
-    cs = np.empty_like(hs)
-    hs[0], cs[0] = h, c
-    rec = np.empty((batch, 4 * hidden), dtype=acts.dtype)
-    tmp = np.empty((batch, hidden), dtype=acts.dtype)
-    for t in range(steps):
-        a = acts[t]
+
+def _sigmoid_cols(hidden: int) -> tuple[slice, slice]:
+    """The i and f gates' columns and the o gate's, of a packed 4H axis."""
+    return slice(0, 2 * hidden), slice(3 * hidden, 4 * hidden)
+
+
+class _LstmRun(NamedTuple):
+    """One layer of an lstm_cell call: its time-major (T, B, D) input, w_in,
+    w_rec.T with its i, f and o columns halved, the bias, its gates (every
+    step's, or one block's when no backward will read them) and its hidden
+    and cell states (T + 1, B, H), the state after step t in [t + 1]."""
+
+    inputs: np.ndarray
+    w_in: np.ndarray
+    w: np.ndarray
+    bias: np.ndarray
+    acts: np.ndarray
+    hs: np.ndarray
+    cs: np.ndarray
+
+
+def _lstm_steps(acts: np.ndarray, hs: np.ndarray, cs: np.ndarray, w: np.ndarray) -> None:
+    """The recurrence over a run of steps: acts (n, B, 4H) holds each step's
+    input products, their i, f and o columns halved, and is overwritten by
+    the gates i, f, g, o; hs and cs (n + 1, B, H) enter holding the state
+    in [0] and leave holding the state after step t in [t + 1].  w is
+    w_rec.T with its i, f and o columns halved."""
+    hidden = hs.shape[2]
+    rec = np.empty(acts.shape[1:], dtype=acts.dtype)
+    tmp = np.empty(hs.shape[1:], dtype=acts.dtype)
+    for t, a in enumerate(acts):
         np.matmul(hs[t], w, out=rec)
         a += rec
         np.tanh(a, out=a)
-        for cols in sigmoid_cols:
+        for cols in _sigmoid_cols(hidden):
             gates = a[:, cols]
             gates *= 0.5
             gates += 0.5
@@ -256,45 +276,147 @@ def lstm_cell(x, w_in, w_rec, bias, h: np.ndarray, c: np.ndarray) -> Tensor:
         cs[t + 1] += np.multiply(gi, gg, out=tmp)
         np.multiply(go, np.tanh(cs[t + 1], out=tmp), out=hs[t + 1])
 
-    def backward(g):
-        dz = np.empty(x.data.shape[:2] + (4 * hidden,), dtype=acts.dtype)  # (B, T, 4H)
-        # (B, H) scratch: the carried dh/dc, this step's dh/dc, tanh(c), two temps
-        dh_next, dc_next, dh, dc, tc, t1, t2 = np.zeros((7,) + h.shape, dtype=acts.dtype)
-        for t in reversed(range(steps)):
-            gi, gf, gg, go = (acts[t][:, k * hidden : (k + 1) * hidden] for k in range(4))
-            di, df, dg, do = (dz[:, t, k * hidden : (k + 1) * hidden] for k in range(4))
-            np.tanh(cs[t + 1], out=tc)
-            np.add(g[:, t], dh_next, out=dh)
-            # each product runs left to right as the formula beside it reads,
-            # so the rounding is that of the plain numpy expression
-            np.multiply(dh, go, out=t1)  # dc = dc_next + dh * go * (1 - tc * tc)
-            np.multiply(tc, tc, out=t2)
-            np.subtract(1.0, t2, out=t2)
-            t1 *= t2
-            np.add(dc_next, t1, out=dc)
-            np.multiply(dc, gg, out=di)  # dc * gg * gi * (1 - gi)
-            di *= gi
-            di *= np.subtract(1.0, gi, out=t1)
-            np.multiply(dc, cs[t], out=df)  # dc * c_prev * gf * (1 - gf)
-            df *= gf
-            df *= np.subtract(1.0, gf, out=t1)
-            np.multiply(dc, gi, out=dg)  # dc * gi * (1 - gg * gg)
-            np.multiply(gg, gg, out=t1)
-            dg *= np.subtract(1.0, t1, out=t1)
-            np.multiply(dh, tc, out=do)  # dh * tc * go * (1 - go)
-            do *= go
-            do *= np.subtract(1.0, go, out=t1)
-            np.matmul(dz[:, t], w_rec.data, out=dh_next)
-            np.multiply(dc, gf, out=dc_next)
-        dz_flat = dz.reshape(-1, 4 * hidden)
-        return ((dz_flat @ w_in.data).reshape(x.data.shape) if x.requires_grad else None,
-                dz_flat.T @ x.data.reshape(len(dz_flat), -1),
-                dz_flat.T @ hs[:-1].swapaxes(0, 1).reshape(len(dz_flat), -1),
-                dz_flat.sum(axis=0))
 
-    out = _node(hs[1:].swapaxes(0, 1), (x, w_in, w_rec, bias), backward, "lstm_cell")
-    h[...], c[...] = hs[-1], cs[-1]
-    return out
+def _lstm_layer_grads(g, x, w_in, w_rec, acts, hs, cs, need_dx: bool):
+    """(dx or None, dw_in, dw_rec, dbias) of one layer for the gradient g
+    (B, T, H) of its hidden states, from its batch-major input x (B, T, D),
+    its weights and the whole-chunk gates acts and states hs, cs that its
+    forward left.  One reverse loop over the stored gates, into
+    preallocated (B, H) scratch by out=, then whole-chunk GEMMs over the
+    batch-major (B, T, 4H) dz."""
+    steps, batch, width = acts.shape
+    hidden = width // 4
+    dz = np.empty((batch, steps, width), dtype=acts.dtype)
+    # (B, H) scratch: the carried dh/dc, this step's dh/dc, tanh(c), two temps
+    dh_next, dc_next, dh, dc, tc, t1, t2 = np.zeros((7, batch, hidden), dtype=acts.dtype)
+    for t in reversed(range(steps)):
+        gi, gf, gg, go = (acts[t][:, k * hidden : (k + 1) * hidden] for k in range(4))
+        di, df, dg, do = (dz[:, t, k * hidden : (k + 1) * hidden] for k in range(4))
+        np.tanh(cs[t + 1], out=tc)
+        np.add(g[:, t], dh_next, out=dh)
+        # each product runs left to right as the formula beside it reads,
+        # so the rounding is that of the plain numpy expression
+        np.multiply(dh, go, out=t1)  # dc = dc_next + dh * go * (1 - tc * tc)
+        np.multiply(tc, tc, out=t2)
+        np.subtract(1.0, t2, out=t2)
+        t1 *= t2
+        np.add(dc_next, t1, out=dc)
+        np.multiply(dc, gg, out=di)  # dc * gg * gi * (1 - gi)
+        di *= gi
+        di *= np.subtract(1.0, gi, out=t1)
+        np.multiply(dc, cs[t], out=df)  # dc * c_prev * gf * (1 - gf)
+        df *= gf
+        df *= np.subtract(1.0, gf, out=t1)
+        np.multiply(dc, gi, out=dg)  # dc * gi * (1 - gg * gg)
+        np.multiply(gg, gg, out=t1)
+        dg *= np.subtract(1.0, t1, out=t1)
+        np.multiply(dh, tc, out=do)  # dh * tc * go * (1 - go)
+        do *= go
+        do *= np.subtract(1.0, go, out=t1)
+        np.matmul(dz[:, t], w_rec, out=dh_next)
+        np.multiply(dc, gf, out=dc_next)
+    dz_flat = dz.reshape(-1, width)
+    return ((dz_flat @ w_in).reshape(x.shape) if need_dx else None,
+            dz_flat.T @ x.reshape(len(dz_flat), -1),
+            dz_flat.T @ hs[:-1].swapaxes(0, 1).reshape(len(dz_flat), -1),
+            dz_flat.sum(axis=0))
+
+
+def lstm_cell(x, layers) -> Tensor:
+    """The LSTM stack over a whole chunk, one node: x (B, T, D) -> the top
+    layer's hidden states (B, T, H).
+
+    layers holds one (w_in, w_rec, bias, h, c) per layer, bottom first.
+    Gate order inside the packed 4H dimension is input, forget, cell,
+    output; w_in is (4H, D) for the bottom layer and (4H, H) above it, and
+    w_rec is (4H, H).  The state arrays h and c (B, H) enter as constants
+    and are advanced in place to the state after the last step.
+
+    Each sigmoid is taken as 0.5 * tanh(0.5 * z) + 0.5, so a step runs one
+    tanh over all four gates.  The i, f and o columns of the input products
+    and of a private contiguous copy of w_rec.T are halved: scaling by a
+    power of two is exact, so every gate sees the same 0.5 * z as if it
+    were halved after the sum.  The copy is always taken, never a view,
+    because the halving writes into it.  A step is then the recurrent GEMV
+    plus elementwise work into preallocated arrays.
+
+    With more than one worker the steps are cut into blocks of
+    _LSTM_BLOCK_ROWS rows (batch x steps), a tail shorter than half a block
+    joined to the block before it.
+    Layer i on block k is one task: the block's input GEMM, rows of the
+    layer's input times w_in.T, then its steps.  It needs layer i on block
+    k - 1, for the state, and layer i - 1 on block k, for its input, so the
+    tasks run one anti-diagonal i + k at a time on the worker pool: layer i
+    on block k beside layer i + 1 on block k - 1.  Each task writes its own
+    steps of the layer's whole-chunk hidden and cell states, which carry
+    the state from block to block, and of its gates when a backward will
+    read them; without one, a layer's gates live in one block's scratch.
+
+    The bytes are those of running the layers one after another over the
+    whole chunk, at every worker count.  A step is the same arithmetic on
+    the same operands.  The input GEMM of a block forms each of its rows
+    as the whole-chunk GEMM does, measured for the default prior's shapes,
+    as long as the block has two rows or more; a 1-row product goes down
+    another BLAS path and rounds differently, which the tail rule keeps
+    from happening unless the whole chunk is one row.
+
+    The backward runs each layer's reverse loop and whole-chunk GEMMs, top
+    layer first, each layer's input gradient the gradient of the layer
+    below, as the engine chained one node per layer.
+    """
+    x = as_tensor(x)
+    layers = [tuple(as_tensor(t) for t in layer[:3]) + tuple(layer[3:]) for layer in layers]
+    parents = (x,) + tuple(t for layer in layers for t in layer[:3])
+    keep = any(p.requires_grad for p in parents)  # the backward reads every gate
+    batch, steps = x.data.shape[:2]
+    blocks = _lstm_blocks(batch, steps)
+    gate_steps = steps if keep else max((b.stop - b.start for b in blocks), default=0)
+    inputs = np.ascontiguousarray(x.data.swapaxes(0, 1))  # (T, B, D): steps contiguous
+    runs = []
+    for w_in, w_rec, bias, h, c in layers:
+        hidden = h.shape[1]
+        dtype = np.result_type(inputs, w_in.data, bias.data)
+        w = w_rec.data.T.copy()  # (H, 4H), ours to scale
+        for cols in _sigmoid_cols(hidden):
+            w[:, cols] *= 0.5
+        hs = np.empty((steps + 1, batch, hidden), dtype=dtype)  # hs[t + 1]: after step t
+        cs = np.empty_like(hs)
+        hs[0], cs[0] = h, c
+        runs.append(_LstmRun(inputs, w_in.data, w, bias.data,
+                             np.empty((gate_steps, batch, 4 * hidden), dtype=dtype), hs, cs))
+        inputs = hs[1:]
+
+    def task(item):
+        run, span = runs[item[0]], blocks[item[1]]
+        acts = run.acts[span] if keep else run.acts[: span.stop - span.start]
+        rows = acts.reshape(-1, acts.shape[2])
+        np.matmul(run.inputs[span].reshape(len(rows), -1), run.w_in.T, out=rows)
+        rows += run.bias
+        for cols in _sigmoid_cols(run.hs.shape[2]):
+            rows[:, cols] *= 0.5
+        states = slice(span.start, span.stop + 1)
+        _lstm_steps(acts, run.hs[states], run.cs[states], run.w)
+
+    for diagonal in range(len(runs) + len(blocks) - 1):
+        _run_shares(task, [(layer, diagonal - layer) for layer in range(len(runs))
+                           if 0 <= diagonal - layer < len(blocks)])
+    for (*_, h, c), run in zip(layers, runs):
+        h[...], c[...] = run.hs[-1], run.cs[-1]
+    # what the backward reads of each layer: not the time-major input copy
+    # or the halved weights, which die here
+    kept = [(run.acts, run.hs, run.cs) for run in runs]
+
+    def backward(g):
+        grads = []
+        for i in reversed(range(len(kept))):
+            below = x.data if i == 0 else kept[i - 1][1][1:].swapaxes(0, 1)
+            w_in, w_rec = layers[i][0].data, layers[i][1].data
+            g, *weights = _lstm_layer_grads(g, below, w_in, w_rec, *kept[i],
+                                            i > 0 or x.requires_grad)
+            grads = weights + grads
+        return [g] + grads
+
+    return _node(kept[-1][1][1:].swapaxes(0, 1), parents, backward, "lstm_cell")
 
 
 def _im2col(x: np.ndarray, k: int) -> np.ndarray:
@@ -409,6 +531,10 @@ def conv1d_freq(x, kernels, bias) -> Tensor:
       dW = im2col(x).T @ g,  dbias = sum of g over frames and bins,
       dx = im2col(g) @ W',  W'[j*O + o, c] = kernels[o, c, k-1-j],
     that is the forward again on g with the kernels flipped and transposed.
+    When x's node reads only its first grad_channels channels of its
+    gradient (gather_steps' image), dx is formed for those channels only,
+    (frames, bins, grad_channels), by W' cut to their columns: each column
+    of a GEMM is formed as in the whole product, so its bytes are the same.
     The row blocks of both GEMMs (each adding the bias to its own rows) and
     of dW, and dbias's columns, are shared out among the worker threads
     (RTSN_THREADS), dW's products added in block order, so the bytes are
@@ -434,8 +560,9 @@ def conv1d_freq(x, kernels, bias) -> Tensor:
         gw = _kernel_grad(x.data, g, k)
         gx = None
         if x.requires_grad:
-            flipped = kernels.data[:, :, ::-1].transpose(2, 0, 1).reshape(k * c_out, c_in)
-            gx = _correlate(g.reshape(frames, n, c_out), flipped, k).reshape(frames, n, c_in)
+            used = c_in if x.grad_channels is None else x.grad_channels
+            flipped = kernels.data[:, :used, ::-1].transpose(2, 0, 1).reshape(k * c_out, used)
+            gx = _correlate(g.reshape(frames, n, c_out), flipped, k).reshape(frames, n, used)
         return gx, gw.reshape(k, c_in, c_out).transpose(2, 1, 0), _bias_grad(g)
 
     return _node(out.reshape(frames, n, c_out), (x, kernels, bias), backward,
@@ -453,7 +580,14 @@ def gather_steps(x, idx: np.ndarray, context: np.ndarray) -> Tensor:
       out[f, n, m*R + r] = x[b, idx[b, u, m], r, n],
       out[f, n, M*R + c] = context[b, u, c, n].
     Only x gets a gradient: the gathered channels' gradient is scattered
-    back onto the steps they were read from.
+    back onto the steps they were read from.  The backward reads no other
+    channel, so the node's grad_channels is M*R and its consumer may hand
+    back the gathered channels' gradient alone.
+
+    The image is filled in spans of output steps, at most _COLS_BLOCK
+    values each, shared out among the workers: each span copies into its
+    own part of the image, through a gathered temporary no bigger than an
+    im2col block.
     """
     x = as_tensor(x)
     b, t, r, n = x.data.shape
@@ -470,8 +604,14 @@ def gather_steps(x, idx: np.ndarray, context: np.ndarray) -> Tensor:
     b_idx = np.arange(b)[:, None, None]
     mr = m * r
     image = np.empty((b, u, n, mr + context.shape[2]), dtype=x.data.dtype)
-    image[..., :mr] = x.data[b_idx, idx].reshape(b, u, mr, n).swapaxes(2, 3)
-    image[..., mr:] = context.swapaxes(2, 3)
+
+    def fill(steps):
+        gathered = x.data[b_idx, idx[:, steps]].reshape(b, -1, mr, n)
+        image[:, steps, :, :mr] = gathered.swapaxes(2, 3)
+        image[:, steps, :, mr:] = context[:, steps].swapaxes(2, 3)
+
+    span = max(1, _COLS_BLOCK // (b * n * image.shape[3]))
+    _run_shares(fill, [slice(lo, lo + span) for lo in range(0, u, span)])
 
     def backward(g):
         # Scatter-add each gathered (R, N) slab back onto its step.  A stable
@@ -489,7 +629,9 @@ def gather_steps(x, idx: np.ndarray, context: np.ndarray) -> Tensor:
             gx[keys[sel]] += rows[sel]
         return (gx.reshape(x.data.shape),)
 
-    return _node(image.reshape(b * u, n, -1), (x,), backward, "gather_steps")
+    out = _node(image.reshape(b * u, n, -1), (x,), backward, "gather_steps")
+    out.grad_channels = mr
+    return out
 
 
 def stack_loss(frames, target_frames, stacks, target_stacks, prior_weight: float,

@@ -5,7 +5,8 @@ per-frame model oracles route single frames through its public layers,
 the prior through the LSTM oracle, which steps the gate equations one
 frame at a time; the SELU, conv and gather oracles are the straightforward
 layer implementations the fast ones replaced, and so is the LSTM backward
-oracle; the posterior image oracle is the gather, transpose and concat
+oracle; the one-layer LSTM node is the layer-by-layer run that the stack
+node replaced; the posterior image oracle is the gather, transpose and concat
 that gather_steps fuses; matmul, mul, weighted_sum and tmean are graph
 primitives that only the tests compose with.
 """
@@ -212,7 +213,8 @@ def lstm_step(x, h, c, w_in, w_rec, bias):
 
 
 def lstm_oracle(x, w_in, w_rec, bias, h, c):
-    """nn.lstm_cell one step at a time: (hidden states (B, T, H), h, c)."""
+    """One layer of nn.lstm_cell one step at a time: (hidden states (B, T,
+    H), h, c)."""
     outs = []
     for t in range(x.shape[1]):
         h, c = lstm_step(x[:, t], h, c, w_in, w_rec, bias)
@@ -220,17 +222,91 @@ def lstm_oracle(x, w_in, w_rec, bias, h, c):
     return np.stack(outs, axis=1), h, c
 
 
-def lstm_backward_oracle(backward, g):
-    """nn.lstm_cell's backward in plain allocating numpy expressions:
-    (dx, dw_in, dw_rec, dbias) for the output gradient g, from the forward
-    state that the node's backward closure holds."""
-    saved = dict(zip(backward.__code__.co_freevars,
-                     (cell.cell_contents for cell in backward.__closure__)))
-    acts, cs, hs, hidden = saved["acts"], saved["cs"], saved["hs"], saved["hidden"]
-    x, w_in, w_rec = saved["x"].data, saved["w_in"].data, saved["w_rec"].data
+def lstm_layer(x, w_in, w_rec, bias, h: np.ndarray, c: np.ndarray) -> nn.Tensor:
+    """One LSTM layer over a whole chunk as one node, x (B, T, D) -> hidden
+    states (B, T, H), the way nn.lstm_cell ran layer by layer before it took
+    the whole stack: the input products of every step as one (T*B, D) GEMM,
+    then the recurrence, the halved sigmoid columns and the out= scratch of
+    nn.lstm_cell; h and c advance in place.  The backward is the same
+    reverse loop and whole-chunk GEMMs.  A chain of these, each layer's
+    input the node below, is the byte oracle of the stack node."""
+    x, w_in, w_rec, bias = (nn.as_tensor(t) for t in (x, w_in, w_rec, bias))
+    hidden = h.shape[1]
+    sigmoid_cols = (slice(0, 2 * hidden), slice(3 * hidden, 4 * hidden))  # i, f and o
+    x_tm = np.ascontiguousarray(x.data.swapaxes(0, 1))  # (T, B, D): steps contiguous
+    steps, batch, dim = x_tm.shape
+    acts = x_tm.reshape(-1, dim) @ w_in.data.T + bias.data
+    w = w_rec.data.T.copy()  # (H, 4H), ours to scale
+    for cols in sigmoid_cols:
+        for m in (acts[:, cols], w[:, cols]):
+            m *= 0.5
+    acts = acts.reshape(steps, batch, 4 * hidden)  # overwritten by gates i, f, g, o
+    hs = np.empty((steps + 1,) + h.shape, dtype=acts.dtype)  # hs[t + 1]: after step t
+    cs = np.empty_like(hs)
+    hs[0], cs[0] = h, c
+    rec = np.empty((batch, 4 * hidden), dtype=acts.dtype)
+    tmp = np.empty((batch, hidden), dtype=acts.dtype)
+    for t in range(steps):
+        a = acts[t]
+        np.matmul(hs[t], w, out=rec)
+        a += rec
+        np.tanh(a, out=a)
+        for cols in sigmoid_cols:
+            gates = a[:, cols]
+            gates *= 0.5
+            gates += 0.5
+        gi, gf, gg, go = (a[:, k * hidden : (k + 1) * hidden] for k in range(4))
+        np.multiply(gf, cs[t], out=cs[t + 1])
+        cs[t + 1] += np.multiply(gi, gg, out=tmp)
+        np.multiply(go, np.tanh(cs[t + 1], out=tmp), out=hs[t + 1])
+
+    def backward(g):
+        dz = np.empty(x.data.shape[:2] + (4 * hidden,), dtype=acts.dtype)  # (B, T, 4H)
+        dh_next, dc_next, dh, dc, tc, t1, t2 = np.zeros((7,) + h.shape, dtype=acts.dtype)
+        for t in reversed(range(steps)):
+            gi, gf, gg, go = (acts[t][:, k * hidden : (k + 1) * hidden] for k in range(4))
+            di, df, dg, do = (dz[:, t, k * hidden : (k + 1) * hidden] for k in range(4))
+            np.tanh(cs[t + 1], out=tc)
+            np.add(g[:, t], dh_next, out=dh)
+            np.multiply(dh, go, out=t1)
+            np.multiply(tc, tc, out=t2)
+            np.subtract(1.0, t2, out=t2)
+            t1 *= t2
+            np.add(dc_next, t1, out=dc)
+            np.multiply(dc, gg, out=di)
+            di *= gi
+            di *= np.subtract(1.0, gi, out=t1)
+            np.multiply(dc, cs[t], out=df)
+            df *= gf
+            df *= np.subtract(1.0, gf, out=t1)
+            np.multiply(dc, gi, out=dg)
+            np.multiply(gg, gg, out=t1)
+            dg *= np.subtract(1.0, t1, out=t1)
+            np.multiply(dh, tc, out=do)
+            do *= go
+            do *= np.subtract(1.0, go, out=t1)
+            np.matmul(dz[:, t], w_rec.data, out=dh_next)
+            np.multiply(dc, gf, out=dc_next)
+        dz_flat = dz.reshape(-1, 4 * hidden)
+        return ((dz_flat @ w_in.data).reshape(x.data.shape) if x.requires_grad else None,
+                dz_flat.T @ x.data.reshape(len(dz_flat), -1),
+                dz_flat.T @ hs[:-1].swapaxes(0, 1).reshape(len(dz_flat), -1),
+                dz_flat.sum(axis=0))
+
+    out = _node(hs[1:].swapaxes(0, 1), (x, w_in, w_rec, bias), backward, "lstm_layer")
+    h[...], c[...] = hs[-1], cs[-1]
+    return out
+
+
+def lstm_backward_oracle(g, x, w_in, w_rec, acts, hs, cs):
+    """One layer of nn.lstm_cell's backward in plain allocating numpy
+    expressions: (dx, dw_in, dw_rec, dbias) for the gradient g of its hidden
+    states, from its batch-major input x (B, T, D), its weights and the
+    gates acts (T, B, 4H) and states hs, cs (T + 1, B, H) of its forward."""
+    hidden = acts.shape[2] // 4
     dz = np.empty(x.shape[:2] + (4 * hidden,), dtype=acts.dtype)  # (B, T, 4H)
     dh_next = dc_next = 0.0
-    for t in reversed(range(saved["steps"])):
+    for t in reversed(range(len(acts))):
         gi, gf, gg, go = np.split(acts[t], 4, axis=1)
         tc = np.tanh(cs[t + 1])
         dh = g[:, t] + dh_next

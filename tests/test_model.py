@@ -1,8 +1,11 @@
 import hashlib
+import inspect
 import math
 import re
 import struct
+import sys
 import tempfile
+import threading
 import tracemalloc
 from dataclasses import replace
 from pathlib import Path
@@ -147,21 +150,22 @@ def test_init_bins_mismatch():
 
 def test_prior_input_oracle(monkeypatch):
     # forward_chunk feeds the prior frames t..t+lookahead of every step,
-    # read from the noisy stacks
-    cfg = RtsnConfig(lookahead=2, n_bins=9, lstm_layers=1, lstm_units=4,
+    # read from the noisy stacks, to one lstm_cell call over both layers
+    cfg = RtsnConfig(lookahead=2, n_bins=9, lstm_layers=2, lstm_units=4,
                      conv_kernel=3, conv_channels=(2, 1))
     params = init_params(cfg, TINY_STFT, seed=0, dtype=np.float64)
     values = np.random.default_rng(0).standard_normal((7, 9))
     seen = []
     lstm_cell = nn.lstm_cell
 
-    def spy(x, *args):
-        seen.append(x.data)
-        return lstm_cell(x, *args)
+    def spy(x, stack):
+        seen.append((x.data, [t.name for layer in stack for t in layer[:3]]))
+        return lstm_cell(x, stack)
 
     monkeypatch.setattr(nn, "lstm_cell", spy)
     forward_chunk(params, ChunkData(frame_stack(values, 2)[None]))
-    (got,) = seen
+    ((got, names),) = seen
+    assert names == [f"lstm{i}.{k}" for i in range(2) for k in ("w_in", "w_rec", "bias")]
     assert got.shape == (1, 7, 27)
     for t in range(7):
         want = np.concatenate([values[min(t + k, 6)] for k in range(3)])
@@ -365,16 +369,19 @@ def test_forward_chunk_rejects_inconsistent_chunks():
             forward_chunk(params, data)
 
 
-def test_prior_records_one_node_per_lstm_layer():
-    # the graph of a training chunk does not grow with its steps: each LSTM
-    # layer is one node over the whole chunk (both sizes fit one posterior
-    # block)
+def test_prior_records_one_node_for_the_lstm_stack():
+    # the graph of a training chunk does not grow with its steps: the LSTM
+    # stack is one node over the whole chunk, the windows and every layer's
+    # weights its parents (both sizes fit one posterior block)
     params = tiny_params()
     sizes = []
     for steps in (3, 12):
         loss = forward_chunk(params, random_chunk(TINY, 2, steps, seed=steps)).loss
         order = _topo_order(loss.total)
-        assert sum(t.name == "lstm_cell" for t in order) == TINY.lstm_layers
+        (stack,) = [t for t in order if t.name == "lstm_cell"]
+        assert [t.name for t in stack._parents] == ["windows"] + [
+            f"lstm{i}.{k}" for i in range(TINY.lstm_layers)
+            for k in ("w_in", "w_rec", "bias")]
         sizes.append(len(order))
     assert sizes[0] == sizes[1]
 
@@ -383,8 +390,8 @@ def test_training_chunk_graph_holds_only_layers():
     # A chunk of the default training shape, 16 lanes x 64 steps (four
     # posterior blocks), over TINY, which has the default's layer counts:
     # the node count depends only on those.  Every interior node is a layer
-    # or a layout op.  60 nodes: 16 parameters and the input windows, two
-    # LSTM layers, the projection and the reshapes around it, per block
+    # or a layout op.  59 nodes: 16 parameters and the input windows, the
+    # LSTM stack, the projection and the reshapes around it, per block
     # the image, four convs, three SELUs and a reshape, then the concat
     # and the loss.
     default = RtsnConfig()
@@ -398,7 +405,7 @@ def test_training_chunk_graph_holds_only_layers():
     interior = {t.name for t in order if t._backward is not None}
     assert interior == {"lstm_cell", "reshape", "linear", "gather_steps",
                         "conv1d_freq", "selu", "concat", "stack_loss"}
-    assert len(order) <= 60
+    assert len(order) <= 59
     assert sum(t.name == "gather_steps" for t in order) == 4
 
 
@@ -466,14 +473,17 @@ def test_training_step_sums_gradients_in_block_order(monkeypatch):
 
 def test_worker_split_changes_no_byte(monkeypatch, use_workers):
     # The split conv (bias added inside each row block), its split bias
-    # gradient and the in-place SELU (fast path) against the one-worker loop
-    # (slow path): enhance_lps output and every parameter gradient of a
-    # float32 training step are array_equal at 1, 2 and 3 workers.  Blocks
-    # are made small enough that each conv runs one row block per frame and
-    # each SELU splits into one span per worker, and the dispatches are
+    # gradient, the in-place SELU, the split gather and the LSTM stack's
+    # layer wavefront (fast path) against the one-worker loop (slow path):
+    # enhance_lps output and every parameter gradient of a float32 training
+    # step are array_equal at 1, 2 and 3 workers.  Blocks are made small
+    # enough that each conv runs one row block per frame, each SELU splits
+    # into one span per worker, the gather into one span per step and the
+    # LSTM runs over several blocks of 8 rows, and the dispatches are
     # counted so the test cannot pass without exercising the split.
     monkeypatch.setattr(layers, "_COLS_BLOCK", 1)
     monkeypatch.setattr(layers, "_ELEMENTWISE_BLOCK", 16)
+    monkeypatch.setattr(layers, "_LSTM_BLOCK_ROWS", 8)
     dispatched = []
     run_shares = layers._run_shares
 
@@ -496,9 +506,18 @@ def test_worker_split_changes_no_byte(monkeypatch, use_workers):
         enhanced = enhance_lps(params, values)
         assert dispatched.count(("_correlate", 40)) == 4  # a block per frame
         assert [n for task, n in dispatched if task == "selu"] == [workers] * 3
+        assert dispatched.count(("gather_steps", 40)) == 1  # a span per step
+        # two layers over five blocks of 8 steps, six anti-diagonals; one
+        # block, run layer after layer, on one worker
+        assert [n for task, n in dispatched if task == "lstm_cell"] == (
+            [1, 2, 2, 2, 2, 1] if workers > 1 else [1, 1])
         dispatched.clear()
         result = forward_chunk(params, chunk, zero_state(params, 2))
         grads = nn.grads_for(result.loss.total, tensors)
+        # two blocks of 4 steps at batch 2
+        assert [n for task, n in dispatched if task == "lstm_cell"] == (
+            [1, 2, 1] if workers > 1 else [1, 1])
+        assert [n for task, n in dispatched if task == "gather_steps"] == [8]
         # four forwards and four input gradients, conv0's to the gather
         assert [n for task, n in dispatched if task == "_correlate"] == [16] * 8
         assert [n for task, n in dispatched if task == "selu"] == [workers] * 6
@@ -513,6 +532,72 @@ def test_worker_split_changes_no_byte(monkeypatch, use_workers):
     for workers in (2, 3):
         for want, got in zip(results[1], results[workers], strict=True):
             assert got.dtype == want.dtype and np.array_equal(got, want)
+
+
+def test_public_layers_run_only_on_the_calling_thread(monkeypatch, use_workers):
+    # The worker pool runs shares of a layer's work, never a layer: every
+    # public layer of rtsn.neural.layers, and the backward closure of each
+    # node it returns, is entered only from the thread that called into the
+    # model, over an enhance_lps call and a training step at 3 workers with
+    # blocks small enough that the pool gets work.  The bench tracer keeps
+    # one span stack for all threads and relies on this.
+    monkeypatch.setattr(layers, "_COLS_BLOCK", 1)
+    monkeypatch.setattr(layers, "_ELEMENTWISE_BLOCK", 16)
+    monkeypatch.setattr(layers, "_LSTM_BLOCK_ROWS", 4)
+    use_workers(3)
+    public = {fn: name for name, fn in vars(layers).items()
+              if inspect.isfunction(fn) and fn.__module__ == layers.__name__
+              and not name.startswith("_")}
+    assert set(public.values()) == {"selu", "linear", "lstm_cell", "conv1d_freq",
+                                    "gather_steps", "stack_loss"}
+    entered, shares = {}, set()
+
+    def wrap(fn, name):
+        def layer(*args, **kwargs):
+            entered.setdefault(name, set()).add(threading.get_ident())
+            out = fn(*args, **kwargs)
+            node = out[0] if isinstance(out, tuple) else out
+            if node._backward is not None:
+                closure = node._backward
+
+                def backward(g):
+                    entered.setdefault(name + ".bwd", set()).add(threading.get_ident())
+                    return closure(g)
+
+                node._backward = backward
+            return out
+
+        return layer
+
+    run_shares = layers._run_shares
+
+    def spread(task, items):
+        def share(item):
+            shares.add(threading.get_ident())
+            task(item)
+
+        run_shares(share, items)
+
+    monkeypatch.setattr(layers, "_run_shares", spread)
+    wrapped = {fn: wrap(fn, name) for fn, name in public.items()}
+    modules = [m for n, m in sorted(sys.modules.items())
+               if m is not None and (n == "rtsn" or n.startswith("rtsn."))]
+    for module in modules:
+        for key, value in list(vars(module).items()):
+            if inspect.isfunction(value) and value in wrapped:
+                monkeypatch.setattr(module, key, wrapped[value])
+
+    params = tiny_params(dtype=np.float32)
+    enhance_lps(params, np.random.default_rng(7).standard_normal((40, 9)).astype(np.float32))
+    chunk = random_chunk(TINY, 2, 8, seed=6, valid=[8, 5])
+    chunk = ChunkData(chunk.noisy_ctx.astype(np.float32),
+                      chunk.clean_stack.astype(np.float32), chunk.valid)
+    nn.grads_for(forward_chunk(params, chunk).loss.total, list(params.tensors.values()))
+    me = threading.get_ident()
+    names = set(public.values())
+    assert set(entered) == names | {name + ".bwd" for name in names}
+    assert all(threads == {me} for threads in entered.values()), entered
+    assert len(shares) > 1  # the pool did take shares
 
 
 def test_training_graph_holds_one_array_per_conv_and_selu():
@@ -543,8 +628,9 @@ def test_training_graph_holds_one_array_per_conv_and_selu():
             held[id(base)] = base.nbytes
     frames, n, h = batch * steps, TINY.n_bins, TINY.lstm_units
     want = 4 * (frames * (TINY.lookahead + 1) * n  # the prior's input windows
-                # each LSTM layer's hidden states, the initial one included
-                + TINY.lstm_layers * (steps + 1) * batch * h
+                # the LSTM stack's top hidden states, the initial one
+                # included (the layers below live in its backward closure)
+                + (steps + 1) * batch * h
                 + frames * h  # the projection's batch-major input
                 + frames * TINY.stack_rows * n  # the stacks
                 # the posterior image, then one array per conv (and its SELU)

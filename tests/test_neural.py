@@ -18,6 +18,7 @@ from helpers import (
     fd_gradient,
     gather_steps_grad,
     lstm_backward_oracle,
+    lstm_layer,
     lstm_oracle,
     matmul,
     mul,
@@ -27,7 +28,7 @@ from helpers import (
     tmean,
     weighted_sum,
 )
-from rtsn.model import gather_index
+from rtsn.model import RtsnConfig, gather_index, init_params
 from rtsn.neural.engine import _node
 from rtsn.neural.layers import SELU_ALPHA, SELU_SCALE, _worker_count
 
@@ -207,7 +208,7 @@ def test_linear_value_and_gradient():
 
 
 def _lstm_arrays(rng, b, t, d, hdim):
-    """x, w_in, w_rec, bias and a nonzero initial (h, c) for lstm_cell."""
+    """x, w_in, w_rec, bias and a nonzero initial (h, c) for one LSTM layer."""
     return (
         rng.standard_normal((b, t, d)),
         rng.standard_normal((4 * hdim, d)) * 0.5,
@@ -218,6 +219,11 @@ def _lstm_arrays(rng, b, t, d, hdim):
     )
 
 
+def _lstm(x, w_in, w_rec, bias, h, c):
+    """nn.lstm_cell over a one-layer stack."""
+    return nn.lstm_cell(x, [(w_in, w_rec, bias, h, c)])
+
+
 def test_lstm_cell_scalar_oracle():
     # all weights and biases 0.5, x=1, zero state; values frozen from the
     # gate equations computed by hand: z=1 for every gate, i=f=o=sigmoid(1),
@@ -226,7 +232,7 @@ def test_lstm_cell_scalar_oracle():
     x = nn.Tensor(np.ones((1, 2, 1)))
     h, c = np.zeros((1, 1)), np.zeros((1, 1))
     w_in, w_rec, bias = nn.Tensor(one), nn.Tensor(one), nn.Tensor(np.full(4, 0.5))
-    out = nn.lstm_cell(x, w_in, w_rec, bias, h, c)
+    out = _lstm(x, w_in, w_rec, bias, h, c)
     assert out.shape == (1, 2, 1)
     assert_allclose(out.data[0, 0, 0], 0.36960635293570576, rtol=0, atol=1e-15)
     assert_allclose(out.data[0, 1, 0], 0.6020227660613723, rtol=0, atol=1e-14)
@@ -234,21 +240,24 @@ def test_lstm_cell_scalar_oracle():
     assert_allclose(c[0, 0], 1.0612064236791456, rtol=0, atol=1e-14)
     # the cell state after the first step, from a one-step chunk
     h, c = np.zeros((1, 1)), np.zeros((1, 1))
-    nn.lstm_cell(nn.Tensor(np.ones((1, 1, 1))), w_in, w_rec, bias, h, c)
+    _lstm(nn.Tensor(np.ones((1, 1, 1))), w_in, w_rec, bias, h, c)
     assert_allclose(c[0, 0], 0.5567699411459397, rtol=0, atol=1e-15)
 
 
 def test_lstm_cell_matches_step_oracle():
+    # a two-layer stack against the step oracle applied layer by layer
     rng = np.random.default_rng(19)
     x, w_in, w_rec, bias, h0, c0 = _lstm_arrays(rng, b=3, t=5, d=4, hdim=6)
-    want, want_h, want_c = lstm_oracle(x, w_in, w_rec, bias, h0, c0)
-    h, c = h0.copy(), c0.copy()
-    out = nn.lstm_cell(nn.Tensor(x), nn.Tensor(w_in), nn.Tensor(w_rec),
-                       nn.Tensor(bias), h, c)
+    _, w_in2, w_rec2, bias2, h1, c1 = _lstm_arrays(rng, b=3, t=5, d=6, hdim=6)
+    low, want_h0, want_c0 = lstm_oracle(x, w_in, w_rec, bias, h0, c0)
+    want, want_h1, want_c1 = lstm_oracle(low, w_in2, w_rec2, bias2, h1, c1)
+    states = [a.copy() for a in (h0, c0, h1, c1)]
+    out = nn.lstm_cell(nn.Tensor(x), [(w_in, w_rec, bias, *states[:2]),
+                                      (w_in2, w_rec2, bias2, *states[2:])])
     assert out.shape == (3, 5, 6)
     assert_allclose(out.data, want, rtol=0, atol=1e-12)
-    assert_allclose(h, want_h, rtol=0, atol=1e-12)
-    assert_allclose(c, want_c, rtol=0, atol=1e-12)
+    for got, want_state in zip(states, (want_h0, want_c0, want_h1, want_c1)):
+        assert_allclose(got, want_state, rtol=0, atol=1e-12)
 
 
 def test_lstm_cell_gradients():
@@ -256,25 +265,155 @@ def test_lstm_cell_gradients():
     *arrays, h0, c0 = _lstm_arrays(rng, b=3, t=4, d=4, hdim=5)
 
     def layer(x, w_in, w_rec, bias):
-        return _proj(nn.lstm_cell(x, w_in, w_rec, bias, h0.copy(), c0.copy()), 17)
+        return _proj(_lstm(x, w_in, w_rec, bias, h0.copy(), c0.copy()), 17)
 
     check_grads(layer, arrays)
 
 
 def test_lstm_cell_chained_gradient():
-    # two stacked layers, so the upper layer's input gradient reaches the
-    # lower layer's weights; the initial states are constants
+    # two stacked layers in one node, so the upper layer's input gradient
+    # reaches the lower layer's weights and the input; the initial states
+    # are constants
     rng = np.random.default_rng(14)
     b, t, d, hdim = 2, 4, 3, 4
     x, w_in, w_rec, bias, h0, c0 = _lstm_arrays(rng, b, t, d, hdim)
     _, w_in2, w_rec2, bias2, h1, c1 = _lstm_arrays(rng, b, t, hdim, hdim)
 
-    def two_layers(w_in, w_rec, bias, w_in2, w_rec2, bias2):
-        low = nn.lstm_cell(x, w_in, w_rec, bias, h0.copy(), c0.copy())
-        top = nn.lstm_cell(low, w_in2, w_rec2, bias2, h1.copy(), c1.copy())
+    def two_layers(x, w_in, w_rec, bias, w_in2, w_rec2, bias2):
+        top = nn.lstm_cell(x, [(w_in, w_rec, bias, h0.copy(), c0.copy()),
+                               (w_in2, w_rec2, bias2, h1.copy(), c1.copy())])
         return _proj(top, 18)
 
-    check_grads(two_layers, [w_in, w_rec, bias, w_in2, w_rec2, bias2])
+    check_grads(two_layers, [x, w_in, w_rec, bias, w_in2, w_rec2, bias2])
+
+
+def test_lstm_stack_gradients_across_blocks(monkeypatch, use_workers):
+    # A two-layer stack over three wavefront blocks, the last with a 1-step
+    # tail joined to it (6 rows, 3 steps at batch 2, per block), every
+    # gradient against central differences, the input's included
+    monkeypatch.setattr(layers, "_LSTM_BLOCK_ROWS", 6)
+    use_workers(2)
+    rng = np.random.default_rng(41)
+    b, t, d, hdim = 2, 10, 3, 4
+    x, w_in, w_rec, bias, h0, c0 = _lstm_arrays(rng, b, t, d, hdim)
+    _, w_in2, w_rec2, bias2, h1, c1 = _lstm_arrays(rng, b, t, hdim, hdim)
+    assert layers._lstm_blocks(b, t) == [slice(0, 3), slice(3, 6), slice(6, 10)]
+
+    def two_layers(x, w_in, w_rec, bias, w_in2, w_rec2, bias2):
+        top = nn.lstm_cell(x, [(w_in, w_rec, bias, h0.copy(), c0.copy()),
+                               (w_in2, w_rec2, bias2, h1.copy(), c1.copy())])
+        return _proj(top, 42)
+
+    check_grads(two_layers, [x, w_in, w_rec, bias, w_in2, w_rec2, bias2])
+
+
+@pytest.mark.parametrize("batch", [1, 2, 3, 16, 200])
+def test_lstm_blocks_cover_the_steps_without_a_one_row_block(monkeypatch, use_workers,
+                                                             batch):
+    # At every length up to a few blocks the blocks run in order over every
+    # step, each a whole block of steps but the last, which is at least half
+    # a block (or the whole chunk); no block is a single row unless the
+    # chunk is.  One worker takes the whole chunk as one block.
+    monkeypatch.setattr(layers, "_LSTM_BLOCK_ROWS", 8)
+    size = max(1, 8 // batch)
+    use_workers(2)
+    for steps in range(1, 4 * size + 2):
+        blocks = layers._lstm_blocks(batch, steps)
+        assert blocks[0].start == 0 and blocks[-1].stop == steps
+        assert all(a.stop == b.start for a, b in zip(blocks, blocks[1:]))
+        assert all(blk.stop - blk.start == size for blk in blocks[:-1])
+        last = blocks[-1].stop - blocks[-1].start
+        assert 2 * last >= size or len(blocks) == 1
+        assert batch * last >= 2 or batch * steps == 1
+    use_workers(1)
+    assert layers._lstm_blocks(batch, 4 * size + 1) == [slice(0, 4 * size + 1)]
+
+
+def _stack_oracle(x, stack):
+    """The stack layer by layer: one helpers.lstm_layer node per layer,
+    each fed the node below, as the engine chained them."""
+    for w_in, w_rec, bias, h, c in stack:
+        x = lstm_layer(x, w_in, w_rec, bias, h, c)
+    return x
+
+
+# Lengths of 4-step blocks (4 rows per step block at batch 1, 64 at batch 16):
+# one step, a chunk shorter than a block, one block, a 1-step tail joined to
+# it, then two whole blocks and every tail after them from 1 to a block.
+_SWEEP = [1, 3, 4, 5, 9, 10, 11, 12]
+
+
+@pytest.mark.parametrize("batch, rows, lengths", [
+    (1, 4, _SWEEP),
+    (16, 64, _SWEEP),
+    (1, None, [257]),  # the module's own block size, a 1-step tail
+])
+@pytest.mark.parametrize("workers", [1, 2, 3])
+def test_lstm_stack_matches_layer_by_layer(monkeypatch, use_workers, batch, rows,
+                                           lengths, workers):
+    # The default prior's two layers (645 -> 512 -> 512) in float32 over
+    # several wavefront blocks: the stack node's output, carried states and
+    # every gradient, the input's included, are array_equal to the layer-by-
+    # layer whole-chunk run, and so are the output and states of a run that
+    # records no graph (its gates held one block at a time).
+    if rows is not None:
+        monkeypatch.setattr(layers, "_LSTM_BLOCK_ROWS", rows)
+    use_workers(workers)
+    cfg = RtsnConfig()
+    p = {name: t.data for name, t in init_params(cfg, seed=5).tensors.items()}
+    weights = [tuple(p[f"lstm{i}.{k}"] for k in ("w_in", "w_rec", "bias"))
+               for i in range(cfg.lstm_layers)]
+    rng = np.random.default_rng(batch)
+    for steps in lengths:
+        x = rng.standard_normal((batch, steps, cfg.pri_input_dim)).astype(np.float32)
+        states = rng.standard_normal((cfg.lstm_layers, 2, batch, cfg.lstm_units))
+        states = states.astype(np.float32)
+        g = rng.standard_normal((batch, steps, cfg.lstm_units)).astype(np.float32)
+        runs = {}
+        for how in ("stack", "oracle", "frozen"):
+            carried = states.copy()
+            tensors = [nn.Tensor(a) if how == "frozen" else nn.parameter(a, f"p{i}")
+                       for i, a in enumerate([x] + [w for ws in weights for w in ws])]
+            stack = [(*tensors[1 + 3 * i : 4 + 3 * i], *carried[i])
+                     for i in range(cfg.lstm_layers)]
+            out = (_stack_oracle if how == "oracle" else nn.lstm_cell)(tensors[0], stack)
+            grads = [] if how == "frozen" else nn.grads_for(weighted_sum([out], [g]),
+                                                            tensors)
+            runs[how] = [out.data, carried] + grads
+        assert len(layers._lstm_blocks(batch, steps)) > 1 or steps < 8 or workers == 1
+        for how in ("stack", "frozen"):
+            for i, (got, want) in enumerate(zip(runs[how], runs["oracle"])):
+                assert got.dtype == np.float32
+                assert np.array_equal(got, want), f"{how}, T={steps}, array {i}"
+
+
+@pytest.mark.parametrize("b", [1, 16])
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_lstm_cell_backward_matches_allocating_oracle(monkeypatch, use_workers, b, dtype):
+    # The backward runs into preallocated scratch by out=, in the operation
+    # order of the oracle's plain expressions: every gradient of a two-layer
+    # stack over several blocks is bit-identical to the oracle's, applied
+    # top layer first to the gates and states the node's forward left, at
+    # batch 1 and at a training batch.
+    monkeypatch.setattr(layers, "_LSTM_BLOCK_ROWS", 3 * b)
+    use_workers(2)
+    rng = np.random.default_rng(37 + b)
+    x, *low, h0, c0 = (a.astype(dtype) for a in _lstm_arrays(rng, b, 10, 24, 32))
+    *high, h1, c1 = (a.astype(dtype) for a in _lstm_arrays(rng, b, 10, 32, 32)[1:])
+    params = [nn.parameter(a, f"p{i}") for i, a in enumerate([x] + low + high)]
+    out = nn.lstm_cell(params[0], [(*params[1:4], h0, c0), (*params[4:], h1, c1)])
+    g = rng.standard_normal(out.shape).astype(dtype)
+    grads = out._backward(g)
+    saved = dict(zip(out._backward.__code__.co_freevars,
+                     (cell.cell_contents for cell in out._backward.__closure__)))
+    (acts0, hs0, cs0), layer1 = saved["kept"]  # each layer's gates and states
+    below = hs0[1:].swapaxes(0, 1)  # layer 0's hidden states, batch-major
+    dx1, *want1 = lstm_backward_oracle(g, below, high[0], high[1], *layer1)
+    want = list(lstm_backward_oracle(dx1, x, low[0], low[1], acts0, hs0, cs0)) + want1
+    assert len(grads) == len(want) == 7
+    for i, (grad, w) in enumerate(zip(grads, want, strict=True)):
+        assert grad.dtype == dtype
+        assert np.array_equal(grad, w), f"gradient {i}"
 
 
 F32_EPS = float(np.finfo(np.float32).eps)
@@ -302,8 +441,7 @@ def test_lstm_cell_float32_long_batch1_matches_oracle():
     b, t, d, hdim = 1, 300, 20, 16
     (x, w_in, w_rec, bias, h, c), ref = _lstm_arrays_f32(rng, b, t, d, hdim)
     want, want_h, want_c = lstm_oracle(*ref)
-    out = nn.lstm_cell(nn.Tensor(x), nn.Tensor(w_in), nn.Tensor(w_rec),
-                       nn.Tensor(bias), h, c)
+    out = _lstm(nn.Tensor(x), nn.Tensor(w_in), nn.Tensor(w_rec), nn.Tensor(bias), h, c)
     assert out.data.dtype == h.dtype == c.dtype == np.float32
     tol = 8 * (d + hdim) * F32_EPS
     _assert_within(out.data, want, tol, "hidden states")
@@ -321,7 +459,7 @@ def test_lstm_cell_float32_batch_gradients_match_oracle():
     (*arrays32, h, c), (*ref, h0, c0) = _lstm_arrays_f32(rng, b, t, d, hdim)
     proj = rng.standard_normal((b, t, hdim)).astype(np.float32)
     params = [nn.parameter(a, f"p{i}") for i, a in enumerate(arrays32)]
-    out = nn.lstm_cell(*params, h, c)
+    out = _lstm(*params, h, c)
     grads = nn.grads_for(weighted_sum([out], [proj]), params)
     want, want_h, want_c = lstm_oracle(*ref, h0, c0)
     tol = 8 * (d + hdim + b * t) * F32_EPS
@@ -338,24 +476,6 @@ def test_lstm_cell_float32_batch_gradients_match_oracle():
         _assert_within(grad, fd_gradient(loss, ref[i]), tol, f"gradient {i}")
 
 
-@pytest.mark.parametrize("b", [1, 16])
-@pytest.mark.parametrize("dtype", [np.float32, np.float64])
-def test_lstm_cell_backward_matches_allocating_oracle(b, dtype):
-    # The backward runs into preallocated scratch by out=, in the operation
-    # order of the oracle's plain expressions: all four gradients are
-    # bit-identical to the oracle's, at batch 1 and at a training batch.
-    rng = np.random.default_rng(37 + b)
-    *arrays, h, c = (a.astype(dtype) for a in _lstm_arrays(rng, b, 10, 24, 32))
-    params = [nn.parameter(a, f"p{i}") for i, a in enumerate(arrays)]
-    out = nn.lstm_cell(*params, h, c)
-    g = rng.standard_normal(out.shape).astype(dtype)
-    grads = out._backward(g)
-    for i, (grad, want) in enumerate(zip(grads, lstm_backward_oracle(out._backward, g),
-                                         strict=True)):
-        assert grad.dtype == dtype
-        assert np.array_equal(grad, want), f"gradient {i}"
-
-
 @pytest.mark.parametrize("d, hdim, shared", [(1, 1, True), (3, 3, True), (4, 5, False)])
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
 def test_lstm_cell_leaves_weights_untouched(d, hdim, shared, dtype):
@@ -370,7 +490,7 @@ def test_lstm_cell_leaves_weights_untouched(d, hdim, shared, dtype):
     weights = (w_in, w_rec, bias)
     before = [a.tobytes() for a in weights]
     params = [nn.parameter(a, f"p{i}") for i, a in enumerate(weights)]
-    out = nn.lstm_cell(nn.Tensor(x), *params, h, c)
+    out = _lstm(nn.Tensor(x), *params, h, c)
     nn.grads_for(weighted_sum([out]), params)
     assert [a.tobytes() for a in weights] == before
 
@@ -544,6 +664,34 @@ def test_bias_grad_column_spans_match_the_whole_sum(use_workers, width, workers)
     g = (10 * np.random.default_rng(width).standard_normal((3000, width))).astype(np.float32)
     got = layers._bias_grad(g)
     assert got.dtype == np.float32 and np.array_equal(got, g.sum(axis=0))
+
+
+@pytest.mark.parametrize("frames", [1, 3, 8, 13])
+def test_conv0_forms_the_gathered_channels_gradient_only(frames):
+    # At the default sizes (81 gathered and 9 context channels, 256 kernels
+    # of width 5, float32), conv0 over a gather_steps image forms its input
+    # gradient for the gathered channels only, and it is array_equal to
+    # those channels of the 90-channel gradient the conv forms over a plain
+    # parameter; so are its other gradients and the gather's own.  The
+    # frame counts give GEMMs of 129 to 774 rows.
+    cfg = RtsnConfig()
+    p = init_params(cfg, seed=2).tensors
+    rng = np.random.default_rng(frames)
+    shape = (1, frames, cfg.stack_rows, cfg.n_bins)
+    x_bar = nn.parameter(rng.standard_normal(shape).astype(np.float32), "x_bar")
+    context = rng.standard_normal(shape).astype(np.float32)
+    image = nn.gather_steps(x_bar, gather_index(frames, cfg.lookahead)[None], context)
+    gathered = cfg.stack_rows ** 2
+    assert image.grad_channels == gathered and image.shape[2] == cfg.posterior_channels
+    conv = (p["conv0.weight"], p["conv0.bias"])
+    g = rng.standard_normal((frames, cfg.n_bins, cfg.conv_channels[0])).astype(np.float32)
+    narrow = nn.conv1d_freq(image, *conv)._backward(g)
+    whole = nn.conv1d_freq(nn.parameter(image.data, "image"), *conv)._backward(g)
+    assert narrow[0].shape == (frames, cfg.n_bins, gathered)
+    assert np.array_equal(narrow[0], whole[0][..., :gathered])
+    for got, want in zip(narrow[1:], whole[1:], strict=True):
+        assert np.array_equal(got, want)
+    assert np.array_equal(image._backward(narrow[0])[0], image._backward(whole[0])[0])
 
 
 def _context(idx, n, channels=2, seed=0):
