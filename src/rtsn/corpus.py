@@ -373,8 +373,11 @@ def build_corpus(
 
     def train_lps() -> Iterator[LpsSequence]:
         for i in train_idx:
-            noisy = read_wav(pairs[i][0])
-            yield lps_from_magnitude(decompose(stft(noisy, stft_config))[0])
+            try:
+                spec = stft(read_wav(pairs[i][0]), stft_config)
+            except ValueError as e:
+                raise ValueError(f"manifest line {specs[i].line}: {e}") from e
+            yield lps_from_magnitude(decompose(spec)[0])
 
     stats = compute_norm_stats(train_lps())
     stats_path = out_dir / "stats.bin"

@@ -16,7 +16,7 @@ with no transposes in between.  Training minimizes the posterior error
 plus prior_weight times the stack error, one stack_loss node.
 
 Every per-step input and target comes from one layout, the frame stack:
-frames t-lookahead..t+lookahead of step t, edge-replicated (frame_stack).
+frames t-lookahead..t+lookahead of step t, clamped (chunk_from_frames).
 A chunk carries the noisy and clean stacks only.  The prior's input is the
 noisy stack's rows lookahead.. (frames t..t+lookahead), the posterior's
 noisy context is the whole noisy stack, the prior's target is the clean
@@ -217,25 +217,29 @@ def count_parameters(params: RtsnParams) -> int:
 # ---------------------------------------------------------------------------
 
 
-def frame_stack(values: np.ndarray, lookahead: int) -> np.ndarray:
-    """Frames t-lookahead..t+lookahead per step, edge-replicated: (T, R, N)."""
-    t = values.shape[0]
-    idx = np.arange(t)[:, None] + np.arange(-lookahead, lookahead + 1)[None, :]
-    idx = np.clip(idx, 0, t - 1)
-    return values[idx]
+def stack_index(rows: np.ndarray, lookahead: int, top) -> np.ndarray:
+    """row - lookahead..row + lookahead per row, clamped to 0..top (an int
+    or e.g. (B, 1, 1) lane bounds): the one clamp of every frame stack."""
+    return np.clip(rows[..., None] + np.arange(-lookahead, lookahead + 1), 0, top)
 
 
-def gather_index(num_steps: int, lookahead: int,
-                 valid: int | np.ndarray | None = None) -> np.ndarray:
-    """Clamped step indices feeding the posterior gather: (num_steps, R).
+def chunk_from_frames(noisy: list[np.ndarray], clean: list[np.ndarray] | None,
+                      starts: list[int], steps: int, lookahead: int) -> ChunkData:
+    """The chunk of each lane's (T, N) frames from its start on: rows
+    start..start + steps - 1 clamped to the last frame, then each row's
+    stack (stack_index), with valid counting the real rows.  clean None
+    leaves clean_stack None, for inference."""
+    tops = [frames.shape[0] - 1 for frames in noisy]
+    index = [stack_index(np.minimum(np.arange(start, start + steps), top), lookahead, top)
+             for start, top in zip(starts, tops)]
 
-    valid, an int or an array broadcasting against (num_steps, R) such as
-    (B, 1, 1) lane lengths, caps the indices at valid - 1 (default
-    num_steps), so padded steps are never read.
-    """
-    top = (valid if valid is not None else num_steps) - 1
-    idx = np.arange(num_steps)[:, None] + np.arange(-lookahead, lookahead + 1)
-    return np.clip(idx, 0, top)
+    def stacks(lanes):
+        # one lane's gather is the whole chunk: stacking would copy it
+        gathered = [frames[idx] for frames, idx in zip(lanes, index)]
+        return gathered[0][None] if len(gathered) == 1 else np.stack(gathered)
+
+    valid = np.array([min(steps, top + 1 - start) for start, top in zip(starts, tops)])
+    return ChunkData(stacks(noisy), None if clean is None else stacks(clean), valid)
 
 
 # ---------------------------------------------------------------------------
@@ -263,8 +267,8 @@ class ChunkData:
     """Numpy inputs for one batched chunk of B lanes by U steps.
 
     noisy_ctx: (B, U, R, N) noisy frames t-lookahead..t+lookahead of each
-        step t, edge-replicated as frame_stack builds them.  Rows
-        lookahead.. (frames t..t+lookahead) are the prior's input; the
+        step t, clamped to the utterance (chunk_from_frames builds them).
+        Rows lookahead.. (frames t..t+lookahead) are the prior's input; the
         whole stack is the posterior's noisy context.
     clean_stack: (B, U, R, N) clean frame stacks, the prior's targets; row
         lookahead (frame t) is the posterior's target.  None for inference.
@@ -351,8 +355,8 @@ def forward_chunk(params: RtsnParams, data: ChunkData,
                     .reshape(batch, steps, -1), state)
     n_bins = params.config.n_bins
     x_bar = nn.reshape(stacks, (batch, steps, params.config.stack_rows, n_bins))
-    valid = None if data.valid is None else data.valid[:, None, None]
-    gather_idx = np.broadcast_to(gather_index(steps, lookahead, valid),
+    top = steps - 1 if data.valid is None else data.valid[:, None, None] - 1
+    gather_idx = np.broadcast_to(stack_index(np.arange(steps), lookahead, top),
                                  (batch, steps, params.config.stack_rows))
     # the posterior's context enters as a named constant, as the prior's
     # windows do, so a non-finite value in it is reported by that name
@@ -417,7 +421,7 @@ def enhance_lps(params: RtsnParams, norm_values: np.ndarray) -> np.ndarray:
     so memory beyond the O(frames) arrays does not grow with length.
     """
     values = np.asarray(norm_values, dtype=params.dtype)
-    data = ChunkData(frame_stack(values, params.config.lookahead)[None])
+    data = chunk_from_frames([values], None, [0], len(values), params.config.lookahead)
     return forward_chunk(params.frozen(), data).x_hat.data[0]
 
 

@@ -1,5 +1,6 @@
 """Truncated-BPTT training loop with lockstep utterance lanes.
 
+Utterances hold (T, N) frames; chunk_from_frames stacks them per chunk.
 A lane is an utterance plus the frame its next chunk starts at.  Each
 optimizer step advances every lane by one chunk of unroll_steps frames:
 frames start..start+unroll_steps-1, the utterance's last frame repeated
@@ -21,7 +22,7 @@ import numpy as np
 from . import neural as nn
 from .corpus import Corpus, NormStats, normalize, read_wav
 from .dsp import StftConfig, decompose, lps_from_magnitude, stft
-from .model import ChunkData, RtsnParams, forward_chunk, frame_stack, zero_state
+from .model import RtsnParams, chunk_from_frames, forward_chunk, zero_state
 
 
 @dataclass(frozen=True)
@@ -75,41 +76,38 @@ class EarlyStopper:
 
 @dataclass
 class UtteranceData:
-    """One utterance's frame stacks, from which forward_chunk derives every
-    per-step input and target (see ChunkData)."""
+    """One utterance's normalized noisy and clean frames, (T, N) each."""
 
-    noisy_ctx: np.ndarray    # (T, R, N)
-    clean_stack: np.ndarray  # (T, R, N)
-    num_frames: int
+    noisy: np.ndarray
+    clean: np.ndarray
+
+    @property
+    def num_frames(self) -> int:
+        return self.noisy.shape[0]
 
 
 def _wav_to_norm_lps(path: str, stft_config: StftConfig, stats: NormStats) -> np.ndarray:
-    spec = stft(read_wav(path), stft_config)
+    wav = read_wav(path)  # whose errors name the file already
+    try:
+        spec = stft(wav, stft_config)
+    except ValueError as e:
+        raise ValueError(f"{path}: {e}") from None
     return normalize(lps_from_magnitude(decompose(spec)[0]), stats).values
-
-
-def prepare_utterance(noisy_norm: np.ndarray, clean_norm: np.ndarray,
-                      lookahead: int, dtype=np.float32) -> UtteranceData:
-    if noisy_norm.shape != clean_norm.shape:
-        raise ValueError(
-            f"noisy/clean frame shapes differ: {noisy_norm.shape} vs "
-            f"{clean_norm.shape}"
-        )
-    return UtteranceData(
-        noisy_ctx=frame_stack(noisy_norm.astype(dtype), lookahead),
-        clean_stack=frame_stack(clean_norm.astype(dtype), lookahead),
-        num_frames=noisy_norm.shape[0],
-    )
 
 
 def load_utterances(pairs: list[tuple[str, str]], stft_config: StftConfig,
                     stats: NormStats, lookahead: int,
                     dtype=np.float32) -> list[UtteranceData]:
+    """Each (noisy, clean) WAV pair's normalized frames in dtype, errors
+    naming the files.  lookahead is unused: chunks stack the frames."""
     out = []
     for noisy_path, clean_path in pairs:
-        noisy = _wav_to_norm_lps(noisy_path, stft_config, stats)
-        clean = _wav_to_norm_lps(clean_path, stft_config, stats)
-        out.append(prepare_utterance(noisy, clean, lookahead, dtype))
+        noisy = _wav_to_norm_lps(noisy_path, stft_config, stats).astype(dtype)
+        clean = _wav_to_norm_lps(clean_path, stft_config, stats).astype(dtype)
+        if noisy.shape != clean.shape:
+            raise ValueError(f"{noisy_path}, {clean_path}: noisy/clean frame shapes "
+                             f"differ: {noisy.shape} vs {clean.shape}")
+        out.append(UtteranceData(noisy, clean))
     return out
 
 
@@ -135,14 +133,14 @@ class TrainResult:
 
 def sequence_loss(params: RtsnParams, utt: UtteranceData) -> tuple[float, int]:
     """Full-sequence loss for one utterance: (mean loss, frame count)."""
-    data = ChunkData(utt.noisy_ctx[None], utt.clean_stack[None])
+    data = chunk_from_frames([utt.noisy], [utt.clean], [0], utt.num_frames,
+                             params.config.lookahead)
     return forward_chunk(params.frozen(), data).loss.total.item(), utt.num_frames
 
 
 def evaluate(params: RtsnParams, utterances: list[UtteranceData]) -> float:
     """Frame-weighted mean loss over a set of utterances."""
-    total = 0.0
-    frames = 0
+    total, frames = 0.0, 0
     for utt in utterances:
         loss, count = sequence_loss(params, utt)
         total += loss * count
@@ -154,14 +152,13 @@ def evaluate(params: RtsnParams, utterances: list[UtteranceData]) -> float:
 
 def train(params: RtsnParams, corpus_or_utts, cfg: TrainConfig) -> TrainResult:
     """Train in place; returns the best-validation snapshot and the log."""
+    lookahead = params.config.lookahead
     if isinstance(corpus_or_utts, Corpus):
         if params.norm is None:
             raise ValueError("params need normalization statistics before training")
-        lookahead = params.config.lookahead
-        train_utts = load_utterances(corpus_or_utts.train_pairs, params.stft,
-                                     params.norm, lookahead, params.dtype)
-        val_utts = load_utterances(corpus_or_utts.val_pairs, params.stft,
-                                   params.norm, lookahead, params.dtype)
+        train_utts, val_utts = (
+            load_utterances(pairs, params.stft, params.norm, lookahead, params.dtype)
+            for pairs in (corpus_or_utts.train_pairs, corpus_or_utts.val_pairs))
     else:
         train_utts, val_utts = corpus_or_utts
     if not train_utts or not val_utts:
@@ -180,9 +177,7 @@ def train(params: RtsnParams, corpus_or_utts, cfg: TrainConfig) -> TrainResult:
     state = zero_state(params, cfg.utterances_per_batch)
 
     total_frames = sum(u.num_frames for u in train_utts)
-    steps_per_epoch = max(
-        1, math.ceil(total_frames / (cfg.unroll_steps * cfg.utterances_per_batch))
-    )
+    steps_per_epoch = max(1, math.ceil(total_frames / (unroll * cfg.utterances_per_batch)))
 
     stopper = EarlyStopper(cfg.patience)
     best_params = params.copy()
@@ -199,12 +194,9 @@ def train(params: RtsnParams, corpus_or_utts, cfg: TrainConfig) -> TrainResult:
                     lanes[b] = (train_utts[int(rng.integers(len(train_utts)))], 0)
                     for arr in state[0] + state[1]:
                         arr[b] = 0.0
-            rows = [(utt, np.minimum(np.arange(start, start + unroll), utt.num_frames - 1))
-                    for utt, start in lanes]
-            data = ChunkData(np.stack([utt.noisy_ctx[r] for utt, r in rows]),
-                             np.stack([utt.clean_stack[r] for utt, r in rows]),
-                             np.array([min(unroll, utt.num_frames - start)
-                                       for utt, start in lanes]))
+            data = chunk_from_frames([utt.noisy for utt, _ in lanes],
+                                     [utt.clean for utt, _ in lanes],
+                                     [start for _, start in lanes], unroll, lookahead)
             try:
                 result = forward_chunk(params, data, state)
             except FloatingPointError as e:

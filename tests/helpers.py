@@ -7,8 +7,10 @@ frame at a time; the SELU, conv and gather oracles are the straightforward
 layer implementations the fast ones replaced, and so is the LSTM backward
 oracle; the one-layer LSTM node is the layer-by-layer run that the stack
 node replaced; the posterior image oracle is the gather, transpose and concat
-that gather_steps fuses; matmul, mul, weighted_sum and tmean are graph
-primitives that only the tests compose with.
+that gather_steps fuses; frame_stack and stacked_chunk are the layout
+that stored every utterance's stacks, which chunk_from_frames replaced;
+matmul, mul, weighted_sum and tmean are graph primitives that only the
+tests compose with.
 """
 import math
 
@@ -16,7 +18,7 @@ import numpy as np
 
 import rtsn.neural as nn
 from rtsn.dsp import LpsSequence
-from rtsn.model import ChunkData, forward_chunk, frame_stack
+from rtsn.model import ChunkData, chunk_from_frames, forward_chunk
 from rtsn.neural.engine import _node
 from rtsn.neural.layers import SELU_ALPHA, SELU_SCALE
 
@@ -357,6 +359,27 @@ def synth_noise(seed: int, num_samples: int) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
+def frame_stack(values: np.ndarray, lookahead: int) -> np.ndarray:
+    """Frames t-lookahead..t+lookahead per step, edge-replicated: (T, R, N)."""
+    t = values.shape[0]
+    idx = np.arange(t)[:, None] + np.arange(-lookahead, lookahead + 1)[None, :]
+    idx = np.clip(idx, 0, t - 1)
+    return values[idx]
+
+
+def stacked_chunk(noisy, clean, starts, steps: int, lookahead: int) -> ChunkData:
+    """chunk_from_frames by the stored-stack layout: each utterance's whole
+    frame_stack first, then its rows start..start+steps-1 clamped to the
+    last frame, and valid = min(steps, T - start) per lane."""
+    def lanes(frames):
+        return np.stack([frame_stack(f, lookahead)[np.minimum(
+            np.arange(start, start + steps), f.shape[0] - 1)]
+            for f, start in zip(frames, starts)])
+
+    valid = np.array([min(steps, f.shape[0] - start) for f, start in zip(noisy, starts)])
+    return ChunkData(lanes(noisy), None if clean is None else lanes(clean), valid)
+
+
 def _values(lps) -> np.ndarray:
     return lps.values if isinstance(lps, LpsSequence) else np.asarray(lps)
 
@@ -466,7 +489,8 @@ def evaluate_pri(params, utterances) -> float:
     total = 0.0
     frames = 0
     for utt in utterances:
-        data = ChunkData(utt.noisy_ctx[None], utt.clean_stack[None])
+        data = chunk_from_frames([utt.noisy], [utt.clean], [0], utt.num_frames,
+                                 params.config.lookahead)
         total += forward_chunk(params, data).loss.pri * utt.num_frames
         frames += utt.num_frames
     return total / frames

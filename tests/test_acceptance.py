@@ -28,7 +28,7 @@ from rtsn.model import (
     forward_chunk,
     init_params,
 )
-from rtsn.trainer import TrainConfig, prepare_utterance, train
+from rtsn.trainer import TrainConfig, UtteranceData, train
 
 from helpers import evaluate_pri, gather_mbps, rel_err, synth_noise, synth_voice
 
@@ -261,12 +261,8 @@ def toy_setup(num_samples, seed):
         raw.append(mix_with_reference(clean, noise, 0.0, i))
     stats = compute_norm_stats(lps_of(noisy) for noisy, _ in raw)
     utts = [
-        prepare_utterance(
-            normalize(lps_of(noisy), stats).values,
-            normalize(lps_of(clean), stats).values,
-            TINY.lookahead,
-            np.float64,
-        )
+        UtteranceData(normalize(lps_of(noisy), stats).values,
+                      normalize(lps_of(clean), stats).values)
         for noisy, clean in raw
     ]
     return raw, stats, utts

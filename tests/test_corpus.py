@@ -523,6 +523,18 @@ def test_build_corpus_missing_file_names_line(tmp_path):
         build_corpus(manifest, TINY, seed=0, out_dir=tmp_path)
 
 
+def test_build_corpus_short_source_names_line(tmp_path):
+    # a 60-sample speech source mixes fine, then fails the statistics pass
+    # over the training mixtures at the default framing (101 samples)
+    manifest = _make_corpus_inputs(tmp_path)
+    write_wav(tmp_path / "sp1.wav", Waveform(synth_voice(101, 60)))
+    train_idx, _ = split_indices(6, seed=0)
+    line = 1 + next(i for i in train_idx if i in (2, 3))  # sp1's lines
+    with pytest.raises(ValueError, match=(
+            rf"^manifest line {line}: signal too short to reflect-pad: 60 < 101 samples$")):
+        build_corpus(manifest, StftConfig(), seed=0, out_dir=tmp_path)
+
+
 def test_load_corpus_round_trip(tmp_path):
     manifest = _make_corpus_inputs(tmp_path)
     built = build_corpus(manifest, TINY, seed=0, out_dir=tmp_path)

@@ -25,16 +25,16 @@ from rtsn.model import (
     POST_BLOCK_FRAMES,
     ChunkData,
     RtsnConfig,
+    chunk_from_frames,
     count_parameters,
     enhance_lps,
     enhance_utterance,
     forward_chunk,
-    frame_stack,
-    gather_index,
     init_params,
     load_checkpoint,
     mol_loss,
     save_checkpoint,
+    stack_index,
     zero_state,
 )
 from rtsn.settings import format_settings
@@ -43,10 +43,12 @@ from helpers import (
     assemble_posterior_input,
     assemble_pri_input,
     enhance_one_block,
+    frame_stack,
     gather_mbps,
     post_forward,
     pri_forward,
     rel_err,
+    stacked_chunk,
     synth_voice,
 )
 
@@ -176,14 +178,46 @@ def test_prior_input_oracle(monkeypatch):
 
 
 def test_frame_stack_oracle():
+    # a whole utterance's chunk, and the stored-stack oracle, against
+    # explicit indexing
     rng = np.random.default_rng(1)
     values = rng.standard_normal((6, 4))
-    got = frame_stack(values, 2)
-    assert got.shape == (6, 5, 4)
-    for t in range(6):
-        for j, off in enumerate(range(-2, 3)):
-            src = min(max(t + off, 0), 5)
-            assert_allclose(got[t, j], values[src], rtol=0, atol=0)
+    chunk = chunk_from_frames([values], None, [0], 6, 2)
+    assert chunk.clean_stack is None and np.array_equal(chunk.valid, [6])
+    for got in (chunk.noisy_ctx[0], frame_stack(values, 2)):
+        assert got.shape == (6, 5, 4)
+        for t in range(6):
+            for j, off in enumerate(range(-2, 3)):
+                src = min(max(t + off, 0), 5)
+                assert_allclose(got[t, j], values[src], rtol=0, atol=0)
+
+
+# (frame counts, lane starts) for a 64-step chunk at lookahead 4: T = 1,
+# T = lookahead and T past two chunks, at starts whose steps run past the
+# last frame, alone and side by side in one batch
+CHUNK_LANES = [
+    ([1], [0]), ([4], [0]), ([4], [3]), ([150], [0]), ([150], [64]), ([150], [128]),
+    ([150], [149]), ([1, 4, 150, 150, 70], [0, 2, 128, 37, 64]),
+]
+
+
+@pytest.mark.parametrize("frames, starts", CHUNK_LANES, ids=[
+    "T1", "T4", "T4_from3", "T150", "T150_from64", "T150_from128", "T150_from149", "batch"])
+def test_chunk_from_frames_matches_stacked_layout(frames, starts):
+    # Every byte of a chunk equals the stored-stack layout's: the whole
+    # utterance's frame stacks sliced at rows clamped to the last frame.
+    # Clamping the rows after adding the offsets, not before, changes
+    # the stacks of the steps past the end.
+    rng = np.random.default_rng(sum(frames) + sum(starts))
+    noisy = [rng.standard_normal((t, 9)).astype(np.float32) for t in frames]
+    clean = [rng.standard_normal((t, 9)).astype(np.float32) for t in frames]
+    got = chunk_from_frames(noisy, clean, starts, 64, 4)
+    want = stacked_chunk(noisy, clean, starts, 64, 4)
+    assert got.noisy_ctx.dtype == got.clean_stack.dtype == np.float32
+    assert np.array_equal(got.noisy_ctx, want.noisy_ctx)
+    assert np.array_equal(got.clean_stack, want.clean_stack)
+    assert np.array_equal(got.valid, want.valid)
+    assert got.valid.dtype == want.valid.dtype
 
 
 def test_gather_mbps_exhaustive_oracle():
@@ -227,13 +261,15 @@ def test_posterior_input_layout_and_mbp_containment():
 
 
 def test_gather_index_clamps_to_valid():
-    idx = gather_index(6, 2)
+    # the posterior's gather index: every step's stack of steps, clamped to
+    # the lane's valid steps
+    idx = stack_index(np.arange(6), 2, 5)
     assert idx.shape == (6, 5)
     assert idx.min() == 0 and idx.max() == 5
-    short = gather_index(6, 2, valid=3)
+    short = stack_index(np.arange(6), 2, 3 - 1)
     assert short.max() == 2
     assert np.array_equal(short, np.clip(idx, 0, 2))
-    lanes = gather_index(6, 2, valid=np.array([6, 3])[:, None, None])
+    lanes = stack_index(np.arange(6), 2, np.array([6, 3])[:, None, None] - 1)
     assert lanes.shape == (2, 6, 5)
     assert np.array_equal(lanes[0], idx) and np.array_equal(lanes[1], short)
 
@@ -733,6 +769,32 @@ def test_enhance_lps_matches_one_block_oracle(frames):
     assert_allclose(got, enhance_one_block(params, values), rtol=tol, atol=tol)
 
 
+@pytest.mark.parametrize("frames", [1, 4, 2 * BLOCK + 3])
+def test_enhance_lps_chunk_matches_stacked_layout(monkeypatch, frames):
+    # The enhancement chunk is the stored-stack layout's whole-utterance
+    # chunk, and the output is byte-equal to a forward over the stacks
+    # with no valid counts, as enhancement ran before chunk_from_frames.
+    cfg = replace(TINY, lookahead=4)
+    params = init_params(cfg, TINY_STFT, seed=2)
+    values = np.random.default_rng(frames).standard_normal((frames, 9)).astype(np.float32)
+    seen = []
+    real = rtsn.model.forward_chunk
+
+    def spy(params, data, state=None):
+        seen.append(data)
+        return real(params, data, state)
+
+    monkeypatch.setattr(rtsn.model, "forward_chunk", spy)
+    got = enhance_lps(params, values)
+    (data,) = seen
+    want = stacked_chunk([values], None, [0], frames, cfg.lookahead)
+    assert data.clean_stack is None
+    assert np.array_equal(data.noisy_ctx, want.noisy_ctx)
+    assert np.array_equal(data.valid, want.valid)
+    stored = real(params.frozen(), ChunkData(frame_stack(values, cfg.lookahead)[None]))
+    assert np.array_equal(got, stored.x_hat.data[0])
+
+
 def test_enhance_memory_does_not_grow_with_length():
     # Traced allocation peaks of enhance_lps at 4 and 16 posterior blocks.
     # Past the whole-utterance arrays (noisy context, gather indices, prior
@@ -749,7 +811,7 @@ def test_enhance_memory_does_not_grow_with_length():
         values = np.random.default_rng(frames).standard_normal(
             (frames, cfg.n_bins)).astype(params.dtype)
         whole = (2 * frame_stack(values, cfg.lookahead).nbytes  # context, stacks
-                 + gather_index(frames, cfg.lookahead).nbytes
+                 + stack_index(np.arange(frames), cfg.lookahead, frames - 1).nbytes
                  + 2 * frames * cfg.n_bins * itemsize)  # blocks, x_hat
         tracemalloc.start()
         try:

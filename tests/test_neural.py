@@ -28,7 +28,7 @@ from helpers import (
     tmean,
     weighted_sum,
 )
-from rtsn.model import RtsnConfig, gather_index, init_params
+from rtsn.model import RtsnConfig, init_params, stack_index
 from rtsn.neural.engine import _node
 from rtsn.neural.layers import SELU_ALPHA, SELU_SCALE, _worker_count
 
@@ -680,7 +680,8 @@ def test_conv0_forms_the_gathered_channels_gradient_only(frames):
     shape = (1, frames, cfg.stack_rows, cfg.n_bins)
     x_bar = nn.parameter(rng.standard_normal(shape).astype(np.float32), "x_bar")
     context = rng.standard_normal(shape).astype(np.float32)
-    image = nn.gather_steps(x_bar, gather_index(frames, cfg.lookahead)[None], context)
+    idx = stack_index(np.arange(frames), cfg.lookahead, frames - 1)
+    image = nn.gather_steps(x_bar, idx[None], context)
     gathered = cfg.stack_rows ** 2
     assert image.grad_channels == gathered and image.shape[2] == cfg.posterior_channels
     conv = (p["conv0.weight"], p["conv0.bias"])
@@ -744,7 +745,8 @@ def test_gather_steps_matches_composition_oracle(dtype, channels):
     rng = np.random.default_rng(40 + channels)
     b, t, r, n, lookahead = 3, 8, 5, 6, 2
     x = rng.standard_normal((b, t, r, n)).astype(dtype)
-    idx = np.broadcast_to(gather_index(t, lookahead)[2:7], (b, 5, 2 * lookahead + 1))
+    idx = np.broadcast_to(stack_index(np.arange(2, 7), lookahead, t - 1),
+                          (b, 5, 2 * lookahead + 1))
     ctx = _context(idx, n, channels, seed=channels).astype(dtype)
     got = nn.gather_steps(nn.Tensor(x), idx, ctx)
     assert got.dtype == dtype
@@ -791,7 +793,7 @@ def test_gather_steps_gradient_matches_add_at_oracle(dtype):
     x = rng.standard_normal((b, t, r, n)).astype(dtype)
     m = 2 * lookahead + 1
     for rows in (slice(0, t), slice(2, 5)):
-        idx = np.stack([gather_index(t, lookahead)[rows],
+        idx = np.stack([stack_index(np.arange(t)[rows], lookahead, t - 1),
                         rng.integers(0, t, size=(rows.stop - rows.start, m))])
         idx[1, 0] = 3
         p = nn.parameter(x.copy(), "x")

@@ -233,6 +233,52 @@ def test_no_dead_definitions_in_src():
     assert not found, "defined but never referenced: " + "; ".join(found)
 
 
+def unread_private_definitions(sources: dict[str, str]) -> list[str]:
+    """Module-level private functions and classes (_name) of the given
+    modules that no code in them reads outside the definition itself: one
+    that only its own body, or only the tests, read is dead."""
+    nodes = [(name, node) for name, source in sources.items()
+             for node in ast.parse(source).body]
+    reads = [_reads(node) for _, node in nodes]
+    return [f"{name} line {node.lineno}: {node.name}"
+            for i, (name, node) in enumerate(nodes)
+            if isinstance(node, _DEFS) and node.name.startswith("_")
+            and not node.name.startswith("__")
+            and not any(node.name in r for j, r in enumerate(reads) if j != i)]
+
+
+def test_unread_private_check_flags_what_it_should():
+    sources = {
+        "a.py": (
+            "def _used(): ...\n"
+            "def _recursive(n):\n"
+            "    return _recursive(n - 1)\n"   # only its own body reads it
+            "def _dead(): ...\n"
+            "class _Box:\n"
+            "    def make(self):\n"
+            "        return _Box()\n"          # the same, for a class
+            "def _imported(): ...\n"
+            "def _shadowed(): ...\n"
+            "def public(_shadowed):\n"
+            "    return _used(_shadowed)\n"    # the parameter, not the def
+            "def __getattr__(name): ...\n"     # a dunder is not private
+            "def unread(): ...\n"              # public: the dead-definition check's
+        ),
+        "b.py": "from a import _imported\nVALUE = _imported()\n",
+    }
+    assert unread_private_definitions(sources) == [
+        "a.py line 2: _recursive", "a.py line 4: _dead", "a.py line 5: _Box",
+        "a.py line 9: _shadowed",
+    ]
+
+
+def test_every_private_definition_in_src_is_read():
+    sources = {str(path.relative_to(SRC)): path.read_text(encoding="utf-8")
+               for path in sorted(SRC.rglob("*.py"))}
+    found = unread_private_definitions(sources)
+    assert not found, "private definitions src never reads: " + "; ".join(found)
+
+
 def gradient_writes(source: str) -> list[str]:
     """Writes into the incoming gradient inside a backward closure (a
     function named backward nested in another function): augmented

@@ -6,21 +6,21 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from rtsn.corpus import NormStats, compute_norm_stats, normalize
+from rtsn.corpus import NormStats, compute_norm_stats, normalize, read_wav, write_wav
 from rtsn.dsp import StftConfig, Waveform, decompose, lps_from_magnitude, stft
-from rtsn.model import ChunkData, RtsnConfig, forward_chunk, init_params
+from rtsn.model import ChunkData, RtsnConfig, chunk_from_frames, forward_chunk, init_params
 from rtsn import trainer
 from rtsn.trainer import (
     EarlyStopper,
     TrainConfig,
     UtteranceData,
     evaluate,
-    prepare_utterance,
+    load_utterances,
     sequence_loss,
     train,
 )
 
-from helpers import evaluate_pri, synth_noise, synth_voice
+from helpers import evaluate_pri, frame_stack, stacked_chunk, synth_noise, synth_voice
 
 TINY_STFT = StftConfig(frame_len=16, hop=8, fft_size=16)
 TINY = RtsnConfig(lookahead=1, n_bins=9, lstm_layers=2, lstm_units=8,
@@ -44,11 +44,8 @@ def make_utts(n, num_samples=1200, seed0=0, dtype=np.float64):
     stats = compute_norm_stats(lps_of(x) for x in noisys)
     out = []
     for c, x in zip(cleans, noisys):
-        out.append(prepare_utterance(
-            normalize(lps_of(x), stats).values,
-            normalize(lps_of(c), stats).values,
-            TINY.lookahead, dtype,
-        ))
+        out.append(UtteranceData(normalize(lps_of(x), stats).values.astype(dtype),
+                                 normalize(lps_of(c), stats).values.astype(dtype)))
     return out
 
 
@@ -88,19 +85,54 @@ def test_early_stopper_scripted():
 # ---------------------------------------------------------------------------
 
 
-def test_prepare_utterance_shapes():
-    rng = np.random.default_rng(0)
-    noisy = rng.standard_normal((12, 9))
-    clean = rng.standard_normal((12, 9))
-    utt = prepare_utterance(noisy, clean, lookahead=1, dtype=np.float64)
-    assert utt.noisy_ctx.shape == (12, 3, 9)
-    assert utt.clean_stack.shape == (12, 3, 9)
-    assert utt.num_frames == 12
-    # row lookahead of each step's stack is the step's own frame
-    assert np.array_equal(utt.noisy_ctx[:, 1], noisy)
-    assert np.array_equal(utt.clean_stack[:, 1], clean)
-    with pytest.raises(ValueError, match="shapes differ"):
-        prepare_utterance(noisy, clean[:-1], 1)
+def write_pair(root, noisy_samples=1200, clean_samples=1200, seed=0):
+    """A noisy and a clean WAV under root: their (noisy, clean) paths."""
+    clean = synth_voice(seed, max(noisy_samples, clean_samples))
+    paths = (str(root / f"noisy{seed}.wav"), str(root / f"clean{seed}.wav"))
+    write_wav(paths[0], Waveform((clean + synth_noise(seed + 50, clean.size))[:noisy_samples]))
+    write_wav(paths[1], Waveform(clean[:clean_samples]))
+    return paths
+
+
+def test_prepare_utterance_shapes(tmp_path):
+    # an utterance holds its normalized frames in the asked dtype
+    stats = NormStats(np.full(9, -2.0), np.full(9, 3.0))
+    pair = write_pair(tmp_path)
+    for dtype in (np.float64, np.float32):
+        (utt,) = load_utterances([pair], TINY_STFT, stats, TINY.lookahead, dtype)
+        assert utt.num_frames == TINY_STFT.num_frames(1200)
+        for got, path in zip((utt.noisy, utt.clean), pair):
+            want = normalize(lps_of(read_wav(path).samples), stats).values.astype(dtype)
+            assert got.dtype == dtype and np.array_equal(got, want)
+    uneven = write_pair(tmp_path, 1200, 1272, seed=2)
+    with pytest.raises(ValueError, match=r"frame shapes differ: \(151, 9\) vs \(160, 9\)$"):
+        load_utterances([uneven], TINY_STFT, stats, TINY.lookahead)
+
+
+def test_load_utterances_holds_two_frame_arrays(tmp_path):
+    # no stacks: at most 2 T N itemsize bytes per utterance, where storing
+    # both frame stacks held 2 (2 lookahead + 1) times that
+    stats = NormStats(np.zeros(9), np.ones(9))
+    pairs = [write_pair(tmp_path, n, n, seed=i) for i, n in enumerate((800, 1200, 2000))]
+    for dtype in (np.float32, np.float64):
+        utts = load_utterances(pairs, TINY_STFT, stats, 4, dtype)
+        for utt in utts:
+            held = sum(v.nbytes for v in vars(utt).values() if isinstance(v, np.ndarray))
+            assert held <= 2 * utt.num_frames * 9 * np.dtype(dtype).itemsize
+
+
+@pytest.mark.parametrize("noisy_samples, clean_samples, message", [
+    (5, 1200, "{noisy}: signal too short to reflect-pad: 5 < 9 samples"),
+    (1200, 7, "{clean}: signal too short to reflect-pad: 7 < 9 samples"),
+    (1200, 1280, "{noisy}, {clean}: noisy/clean frame shapes differ: (151, 9) vs (161, 9)"),
+], ids=["short_noisy", "short_clean", "frames_differ"])
+def test_load_utterances_names_the_file(tmp_path, noisy_samples, clean_samples, message):
+    noisy, clean = write_pair(tmp_path, noisy_samples, clean_samples)
+    stats = NormStats(np.zeros(9), np.ones(9))
+    with pytest.raises(ValueError) as err:
+        load_utterances([write_pair(tmp_path, seed=1), (noisy, clean)], TINY_STFT,
+                        stats, TINY.lookahead)
+    assert str(err.value) == message.format(noisy=noisy, clean=clean)
 
 
 def test_padded_chunk_loss_ignores_padding_contents():
@@ -135,6 +167,34 @@ def test_evaluate_is_frame_weighted():
     assert_allclose(evaluate(params, utts), want, rtol=1e-12, atol=0)
     with pytest.raises(ValueError, match="no frames"):
         evaluate(params, [])
+
+
+@pytest.mark.parametrize("frames", [1, 4, 150])
+def test_validation_chunk_matches_stacked_layout(monkeypatch, frames):
+    # sequence_loss runs the stored-stack layout's whole-utterance chunk,
+    # and its loss is byte-equal to a forward over the stacks with no valid
+    # counts, as validation ran before chunk_from_frames.
+    cfg = replace(TINY, lookahead=4)
+    params = init_params(cfg, TINY_STFT, seed=1, dtype=np.float32)
+    rng = np.random.default_rng(frames)
+    utt = UtteranceData(*rng.standard_normal((2, frames, 9)).astype(np.float32))
+    seen = []
+    real = trainer.forward_chunk
+
+    def spy(params, data, state=None):
+        seen.append(data)
+        return real(params, data, state)
+
+    monkeypatch.setattr(trainer, "forward_chunk", spy)
+    loss, count = sequence_loss(params, utt)
+    (data,) = seen
+    want = stacked_chunk([utt.noisy], [utt.clean], [0], frames, cfg.lookahead)
+    assert np.array_equal(data.noisy_ctx, want.noisy_ctx)
+    assert np.array_equal(data.clean_stack, want.clean_stack)
+    assert np.array_equal(data.valid, want.valid)
+    stored = ChunkData(frame_stack(utt.noisy, cfg.lookahead)[None],
+                       frame_stack(utt.clean, cfg.lookahead)[None])
+    assert (loss, count) == (real(params.frozen(), stored).loss.total.item(), frames)
 
 
 def test_evaluate_pri_is_unweighted_stack_error():
@@ -212,31 +272,33 @@ def test_train_rejects_empty_sets():
 def test_train_rejects_non_finite_inputs():
     cfg = TrainConfig(unroll_steps=16, utterances_per_batch=2, max_epochs=1)
     utts = make_utts(2, 800)
-    utts[0].noisy_ctx[3, TINY.lookahead, 0] = np.nan  # frame 3, a prior input
+    utts[0].noisy[3, 0] = np.nan  # frame 3, a prior input before any context
     with pytest.raises(FloatingPointError,
                        match="^epoch 1 step 1: non-finite values in tensor windows$"):
         train(tiny_params(), (utts[:1], utts[1:]), cfg)
     with pytest.raises(FloatingPointError,
                        match="^epoch 1 validation: non-finite values in tensor windows$"):
         train(tiny_params(), (utts[1:], utts[:1]), cfg)
-    utts[0].noisy_ctx[3, TINY.lookahead, 0] = 0.0
-    utts[0].noisy_ctx[3, 0, 0] = np.inf  # posterior context only
-    with pytest.raises(FloatingPointError, match="^epoch 1 step 1: .* tensor noisy_ctx$"):
-        train(tiny_params(), (utts[:1], utts[1:]), cfg)
+    # every frame is some step's prior input, so only a chunk whose context
+    # alone is non-finite reaches the posterior's check
+    utts[0].noisy[3, 0] = 0.0
+    data = chunk_from_frames([utts[0].noisy], [utts[0].clean], [0], 16, TINY.lookahead)
+    data.noisy_ctx[0, 3, 0, 0] = np.inf  # frame 2 in step 3's context only
+    with pytest.raises(FloatingPointError, match="^non-finite values in tensor noisy_ctx$"):
+        forward_chunk(tiny_params(), data)
 
 
 def test_lane_walks_its_utterance_by_start_frame(monkeypatch):
     # one lane over one utterance for two epochs: each step's valid count,
-    # the frame its chunk starts at (found from the chunk's first row) and
-    # whether the lane's LSTM state entered the step zeroed
+    # the frame its chunk starts at (found from the chunk's first step's
+    # own frame) and whether the lane's LSTM state entered the step zeroed
     seen = []
     real = trainer.forward_chunk
 
     def spy(params, data, state=None):
         if state is not None:  # a training step, not validation
-            first = data.noisy_ctx[0, 0]
-            start = [t for t in range(len(utt.noisy_ctx))
-                     if np.array_equal(utt.noisy_ctx[t], first)]
+            first = data.noisy_ctx[0, 0, TINY.lookahead]
+            start = [t for t in range(utt.num_frames) if np.array_equal(utt.noisy[t], first)]
             zeroed = not any(arr[0].any() for arr in state[0] + state[1])
             seen.append((int(data.valid[0]), start, zeroed))
         return real(params, data, state)
@@ -245,9 +307,8 @@ def test_lane_walks_its_utterance_by_start_frame(monkeypatch):
     cfg = TrainConfig(unroll_steps=64, utterances_per_batch=1, max_epochs=2, patience=5)
     rng = np.random.default_rng(5)
     for frames, valid, starts in [(130, [64, 64, 2], [0, 64, 128]), (1, [1], [0])]:
-        utt = prepare_utterance(rng.standard_normal((frames, 9)),
-                                rng.standard_normal((frames, 9)), TINY.lookahead,
-                                np.float64)
+        utt = UtteranceData(rng.standard_normal((frames, 9)),
+                            rng.standard_normal((frames, 9)))
         seen.clear()
         train(tiny_params(), ([utt], [utt]), cfg)
         walk = [(v, [s], s == 0) for v, s in zip(valid, starts)]
@@ -257,7 +318,7 @@ def test_lane_walks_its_utterance_by_start_frame(monkeypatch):
 def test_train_rejects_zero_frame_utterances():
     cfg = TrainConfig(unroll_steps=16, utterances_per_batch=2, max_epochs=1)
     utts = make_utts(2, 800)
-    empty = prepare_utterance(np.zeros((0, 9)), np.zeros((0, 9)), TINY.lookahead)
+    empty = UtteranceData(np.zeros((0, 9)), np.zeros((0, 9)))
     with pytest.raises(ValueError, match="^training utterance 1 has no frames$"):
         train(tiny_params(), ([utts[0], empty], utts[1:]), cfg)
     with pytest.raises(ValueError, match="^validation utterance 0 has no frames$"):
@@ -278,9 +339,8 @@ def test_train_step_graph_dies_before_the_next_step():
         # every lane exhausts its utterance in one chunk, so steps * lanes
         # utterances of unroll frames make an epoch of `steps` steps
         rng = np.random.default_rng(0)
-        utts = [prepare_utterance(rng.standard_normal((unroll, 9)),
-                                  rng.standard_normal((unroll, 9)), TINY.lookahead,
-                                  np.float64)
+        utts = [UtteranceData(rng.standard_normal((unroll, 9)),
+                              rng.standard_normal((unroll, 9)))
                 for _ in range(steps * lanes + 1)]
         params = init_params(config, TINY_STFT, NormStats(np.zeros(9), np.ones(9)),
                              seed=0, dtype=np.float64)
