@@ -104,16 +104,16 @@ def cmd_train(args: argparse.Namespace) -> int:
 
 def cmd_enhance(args: argparse.Namespace) -> int:
     params = load_checkpoint(args.model)
-    noisy = corpus_mod.read_wav(args.infile)
+    noisy = corpus_mod.read_signal(args.infile, params.stft)
     enhanced, _ = enhance_utterance(params, noisy, gla_iters=args.gla)
     corpus_mod.write_wav(args.out, enhanced)
     return 0
 
 
 def cmd_eval(args: argparse.Namespace) -> int:
-    ref = corpus_mod.read_wav(args.ref)
-    deg = corpus_mod.read_wav(args.deg)
     cfg = StftConfig()
+    ref = corpus_mod.read_signal(args.ref, cfg)
+    deg = corpus_mod.read_signal(args.deg, cfg)
     ref_lps = lps_from_magnitude(decompose(stft(ref, cfg))[0])
     deg_lps = lps_from_magnitude(decompose(stft(deg, cfg))[0])
     print(f"snr={float(evalkit.global_snr(ref, deg))!r}")
@@ -123,7 +123,7 @@ def cmd_eval(args: argparse.Namespace) -> int:
 
 
 def cmd_spectrogram(args: argparse.Namespace) -> int:
-    w = corpus_mod.read_wav(args.infile)
+    w = corpus_mod.read_signal(args.infile, StftConfig())
     evalkit.emit_spectrogram_image(w, args.out)
     return 0
 

@@ -23,6 +23,7 @@ from .dsp import (
     LpsSequence,
     StftConfig,
     Waveform,
+    check_signal,
     decompose,
     lps_from_magnitude,
     stft,
@@ -66,6 +67,17 @@ def read_wav(path: str | os.PathLike) -> Waveform:
                          f"{declared} declared samples")
     samples = np.frombuffer(raw, dtype="<i2").astype(np.float64) / PCM_SCALE
     return Waveform(samples, rate)
+
+
+def read_signal(path: str | os.PathLike, config: StftConfig) -> Waveform:
+    """read_wav, then the checks stft makes (check_signal), every error
+    naming the file."""
+    w = read_wav(path)
+    try:
+        check_signal(w, config)
+    except ValueError as e:
+        raise ValueError(f"{path}: {e}") from None
+    return w
 
 
 def write_wav(path: str | os.PathLike, w: Waveform) -> None:

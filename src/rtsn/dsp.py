@@ -130,9 +130,8 @@ class LpsSequence:
 # ---------------------------------------------------------------------------
 
 
-def stft(w: Waveform, config: StftConfig | None = None) -> ComplexSpectrogram:
-    """Analyze a waveform into overlapping windowed DFT frames."""
-    config = config or StftConfig()
+def check_signal(w: Waveform, config: StftConfig) -> None:
+    """Raise a ValueError unless stft can analyze w under config."""
     if w.sample_rate_hz != REQUIRED_SAMPLE_RATE:
         raise ValueError(f"sample rate {w.sample_rate_hz} unsupported (need 8000 Hz)")
     x = w.samples
@@ -144,12 +143,18 @@ def stft(w: Waveform, config: StftConfig | None = None) -> ComplexSpectrogram:
         raise ValueError(
             f"signal too short to reflect-pad: {x.size} < {config.pad + 1} samples"
         )
-    padded = np.pad(x, config.pad, mode="reflect")
+
+
+def stft(w: Waveform, config: StftConfig | None = None) -> ComplexSpectrogram:
+    """Analyze a waveform into overlapping windowed DFT frames."""
+    config = config or StftConfig()
+    check_signal(w, config)
+    padded = np.pad(w.samples, config.pad, mode="reflect")
     frames = np.lib.stride_tricks.sliding_window_view(padded, config.frame_len)
     frames = frames[:: config.hop]
     windowed = frames * config.window_values
     coeffs = np.fft.rfft(windowed, n=config.fft_size, axis=1)
-    return ComplexSpectrogram(coeffs, config, x.size)
+    return ComplexSpectrogram(coeffs, config, w.samples.size)
 
 
 def istft(s: ComplexSpectrogram) -> Waveform:

@@ -272,14 +272,14 @@ class ChunkData:
         whole stack is the posterior's noisy context.
     clean_stack: (B, U, R, N) clean frame stacks, the prior's targets; row
         lookahead (frame t) is the posterior's target.  None for inference.
-    valid: (B,) number of real leading steps per lane, or None when every
-        step is real.  The posterior gather never reads past them and the
-        loss masks the steps after them.
+    valid: (B,) number of real leading steps per lane, U when every step
+        is real.  The posterior gather never reads past them and the loss
+        masks the steps after them.
     """
 
     noisy_ctx: np.ndarray
-    clean_stack: np.ndarray | None = None
-    valid: np.ndarray | None = None
+    clean_stack: np.ndarray | None
+    valid: np.ndarray
 
 
 @dataclass
@@ -355,9 +355,8 @@ def forward_chunk(params: RtsnParams, data: ChunkData,
                     .reshape(batch, steps, -1), state)
     n_bins = params.config.n_bins
     x_bar = nn.reshape(stacks, (batch, steps, params.config.stack_rows, n_bins))
-    top = steps - 1 if data.valid is None else data.valid[:, None, None] - 1
-    gather_idx = np.broadcast_to(stack_index(np.arange(steps), lookahead, top),
-                                 (batch, steps, params.config.stack_rows))
+    # (B, U, R): each lane's stacks clamped to its valid steps
+    gather_idx = stack_index(np.arange(steps), lookahead, data.valid[:, None, None] - 1)
     # the posterior's context enters as a named constant, as the prior's
     # windows do, so a non-finite value in it is reported by that name
     context = nn.Tensor(noisy_ctx, name="noisy_ctx").data
@@ -370,7 +369,7 @@ def forward_chunk(params: RtsnParams, data: ChunkData,
     x_hat = nn.concat(blocks, axis=1)
     loss = None
     if data.clean_stack is not None:
-        mask = None if data.valid is None else np.arange(steps) < data.valid[:, None]
+        mask = np.arange(steps) < data.valid[:, None]
         # The loss reads the flat stacks, not x_bar: the blocks' gather
         # gradients sum in block order into x_bar, and the stack error's
         # gradient is added to that whole sum at the projection.
@@ -391,8 +390,8 @@ def _check_chunk(config: RtsnConfig, data: ChunkData) -> tuple[int, int]:
             f"noisy_ctx shape {shape}")
     batch, steps = shape[:2]
     valid = data.valid
-    if valid is not None and not (
-            valid.shape == (batch,) and np.issubdtype(valid.dtype, np.integer)
+    if not (isinstance(valid, np.ndarray) and valid.shape == (batch,)
+            and np.issubdtype(valid.dtype, np.integer)
             and np.all((valid >= 1) & (valid <= steps))):
         raise ValueError(
             f"valid must be {batch} integer step counts in 1..{steps}, got {valid!r}")
@@ -400,14 +399,14 @@ def _check_chunk(config: RtsnConfig, data: ChunkData) -> tuple[int, int]:
 
 
 def mol_loss(pred_frames, target_frames, pred_stacks, target_stacks,
-             prior_weight: float, mask: np.ndarray | None = None) -> LossOut:
+             prior_weight: float, mask: np.ndarray) -> LossOut:
     """Mean over frames of posterior error plus weighted stack error.
 
     Per frame: squared distance between the enhanced and clean frame, plus
     prior_weight times the squared Frobenius distance between the emitted
-    stack and the clean frame stack.  A mask of zeros drops padded frames
-    from both terms.  The total is one nn.stack_loss node over the two
-    predictions.
+    stack and the clean frame stack.  mask (...) holds each frame's 0/1
+    weight: a zero drops a padded frame from both terms.  The total is one
+    nn.stack_loss node over the two predictions.
     """
     total, post_sum, pri_sum, count = nn.stack_loss(
         pred_frames, target_frames, pred_stacks, target_stacks, prior_weight, mask)

@@ -6,12 +6,12 @@ closure that returns its parents' gradients in parent order, None for a
 constant input it skips; the engine's grads_for sums them.  Finite-difference
 tests in the suite check every one of them.
 
-The heavy loops, the conv GEMMs, their bias sums, the SELU passes, the
-posterior image's copies and the LSTM stack's blocks, run on a small pool
-of worker threads without changing a byte (see the worker pool section
-below); everything else runs on the calling thread.  A pool thread only
-ever runs a share of one layer's work, never a layer itself, so every
-public layer and every backward closure is entered on the calling thread.
+The heavy loops, the conv GEMMs, the SELU passes, the posterior image's
+copies and the LSTM stack's blocks, run on a small pool of worker threads
+without changing a byte (see the worker pool section below); everything
+else runs on the calling thread.  A pool thread only ever runs a share of
+one layer's work, never a layer itself, so every public layer and every
+backward closure is entered on the calling thread.
 
 Aliasing: a node's value may share memory with its parent's only where no
 backward reads what was overwritten.  selu(x, out=x.data) writes over its
@@ -197,21 +197,14 @@ def selu(x, out: np.ndarray | None = None) -> Tensor:
     return _node(out, (x,), backward, "selu")
 
 
-def linear(x, weight, bias=None) -> Tensor:
-    """y = x @ weight.T (+ bias); weight is (out, in)."""
-    x, weight = as_tensor(x), as_tensor(weight)
-    out = x.data @ weight.data.T
-    parents = (x, weight)
-    if bias is not None:
-        bias = as_tensor(bias)
-        out = out + bias.data
-        parents = (x, weight, bias)
+def linear(x, weight, bias) -> Tensor:
+    """y = x @ weight.T + bias; weight is (out, in)."""
+    x, weight, bias = as_tensor(x), as_tensor(weight), as_tensor(bias)
 
     def backward(g):
-        grads = (g @ weight.data, g.T @ x.data)
-        return grads if bias is None else grads + (g.sum(axis=0),)
+        return g @ weight.data, g.T @ x.data, g.sum(axis=0)
 
-    return _node(out, parents, backward, "linear")
+    return _node(x.data @ weight.data.T + bias.data, (x, weight, bias), backward, "linear")
 
 
 # Rows (batch x steps) per block of the LSTM stack's wavefront.  A block is
@@ -502,23 +495,6 @@ def _kernel_grad(x: np.ndarray, g: np.ndarray, k: int) -> np.ndarray:
     return gw
 
 
-def _bias_grad(g: np.ndarray) -> np.ndarray:
-    """g.sum(axis=0) of a (rows, O) g, one contiguous span of columns per
-    worker.  numpy sums a span of two or more columns in the order it sums
-    the whole array, so the bytes are the same; it sums a single column
-    pairwise, so no span is one column unless the whole array is."""
-    width = g.shape[1]
-    parts = max(1, min(_workers()[0], width // 2))
-    gb = np.empty(width, dtype=g.dtype)
-
-    def span(i):
-        cols = slice(width * i // parts, width * (i + 1) // parts)
-        np.sum(g[:, cols], axis=0, out=gb[cols])
-
-    _run_shares(span, range(parts))
-    return gb
-
-
 def conv1d_freq(x, kernels, bias) -> Tensor:
     """Cross-correlation along frequency with zero padding h = (k-1)/2.
 
@@ -536,9 +512,9 @@ def conv1d_freq(x, kernels, bias) -> Tensor:
     (frames, bins, grad_channels), by W' cut to their columns: each column
     of a GEMM is formed as in the whole product, so its bytes are the same.
     The row blocks of both GEMMs (each adding the bias to its own rows) and
-    of dW, and dbias's columns, are shared out among the worker threads
-    (RTSN_THREADS), dW's products added in block order, so the bytes are
-    the same at every worker count.
+    of dW are shared out among the worker threads (RTSN_THREADS), dW's
+    products added in block order, so the bytes are the same at every
+    worker count.
 
     The backward never reads the output, so a following selu may write
     over it (selu's out=): the node's value is then the SELU's output.
@@ -563,7 +539,7 @@ def conv1d_freq(x, kernels, bias) -> Tensor:
             used = c_in if x.grad_channels is None else x.grad_channels
             flipped = kernels.data[:, :used, ::-1].transpose(2, 0, 1).reshape(k * c_out, used)
             gx = _correlate(g.reshape(frames, n, c_out), flipped, k).reshape(frames, n, used)
-        return gx, gw.reshape(k, c_in, c_out).transpose(2, 1, 0), _bias_grad(g)
+        return gx, gw.reshape(k, c_in, c_out).transpose(2, 1, 0), g.sum(axis=0)
 
     return _node(out.reshape(frames, n, c_out), (x, kernels, bias), backward,
                  "conv1d_freq")
@@ -635,12 +611,12 @@ def gather_steps(x, idx: np.ndarray, context: np.ndarray) -> Tensor:
 
 
 def stack_loss(frames, target_frames, stacks, target_stacks, prior_weight: float,
-               mask: np.ndarray | None = None):
+               mask: np.ndarray):
     """The training objective as one node: (total, post_sum, pri_sum, count).
 
     frames (..., N) and stacks (..., R, N) are the predictions, stacks in
     any shape of target_stacks' size (read in its shape); the targets and
-    the mask (...) of 0/1 frame weights, all ones when None, are constants.
+    the mask (...) of 0/1 frame weights are constants.
     With count = sum(mask) and per frame the squared errors
       post = |frames - target_frames|^2,  pri = |stacks - target_stacks|^2,
     post_sum and pri_sum are the masked sums of post and pri in the
@@ -652,8 +628,7 @@ def stack_loss(frames, target_frames, stacks, target_stacks, prior_weight: float
     """
     frames, stacks = as_tensor(frames), as_tensor(stacks)
     dtype = frames.dtype
-    m = (np.ones(frames.shape[:-1], dtype=dtype) if mask is None
-         else np.asarray(mask, dtype=dtype))
+    m = np.asarray(mask, dtype=dtype)
     count = float(m.sum())
     if count <= 0:
         raise ValueError("mask excludes every frame")

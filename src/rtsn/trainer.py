@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import neural as nn
-from .corpus import Corpus, NormStats, normalize, read_wav
+from .corpus import Corpus, NormStats, normalize, read_signal
 from .dsp import StftConfig, decompose, lps_from_magnitude, stft
 from .model import RtsnParams, chunk_from_frames, forward_chunk, zero_state
 
@@ -87,11 +87,7 @@ class UtteranceData:
 
 
 def _wav_to_norm_lps(path: str, stft_config: StftConfig, stats: NormStats) -> np.ndarray:
-    wav = read_wav(path)  # whose errors name the file already
-    try:
-        spec = stft(wav, stft_config)
-    except ValueError as e:
-        raise ValueError(f"{path}: {e}") from None
+    spec = stft(read_signal(path, stft_config), stft_config)  # errors name the file
     return normalize(lps_from_magnitude(decompose(spec)[0]), stats).values
 
 

@@ -477,7 +477,8 @@ def enhance_one_block(params, lps) -> np.ndarray:
     frame's assemble_posterior_input stack, over the model's own prior
     outputs, through the conv stack at once."""
     values = _values(lps).astype(params.dtype, copy=False)
-    data = ChunkData(frame_stack(values, params.config.lookahead)[None])
+    data = ChunkData(frame_stack(values, params.config.lookahead)[None], None,
+                     np.full(1, len(values)))
     stacks = forward_chunk(params.frozen(), data).x_bar.data[0]
     v = np.stack([assemble_posterior_input(stacks, values, t)
                   for t in range(values.shape[0])])

@@ -11,9 +11,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from rtsn import cli
-from rtsn.corpus import read_wav, write_wav
+from rtsn.corpus import NormStats, read_wav, write_wav
 from rtsn.dsp import StftConfig, Waveform
-from rtsn.model import RtsnConfig
+from rtsn.model import RtsnConfig, init_params, save_checkpoint
 from rtsn.settings import format_settings, parse_settings, schema
 from rtsn.trainer import TrainConfig
 
@@ -163,6 +163,26 @@ def test_wav_cut_short_fails_cleanly(tmp_path, capsys, keep, message):
     rc, out, err = run(["build-corpus", "--manifest", tmp_path / "manifest.csv"], capsys)
     assert rc == 1
     assert err.count("\n") == 1 and f"{bad}: {message}" in err
+
+
+@pytest.mark.parametrize("command", ["spectrogram", "eval_ref", "eval_deg", "enhance"])
+def test_wav_too_short_to_analyze_names_the_file(tmp_path, capsys, command):
+    # a 60-sample WAV reads fine but is shorter than the STFT's reflect pad
+    # (101 samples at the defaults): each command that analyzes it exits 1
+    # with one stderr line naming it, and writes nothing
+    make_inputs(tmp_path)
+    short, ok, out = tmp_path / "short.wav", tmp_path / "sp0.wav", tmp_path / "out"
+    write_wav(short, Waveform(synth_voice(101, 60)))
+    model = tmp_path / "model.ckpt"
+    save_checkpoint(init_params(RtsnConfig(), norm=NormStats(np.zeros(129), np.ones(129))),
+                    model)
+    argv = {"spectrogram": ["spectrogram", "--in", short, "--out", out],
+            "eval_ref": ["eval", "--ref", short, "--deg", ok],
+            "eval_deg": ["eval", "--ref", ok, "--deg", short],
+            "enhance": ["enhance", "--model", model, "--in", short, "--out", out]}[command]
+    assert run(argv, capsys) == (
+        1, "", f"error: {short}: signal too short to reflect-pad: 60 < 101 samples\n")
+    assert not out.exists()
 
 
 # ---------------------------------------------------------------------------

@@ -279,6 +279,79 @@ def test_every_private_definition_in_src_is_read():
     assert not found, "private definitions src never reads: " + "; ".join(found)
 
 
+def _loaded_names(nodes) -> set[str]:
+    """Names the nodes load, less each load inside a nested function that
+    rebinds the name as a parameter or def of its own."""
+    loads = set()
+
+    def visit(node, local):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load) \
+                and node.id not in local:
+            loads.add(node.id)
+        elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            local = local | _local_names(node)
+        for child in ast.iter_child_nodes(node):
+            visit(child, local)
+
+    for node in nodes:
+        visit(node, frozenset())
+    return loads
+
+
+def unread_parameters(source: str) -> list[str]:
+    """Parameters of the functions and lambdas in source that their body
+    never loads (_loaded_names): a load in a closure counts."""
+    found = []
+    for fn in ast.walk(ast.parse(source)):
+        if not isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            continue
+        loads = _loaded_names([fn.body] if isinstance(fn, ast.Lambda) else fn.body)
+        a = fn.args
+        found += [f"line {fn.lineno}: {getattr(fn, 'name', 'lambda')}({arg.arg})"
+                  for arg in a.posonlyargs + a.args + a.kwonlyargs + [a.vararg, a.kwarg]
+                  if arg is not None and arg.arg not in loads]
+    return found
+
+
+def test_unread_parameter_check_flags_what_it_should():
+    source = (
+        "def f(a, b, *args, c, d=1, **kw):\n"
+        "    b = 2\n"                          # only stored
+        "    return a, d, kw\n"
+        "def outer(x, y):\n"
+        "    def inner(y):\n"
+        "        return x, y\n"                # x read in a closure; inner's own y
+        "    return inner\n"
+        "class Box:\n"
+        "    def method(self, unused):\n"
+        "        return self.unused\n"         # an attribute, not the parameter
+        "    def stub(self): ...\n"
+        "g = lambda u, v: u\n"
+    )
+    assert unread_parameters(source) == [
+        "line 1: f(b)", "line 1: f(c)", "line 1: f(args)", "line 4: outer(y)",
+        "line 9: method(unused)", "line 11: stub(self)", "line 12: lambda(v)",
+    ]
+
+
+# Parameters src may leave unread, with the reason each is kept.
+UNREAD_PARAMETERS_KEPT = {
+    # bench/workloads.py passes lookahead positionally; it goes with the
+    # next change to the benchmark
+    "rtsn/trainer.py": ["load_utterances(lookahead)"],
+}
+
+
+def test_every_parameter_in_src_is_read():
+    found = []
+    for path in sorted(SRC.rglob("*.py")):
+        name = str(path.relative_to(SRC))
+        kept = UNREAD_PARAMETERS_KEPT.get(name, [])
+        found += [f"{name} {hit}" for hit in unread_parameters(path.read_text(encoding="utf-8"))
+                  if hit.split(": ", 1)[1] not in kept]
+    assert not found, "parameters never read: " + "; ".join(found)
+
+
 def gradient_writes(source: str) -> list[str]:
     """Writes into the incoming gradient inside a backward closure (a
     function named backward nested in another function): augmented

@@ -172,8 +172,8 @@ def test_evaluate_is_frame_weighted():
 @pytest.mark.parametrize("frames", [1, 4, 150])
 def test_validation_chunk_matches_stacked_layout(monkeypatch, frames):
     # sequence_loss runs the stored-stack layout's whole-utterance chunk,
-    # and its loss is byte-equal to a forward over the stacks with no valid
-    # counts, as validation ran before chunk_from_frames.
+    # and its loss is byte-equal to a forward over the stacks with every
+    # step valid, as validation ran before chunk_from_frames.
     cfg = replace(TINY, lookahead=4)
     params = init_params(cfg, TINY_STFT, seed=1, dtype=np.float32)
     rng = np.random.default_rng(frames)
@@ -193,7 +193,7 @@ def test_validation_chunk_matches_stacked_layout(monkeypatch, frames):
     assert np.array_equal(data.clean_stack, want.clean_stack)
     assert np.array_equal(data.valid, want.valid)
     stored = ChunkData(frame_stack(utt.noisy, cfg.lookahead)[None],
-                       frame_stack(utt.clean, cfg.lookahead)[None])
+                       frame_stack(utt.clean, cfg.lookahead)[None], np.full(1, frames))
     assert (loss, count) == (real(params.frozen(), stored).loss.total.item(), frames)
 
 
