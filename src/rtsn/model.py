@@ -33,7 +33,8 @@ _expected_shapes is the one table of parameter names and shapes: it fixes
 the initialization draw order, the checkpoint tensor order and the
 tensors an RtsnParams holds.  The forward reads each tensor from
 params.tensors by its name in that table (lstm{i}.w_in, proj.weight,
-conv{i}.bias, ...); there are no per-layer parameter objects.
+conv{i}.bias, ...); there are no per-layer parameter objects.  _assemble
+builds every RtsnParams, and checks its framing, statistics and tensors.
 """
 from __future__ import annotations
 
@@ -92,11 +93,12 @@ class RtsnConfig:
             )
         if self.n_bins < 1 or self.lstm_layers < 1 or self.lstm_units < 1:
             raise ValueError("n_bins, lstm_layers, lstm_units must be positive")
-        if self.conv_kernel % 2 != 1:
-            raise ValueError(f"conv_kernel must be odd, got {self.conv_kernel}")
-        if not self.conv_channels or self.conv_channels[-1] != 1:
+        if self.conv_kernel < 1 or self.conv_kernel % 2 != 1:
+            raise ValueError(f"conv_kernel must be odd and >= 1, got {self.conv_kernel}")
+        if not self.conv_channels or self.conv_channels[-1] != 1 \
+                or min(self.conv_channels) < 1:
             raise ValueError(
-                f"conv_channels must end in 1, got {self.conv_channels}"
+                f"conv_channels must be >= 1 and end in 1, got {self.conv_channels}"
             )
         if self.gla_iters < 0:
             raise ValueError(f"gla_iters must be >= 0, got {self.gla_iters}")
@@ -138,14 +140,16 @@ def _expected_shapes(config: RtsnConfig) -> dict[str, tuple[int, ...]]:
 
 @dataclass
 class RtsnParams:
-    """Model parameters: tensors maps each name of _expected_shapes, in its
-    order, to a tensor of that shape, and the forward looks each one up by
-    that name (lstm0.w_in, conv2.bias, ...)."""
+    """A whole model: its config, the STFT framing and the per-bin
+    normalization statistics it works in, and tensors, which maps each name
+    of _expected_shapes, in its order, to a tensor of that shape.  The
+    forward looks each one up by that name (lstm0.w_in, conv2.bias, ...).
+    Only _assemble builds one, so every model is checked."""
 
     config: RtsnConfig
     stft: StftConfig
     tensors: dict[str, nn.Tensor]
-    norm: NormStats | None = None
+    norm: NormStats
 
     @property
     def dtype(self):
@@ -166,34 +170,41 @@ class RtsnParams:
 
 
 def _assemble(config: RtsnConfig, stft_config: StftConfig,
-              arrays: dict[str, np.ndarray], norm: NormStats | None,
+              arrays: dict[str, np.ndarray], norm: NormStats,
               make=nn.parameter) -> RtsnParams:
-    """RtsnParams holding make(arrays[name], name) for every name of
-    _expected_shapes, in its order; other entries of arrays are ignored."""
+    """The one check of a model: RtsnParams holding make(arrays[name], name)
+    for every name of _expected_shapes, in its order.  Framing or
+    statistics whose bin count is not config.n_bins, and a missing,
+    misshapen or unknown entry of arrays, each raise a named ValueError."""
+    if config.n_bins != stft_config.n_bins:
+        raise ValueError(f"config n_bins {config.n_bins} does not match "
+                         f"fft_size {stft_config.fft_size}")
+    if norm.mean.shape != (config.n_bins,):
+        raise ValueError(f"statistics have {norm.mean.size} bins, "
+                         f"config n_bins is {config.n_bins}")
+    shapes = _expected_shapes(config)
+    for name, shape in shapes.items():
+        if name not in arrays:
+            raise ValueError(f"missing tensor {name}")
+        if arrays[name].shape != shape:
+            raise ValueError(f"tensor {name} has shape {arrays[name].shape}, "
+                             f"expected {shape}")
+    surplus = sorted(set(arrays) - set(shapes))
+    if surplus:
+        raise ValueError(f"unexpected tensors {surplus}")
     return RtsnParams(config, stft_config,
-                      {name: make(arrays[name], name) for name in _expected_shapes(config)},
-                      norm)
+                      {name: make(arrays[name], name) for name in shapes}, norm)
 
 
-def init_params(
-    config: RtsnConfig,
-    stft_config: StftConfig | None = None,
-    norm: NormStats | None = None,
-    seed: int = 0,
-    dtype=np.float32,
-) -> RtsnParams:
-    """Seeded uniform(-1/sqrt(fan_in), +1/sqrt(fan_in)) initialization.
+def init_params(config: RtsnConfig, stft_config: StftConfig, norm: NormStats,
+                seed: int = 0, dtype=np.float32) -> RtsnParams:
+    """A model of config over stft_config's framing and norm's statistics,
+    with seeded uniform(-1/sqrt(fan_in), +1/sqrt(fan_in)) weights.
 
     Weights are drawn in _expected_shapes order with fan_in the product of
     all but their first dimension.  Biases start at zero except the LSTM
     forget gates, which start at one.
     """
-    stft_config = stft_config or StftConfig()
-    if config.n_bins != stft_config.n_bins:
-        raise ValueError(
-            f"model expects {config.n_bins} bins but stft yields "
-            f"{stft_config.n_bins}"
-        )
     rng = np.random.default_rng(seed)
     h = config.lstm_units
     arrays = {}
@@ -434,8 +445,6 @@ def enhance_utterance(
     gla_iters overrides the configured iteration count; 0 keeps the noisy
     phase as-is.
     """
-    if params.norm is None:
-        raise ValueError("model has no normalization statistics")
     spec = stft(noisy, params.stft)
     magnitude, phase = decompose(spec)
     noisy_lps = lps_from_magnitude(magnitude)
@@ -455,8 +464,6 @@ def enhance_utterance(
 
 def save_checkpoint(params: RtsnParams, path) -> None:
     """Binary checkpoint: magic, version, config text, named f32 tensors."""
-    if params.norm is None:
-        raise ValueError("cannot save a checkpoint without normalization statistics")
     arrays = [(name, t.data) for name, t in params.tensors.items()]
     arrays += [("norm.mean", params.norm.mean), ("norm.std", params.norm.std)]
     config_bytes = format_settings(params.config, params.stft).encode("utf-8")
@@ -503,12 +510,6 @@ def load_checkpoint(path) -> RtsnParams:
     missing = [k for k in keys if k not in values]
     if missing:
         raise ValueError(f"{path}: checkpoint config missing keys {missing}")
-    config, stft_config = build(RtsnConfig, values), build(StftConfig, values)
-    if config.n_bins != stft_config.n_bins:
-        raise ValueError(
-            f"{path}: config n_bins {config.n_bins} does not match "
-            f"fft_size {stft_config.fft_size}"
-        )
     (count,) = struct.unpack("<I", take(4, "tensor table"))
     tensors: dict[str, np.ndarray] = {}
     for _ in range(count):
@@ -521,24 +522,16 @@ def load_checkpoint(path) -> RtsnParams:
         tensors[name] = np.frombuffer(raw, dtype="<f4").reshape(dims).copy()
     if pos != len(view):
         raise ValueError(f"{path}: {len(view) - pos} trailing bytes")
-
-    expected = _expected_shapes(config) | {
-        "norm.mean": (config.n_bins,), "norm.std": (config.n_bins,)}
-    for name, shape in expected.items():
-        if name not in tensors:
-            raise ValueError(f"{path}: checkpoint missing tensor {name}")
-        if tensors[name].shape != shape:
-            raise ValueError(
-                f"{path}: tensor {name} has shape {tensors[name].shape}, "
-                f"expected {shape}"
-            )
-    surplus = sorted(set(tensors) - set(expected))
-    if surplus:
-        raise ValueError(f"{path}: unexpected tensors {surplus}")
-
     try:
-        norm = NormStats(tensors["norm.mean"].astype(np.float64),
-                         tensors["norm.std"].astype(np.float64))
+        config, stft_config = build(RtsnConfig, values), build(StftConfig, values)
+        for name in ("norm.mean", "norm.std"):
+            if name not in tensors:
+                raise ValueError(f"missing tensor {name}")
+        try:
+            norm = NormStats(tensors.pop("norm.mean").astype(np.float64),
+                             tensors.pop("norm.std").astype(np.float64))
+        except ValueError as e:
+            raise ValueError(f"norm tensors: {e}") from None
+        return _assemble(config, stft_config, tensors, norm)
     except ValueError as e:
-        raise ValueError(f"{path}: norm tensors: {e}") from None
-    return _assemble(config, stft_config, tensors, norm)
+        raise ValueError(f"{path}: {e}") from None

@@ -150,8 +150,6 @@ def train(params: RtsnParams, corpus_or_utts, cfg: TrainConfig) -> TrainResult:
     """Train in place; returns the best-validation snapshot and the log."""
     lookahead = params.config.lookahead
     if isinstance(corpus_or_utts, Corpus):
-        if params.norm is None:
-            raise ValueError("params need normalization statistics before training")
         train_utts, val_utts = (
             load_utterances(pairs, params.stft, params.norm, lookahead, params.dtype)
             for pairs in (corpus_or_utts.train_pairs, corpus_or_utts.val_pairs))
@@ -176,8 +174,9 @@ def train(params: RtsnParams, corpus_or_utts, cfg: TrainConfig) -> TrainResult:
     steps_per_epoch = max(1, math.ceil(total_frames / (unroll * cfg.utterances_per_batch)))
 
     stopper = EarlyStopper(cfg.patience)
-    best_params = params.copy()
-    best_epoch = 0
+    # epoch 1 always improves on the stopper's inf (a non-finite loss raises
+    # before it), so the snapshot returned is always one taken below
+    best_params, best_epoch = None, 0
     log: list[EpochLog] = []
 
     for epoch in range(1, cfg.max_epochs + 1):

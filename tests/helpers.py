@@ -17,6 +17,7 @@ import math
 import numpy as np
 
 import rtsn.neural as nn
+from rtsn.corpus import NormStats
 from rtsn.dsp import LpsSequence
 from rtsn.model import ChunkData, chunk_from_frames, forward_chunk
 from rtsn.neural.engine import _node
@@ -326,6 +327,12 @@ def lstm_backward_oracle(g, x, w_in, w_rec, acts, hs, cs):
         dz_flat.T @ hs[:-1].swapaxes(0, 1).reshape(len(dz_flat), -1),
         dz_flat.sum(axis=0),
     )
+
+
+def unit_stats(n_bins: int) -> NormStats:
+    """Statistics of n_bins bins that leave frames as they are (mean 0,
+    std 1), for a model whose tests feed it normalized values directly."""
+    return NormStats(np.zeros(n_bins), np.ones(n_bins))
 
 
 def synth_voice(seed: int, num_samples: int = SAMPLE_RATE,

@@ -30,7 +30,7 @@ from rtsn.model import (
 )
 from rtsn.trainer import TrainConfig, UtteranceData, train
 
-from helpers import evaluate_pri, gather_mbps, rel_err, synth_noise, synth_voice
+from helpers import evaluate_pri, gather_mbps, rel_err, synth_noise, synth_voice, unit_stats
 
 RATE = 8000
 DEFAULT_STFT = StftConfig()
@@ -79,7 +79,7 @@ def test_02_gradient_suite(capsys):
     eps = 1e-5
     worst = 0.0
     for seed in (0, 1, 2):
-        params = init_params(TINY, TINY_STFT, None, seed=seed, dtype=np.float64)
+        params = init_params(TINY, TINY_STFT, unit_stats(9), seed=seed, dtype=np.float64)
         data = random_chunk(TINY, 1, 4, seed=100 + seed)
         names = list(params.tensors.items())
         loss = forward_chunk(params, data).loss.total
@@ -147,7 +147,7 @@ def test_04_posterior_channel_count(capsys):
 
 
 def test_05_parameter_count(capsys):
-    n = count_parameters(init_params(RtsnConfig(), DEFAULT_STFT, None))
+    n = count_parameters(init_params(RtsnConfig(), DEFAULT_STFT, unit_stats(129)))
     ok = abs(n - 5.12e6) <= 0.1 * 5.12e6
     report(capsys, 5, "default parameter count within 10% of 5.12e6",
            ok, f"count {n}")

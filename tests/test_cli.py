@@ -3,6 +3,7 @@ import os
 import re
 import subprocess
 import sys
+import tempfile
 from dataclasses import field, fields, make_dataclass
 from pathlib import Path
 
@@ -11,13 +12,13 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from rtsn import cli
-from rtsn.corpus import NormStats, read_wav, write_wav
+from rtsn.corpus import read_wav, write_wav
 from rtsn.dsp import StftConfig, Waveform
-from rtsn.model import RtsnConfig, init_params, save_checkpoint
+from rtsn.model import RtsnConfig, enhance_lps, init_params, save_checkpoint
 from rtsn.settings import format_settings, parse_settings, schema
 from rtsn.trainer import TrainConfig
 
-from helpers import synth_noise, synth_voice
+from helpers import synth_noise, synth_voice, unit_stats
 
 TINY_CFG = """\
 # tiny setup for fast tests
@@ -174,8 +175,7 @@ def test_wav_too_short_to_analyze_names_the_file(tmp_path, capsys, command):
     short, ok, out = tmp_path / "short.wav", tmp_path / "sp0.wav", tmp_path / "out"
     write_wav(short, Waveform(synth_voice(101, 60)))
     model = tmp_path / "model.ckpt"
-    save_checkpoint(init_params(RtsnConfig(), norm=NormStats(np.zeros(129), np.ones(129))),
-                    model)
+    save_checkpoint(init_params(RtsnConfig(), StftConfig(), unit_stats(129)), model)
     argv = {"spectrogram": ["spectrogram", "--in", short, "--out", out],
             "eval_ref": ["eval", "--ref", short, "--deg", ok],
             "eval_deg": ["eval", "--ref", ok, "--deg", short],
@@ -404,6 +404,72 @@ def test_train_bad_config_value(tmp_path, capsys):
                         "--out", tmp_path / "m.ckpt"], capsys)
     assert rc == 1
     assert err == f"error: {tmp_path / 'tiny.cfg'} line 2: not valid UTF-8 (b'\\xe9')\n"
+    # sizes no model can have fail in the config, named, before any corpus
+    # is built
+    for line, key in (("conv_kernel = -1", "conv_kernel"),
+                      ("conv_channels = 0,1", "conv_channels"),
+                      ("conv_channels = 64,-3,1", "conv_channels")):
+        (tmp_path / "tiny.cfg").write_text(TINY_CFG.replace("conv_kernel = 3", "")
+                                           .replace("conv_channels = 8,6,4,1", "") + line)
+        rc, out, err = run(["train", "--manifest", tmp_path / "manifest.csv",
+                            "--config", tmp_path / "tiny.cfg",
+                            "--out", tmp_path / "m.ckpt"], capsys)
+        assert (rc, out) == (1, ""), line
+        assert err.startswith(f"error: {key} must be") and err.count("\n") == 1, err
+    assert not (tmp_path / "stats.bin").exists()
+
+
+def test_train_over_statistics_of_another_framing_names_them(tmp_path, capsys):
+    # a corpus built at the default framing (129 bins) and a config whose
+    # framing gives 65: the statistics do not fit the model, and the one
+    # line says so
+    make_inputs(tmp_path)
+    rc, _, err = run(["build-corpus", "--manifest", tmp_path / "manifest.csv"], capsys)
+    assert rc == 0, err
+    (tmp_path / "tiny.cfg").write_text(TINY_CFG.replace("frame_len = 16", "frame_len = 128")
+                                       .replace("fft_size = 16", "fft_size = 128"))
+    rc, out, err = run(["train", "--manifest", tmp_path / "manifest.csv",
+                        "--config", tmp_path / "tiny.cfg",
+                        "--out", tmp_path / "m.ckpt"], capsys)
+    assert (rc, out) == (1, "")
+    assert err == "error: statistics have 129 bins, config n_bins is 65\n"
+    assert not (tmp_path / "m.ckpt").exists()
+
+
+# A small model's config file, every key set.  Each example overrides a
+# few keys with small values, in range or not.
+_SMALL_CFG = {"frame_len": "4", "hop": "2", "fft_size": "4", "lookahead": "1",
+              "prior_weight": "1.0", "lstm_layers": "1", "lstm_units": "2",
+              "conv_kernel": "3", "conv_channels": "2,1", "gla_iters": "0",
+              "unroll_steps": "2", "utterances_per_batch": "1", "learning_rate": "0.5",
+              "max_epochs": "1", "patience": "1"}
+_SMALL = {int: st.integers(-2, 6).map(str),
+          float: st.floats(-2, 6).map(repr),
+          tuple: st.lists(st.integers(-1, 4), min_size=1, max_size=4).map(
+              lambda v: ",".join(map(str, v)))}
+_OVERRIDES = st.lists(st.sampled_from(sorted(cli.CONFIG_KEYS)).flatmap(
+    lambda k: st.tuples(st.just(k), _SMALL[type(_DEFAULTS[k])])), max_size=4)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_OVERRIDES)
+def test_every_small_config_gives_a_model_or_a_named_error(overrides):
+    # A config file that sets every key to a small value either gives a
+    # model that enhances, over statistics of its bin count, or fails with
+    # a ValueError; no other exception gets out.  The values stay small, so
+    # each model takes a few KB.
+    values = _SMALL_CFG | dict(overrides)
+    assert sorted(values) == sorted(cli.CONFIG_KEYS)
+    with tempfile.TemporaryDirectory() as d:
+        path = Path(d) / "c.cfg"
+        path.write_text("".join(f"{k} = {v}\n" for k, v in values.items()))
+        try:
+            config, stft_config, _ = cli.load_train_setup(path, seed=0)
+            params = init_params(config, stft_config, unit_stats(stft_config.n_bins))
+        except ValueError:
+            return
+    n = stft_config.n_bins
+    assert enhance_lps(params, np.zeros((3, n), np.float32)).shape == (3, n)
 
 
 # ---------------------------------------------------------------------------

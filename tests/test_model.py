@@ -50,6 +50,7 @@ from helpers import (
     rel_err,
     stacked_chunk,
     synth_voice,
+    unit_stats,
 )
 
 TINY_STFT = StftConfig(frame_len=16, hop=8, fft_size=16)
@@ -57,9 +58,8 @@ TINY = RtsnConfig(lookahead=1, n_bins=9, lstm_layers=2, lstm_units=8,
                   conv_kernel=3, conv_channels=(4, 3, 2, 1), gla_iters=3)
 
 
-def tiny_params(seed=0, dtype=np.float64, with_norm=True):
-    norm = NormStats(np.zeros(9), np.ones(9)) if with_norm else None
-    return init_params(TINY, TINY_STFT, norm, seed=seed, dtype=dtype)
+def tiny_params(seed=0, dtype=np.float64):
+    return init_params(TINY, TINY_STFT, unit_stats(9), seed=seed, dtype=dtype)
 
 
 def random_chunk(cfg, batch, steps, seed, valid=None):
@@ -99,7 +99,7 @@ def test_posterior_channel_counts():
 
 
 def test_parameter_count_default_config():
-    params = init_params(RtsnConfig(), StftConfig(), None, seed=0)
+    params = init_params(RtsnConfig(), StftConfig(), unit_stats(129), seed=0)
     assert count_parameters(params) == 5387146
 
 
@@ -136,13 +136,26 @@ def test_init_properties():
 
 
 def test_init_default_dtype_is_float32():
-    params = init_params(TINY, TINY_STFT, None, seed=0)
+    params = init_params(TINY, TINY_STFT, unit_stats(9), seed=0)
     assert params.dtype == np.float32
 
 
 def test_init_bins_mismatch():
     with pytest.raises(ValueError, match="bins"):
-        init_params(RtsnConfig(n_bins=64), TINY_STFT, None)
+        init_params(RtsnConfig(n_bins=64), TINY_STFT, unit_stats(64))
+
+
+def test_init_rejects_statistics_of_another_bin_count():
+    # the framing fits the config, the statistics do not; nor do copies
+    # of a model whose statistics were swapped after it was built
+    with pytest.raises(ValueError, match=re.escape("statistics have 129 bins, "
+                                                   "config n_bins is 9")):
+        init_params(TINY, TINY_STFT, unit_stats(129))
+    params = tiny_params()
+    params.norm = unit_stats(8)
+    for rebuild in (params.copy, params.frozen):
+        with pytest.raises(ValueError, match="statistics have 8 bins"):
+            rebuild()
 
 
 # ---------------------------------------------------------------------------
@@ -155,7 +168,7 @@ def test_prior_input_oracle(monkeypatch):
     # read from the noisy stacks, to one lstm_cell call over both layers
     cfg = RtsnConfig(lookahead=2, n_bins=9, lstm_layers=2, lstm_units=4,
                      conv_kernel=3, conv_channels=(2, 1))
-    params = init_params(cfg, TINY_STFT, seed=0, dtype=np.float64)
+    params = init_params(cfg, TINY_STFT, unit_stats(9), seed=0, dtype=np.float64)
     values = np.random.default_rng(0).standard_normal((7, 9))
     seen = []
     lstm_cell = nn.lstm_cell
@@ -488,7 +501,7 @@ def test_training_step_sums_gradients_in_block_order(monkeypatch):
     # last bits away.
     monkeypatch.setattr(rtsn.model, "POST_BLOCK_FRAMES", 2)
     cfg = replace(TINY, prior_weight=1.0)
-    params = init_params(cfg, TINY_STFT, seed=0)
+    params = init_params(cfg, TINY_STFT, unit_stats(9), seed=0)
     result = forward_chunk(params, random_chunk(cfg, 2, 5, seed=12, valid=[5, 4]))
     weight, bias = params.tensors["proj.weight"], params.tensors["proj.bias"]
     got = nn.grads_for(result.loss.total, [weight, bias])
@@ -706,12 +719,6 @@ def test_enhance_utterance_identity_network(monkeypatch):
     assert lps.values.shape == (TINY_STFT.num_frames(600), 9)
 
 
-def test_enhance_utterance_needs_norm():
-    params = tiny_params(with_norm=False)
-    with pytest.raises(ValueError, match="normalization"):
-        enhance_utterance(params, Waveform(synth_voice(21, 600)))
-
-
 def test_params_copy_is_deep():
     params = tiny_params()
     dup = params.copy()
@@ -773,7 +780,7 @@ def test_enhance_lps_chunk_matches_stacked_layout(monkeypatch, frames):
     # chunk, and the output is byte-equal to a forward over the stacks
     # with no valid counts, as enhancement ran before chunk_from_frames.
     cfg = replace(TINY, lookahead=4)
-    params = init_params(cfg, TINY_STFT, seed=2)
+    params = init_params(cfg, TINY_STFT, unit_stats(9), seed=2)
     values = np.random.default_rng(frames).standard_normal((frames, 9)).astype(np.float32)
     seen = []
     real = rtsn.model.forward_chunk
@@ -803,7 +810,7 @@ def test_enhance_memory_does_not_grow_with_length():
     stft_config = StftConfig(frame_len=128, hop=64, fft_size=128)
     cfg = RtsnConfig(lookahead=2, n_bins=65, lstm_layers=1, lstm_units=8,
                      conv_kernel=3, conv_channels=(32, 16, 1))
-    params = init_params(cfg, stft_config, seed=0)
+    params = init_params(cfg, stft_config, unit_stats(65), seed=0)
     itemsize = np.dtype(params.dtype).itemsize
 
     def peak_and_budget(frames):
@@ -863,11 +870,6 @@ def test_seeded_checkpoint_bytes_are_pinned(tmp_path):
     save_checkpoint(params, tmp_path / "seeded.ckpt")
     digest = hashlib.sha256((tmp_path / "seeded.ckpt").read_bytes()).hexdigest()
     assert digest == "d33e2db95a015c3763420c1425602ae1b6c2d77e1ef2555566428ee18d98b092"
-
-
-def test_checkpoint_requires_norm(tmp_path):
-    with pytest.raises(ValueError, match="normalization"):
-        save_checkpoint(tiny_params(with_norm=False), tmp_path / "x.ckpt")
 
 
 def _saved_blob(tmp_path):
@@ -998,6 +1000,20 @@ def test_checkpoint_missing_tensor_named(tmp_path):
     blob[i : i + 9] = b"proj.bjas"
     p.write_bytes(blob)
     with pytest.raises(ValueError, match="missing tensor proj.bias"):
+        load_checkpoint(p)
+    p, blob = _saved_blob(tmp_path)
+    i = bytes(blob).index(b"norm.mean")
+    blob[i : i + 9] = b"norm.mxan"
+    p.write_bytes(blob)
+    with pytest.raises(ValueError, match=re.escape(f"{p}: missing tensor norm.mean")):
+        load_checkpoint(p)
+
+
+def test_checkpoint_bin_count_mismatch_named(tmp_path):
+    p, blob = _saved_blob(tmp_path)
+    _write_with_header(p, blob, _header(blob).replace("n_bins=9", "n_bins=8"))
+    with pytest.raises(ValueError, match=re.escape(
+            f"{p}: config n_bins 8 does not match fft_size 16")):
         load_checkpoint(p)
 
 

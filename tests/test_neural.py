@@ -26,8 +26,10 @@ from helpers import (
     rel_err,
     selu_where,
     tmean,
+    unit_stats,
     weighted_sum,
 )
+from rtsn.dsp import StftConfig
 from rtsn.model import RtsnConfig, init_params, stack_index
 from rtsn.neural.engine import _node
 from rtsn.neural.layers import SELU_ALPHA, SELU_SCALE, _worker_count
@@ -359,7 +361,8 @@ def test_lstm_stack_matches_layer_by_layer(monkeypatch, use_workers, batch, rows
         monkeypatch.setattr(layers, "_LSTM_BLOCK_ROWS", rows)
     use_workers(workers)
     cfg = RtsnConfig()
-    p = {name: t.data for name, t in init_params(cfg, seed=5).tensors.items()}
+    params = init_params(cfg, StftConfig(), unit_stats(129), seed=5)
+    p = {name: t.data for name, t in params.tensors.items()}
     weights = [tuple(p[f"lstm{i}.{k}"] for k in ("w_in", "w_rec", "bias"))
                for i in range(cfg.lstm_layers)]
     rng = np.random.default_rng(batch)
@@ -662,7 +665,7 @@ def test_conv0_forms_the_gathered_channels_gradient_only(frames):
     # parameter; so are its other gradients and the gather's own.  The
     # frame counts give GEMMs of 129 to 774 rows.
     cfg = RtsnConfig()
-    p = init_params(cfg, seed=2).tensors
+    p = init_params(cfg, StftConfig(), unit_stats(129), seed=2).tensors
     rng = np.random.default_rng(frames)
     shape = (1, frames, cfg.stack_rows, cfg.n_bins)
     x_bar = nn.parameter(rng.standard_normal(shape).astype(np.float32), "x_bar")

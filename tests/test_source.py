@@ -279,6 +279,62 @@ def test_every_private_definition_in_src_is_read():
     assert not found, "private definitions src never reads: " + "; ".join(found)
 
 
+
+def constructor_calls(sources: dict[str, str], cls: str = "RtsnParams",
+                      home: tuple[str, str] = ("rtsn/model.py", "_assemble")) -> list[str]:
+    """Calls of cls, by name or attribute, anywhere but inside the
+    top-level function home names (module, function): the one place that
+    checks what it builds."""
+    found = []
+    for name, source in sources.items():
+        for top in ast.parse(source).body:
+            if (name, getattr(top, "name", None)) == home:
+                continue
+            found += [f"{name} line {node.lineno}: {cls}(" for node in ast.walk(top)
+                      if isinstance(node, ast.Call)
+                      and cls in (getattr(node.func, "id", None),
+                                  getattr(node.func, "attr", None))]
+    return found
+
+
+def test_constructor_check_flags_what_it_should():
+    sources = {
+        "home.py": (
+            "def build(x):\n"
+            "    return Params(x)\n"                    # the one constructor
+            "def other(x):\n"
+            "    return Params(x)\n"
+            "class Params:\n"
+            "    def copy(self):\n"
+            "        return build(self)\n"              # through build: fine
+            "    def clone(self):\n"
+            "        return Params(self)\n"
+            "    def nested(self):\n"
+            "        def build(x):\n"                   # not the top-level build
+            "            return Params(x)\n"
+            "        return build(self)\n"
+        ),
+        "user.py": (
+            "import home\n"
+            "from home import Params\n"
+            "a = home.Params(1)\n"
+            "b = Params\n"                              # named, not called
+            "c = ParamsLike(2)\n"                       # another name
+        ),
+    }
+    assert constructor_calls(sources, cls="Params", home=("home.py", "build")) == [
+        "home.py line 4: Params(", "home.py line 9: Params(", "home.py line 12: Params(",
+        "user.py line 3: Params(",
+    ]
+
+
+def test_models_are_built_only_by_assemble():
+    sources = {str(path.relative_to(SRC)): path.read_text(encoding="utf-8")
+               for path in sorted(SRC.rglob("*.py"))}
+    assert "rtsn/model.py" in sources
+    found = constructor_calls(sources)
+    assert not found, "RtsnParams built outside model._assemble: " + "; ".join(found)
+
 def _loaded_names(nodes) -> set[str]:
     """Names the nodes load, less each load inside a nested function that
     rebinds the name as a parameter or def of its own."""

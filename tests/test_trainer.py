@@ -20,7 +20,8 @@ from rtsn.trainer import (
     train,
 )
 
-from helpers import evaluate_pri, frame_stack, stacked_chunk, synth_noise, synth_voice
+from helpers import (evaluate_pri, frame_stack, stacked_chunk, synth_noise, synth_voice,
+                     unit_stats)
 
 TINY_STFT = StftConfig(frame_len=16, hop=8, fft_size=16)
 TINY = RtsnConfig(lookahead=1, n_bins=9, lstm_layers=2, lstm_units=8,
@@ -175,7 +176,7 @@ def test_validation_chunk_matches_stacked_layout(monkeypatch, frames):
     # and its loss is byte-equal to a forward over the stacks with every
     # step valid, as validation ran before chunk_from_frames.
     cfg = replace(TINY, lookahead=4)
-    params = init_params(cfg, TINY_STFT, seed=1, dtype=np.float32)
+    params = init_params(cfg, TINY_STFT, unit_stats(9), seed=1, dtype=np.float32)
     rng = np.random.default_rng(frames)
     utt = UtteranceData(*rng.standard_normal((2, frames, 9)).astype(np.float32))
     seen = []
