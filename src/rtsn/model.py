@@ -61,11 +61,12 @@ from .settings import build, decode_utf8, format_settings, parse_settings, schem
 
 CHECKPOINT_MAGIC = b"RTSNCKPT"
 CHECKPOINT_VERSION = 1
-# Most frames (batch x steps) the posterior convolves at once.  The im2col
-# columns are built a few frames at a time (at most 4 MB per worker thread,
-# layers._COLS_BLOCK), so a block's largest buffer is an activation: conv0's
-# output, which the SELU after it overwrites, 256 frames x 129 bins x 256 ch
-# x 4 B = 34 MB at the default config.
+# Most frames (batch x steps) the posterior convolves at once.  The convs'
+# im2col columns or Winograd transforms are built a few frames at a time (at
+# most 4 MB per worker thread, layers._COLS_BLOCK), so a block's largest
+# buffer is an activation: conv0's output, which the SELU after it
+# overwrites, 256 frames x 129 bins x 256 ch x 4 B = 34 MB at the default
+# config.
 POST_BLOCK_FRAMES = 256
 
 # ---------------------------------------------------------------------------
@@ -321,9 +322,7 @@ def _conv_stack(params: RtsnParams, v: nn.Tensor) -> nn.Tensor:
     conv+SELU pair holds one array, graph or no graph: the conv node's
     value becomes the SELU's output, which no backward minds, since the
     conv backward reads only its input and kernels and the SELU backward
-    only its output.  The first conv forms its input gradient for the
-    image's gathered channels only (the image node's grad_channels): the
-    noisy context channels are constants.
+    only its output.
     """
     p = params.tensors
     last = len(params.config.conv_channels) - 1

@@ -17,11 +17,6 @@ a local map.  A node's first gradient is adopted without a copy and later
 ones are summed out of place, so adopting the views that reshape and
 concat's split hand over is safe.  A node's entry leaves the map when its
 closure runs, so only the frontier of live gradients is held.
-
-A node whose backward reads only the leading channels (last axis) of its
-gradient says how many in grad_channels; a consumer may then return a
-gradient of just those channels, which conv1d_freq does.  Such a node
-must have that one consumer, or grads_for could not sum its gradients.
 """
 from __future__ import annotations
 
@@ -31,7 +26,7 @@ _FLOAT_TYPES = (np.float32, np.float64)
 
 
 class Tensor:
-    __slots__ = ("data", "requires_grad", "name", "_parents", "_backward", "grad_channels")
+    __slots__ = ("data", "requires_grad", "name", "_parents", "_backward")
 
     def __init__(self, data, requires_grad: bool = False, name: str | None = None,
                  parents: tuple = (), backward=None):
@@ -47,7 +42,6 @@ class Tensor:
         self.name = name
         self._parents = parents
         self._backward = backward
-        self.grad_channels: int | None = None  # None: the backward reads every channel
 
     @property
     def shape(self) -> tuple:

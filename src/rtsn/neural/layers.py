@@ -6,6 +6,13 @@ closure that returns its parents' gradients in parent order, None for a
 constant input it skips; the engine's grads_for sums them.  Finite-difference
 tests in the suite check every one of them.
 
+conv1d_freq's forward and input gradient run as Winograd's minimal
+filtering F(9 - k, k) along the bins for kernel widths 3, 5 and 7 when
+both sides of the product have at least 64 channels; im2col GEMMs run
+the rest, and every kernel gradient.  In float32 its error against a
+float64 oracle is about 4 times im2col's, and stays within (C + 17)
+roundings of the transforms' absolute-value sum (see _correlate).
+
 The heavy loops, the conv GEMMs, the SELU passes, the posterior image's
 copies and the LSTM stack's blocks, run on a small pool of worker threads
 without changing a byte (see the worker pool section below); everything
@@ -412,6 +419,17 @@ def lstm_cell(x, layers) -> Tensor:
     return _node(kept[-1][1][1:].swapaxes(0, 1), parents, backward, "lstm_cell")
 
 
+def _pad_bins(x: np.ndarray, before: int, size: int) -> np.ndarray:
+    """A (B, size, C) copy of channel-last x (B, N, C) with its bins from
+    before on, zero elsewhere."""
+    n = x.shape[1]
+    padded = np.empty((x.shape[0], size, x.shape[2]), dtype=x.dtype)
+    padded[:, :before] = 0
+    padded[:, before + n :] = 0
+    padded[:, before : before + n] = x
+    return padded
+
+
 def _im2col(x: np.ndarray, k: int) -> np.ndarray:
     """Columns (B*N, k*C) of a channel-last (B, N, C) array: row (b, n) is
     x[b, n-h .. n+h] flattened tap-major, zero outside, h = (k-1)/2.
@@ -420,20 +438,17 @@ def _im2col(x: np.ndarray, k: int) -> np.ndarray:
     strided view holds every row and reshaping it makes the one copy.
     """
     b, n, c = x.shape
-    half = (k - 1) // 2
-    padded = np.empty((b, n + 2 * half, c), dtype=x.dtype)
-    padded[:, :half] = 0
-    padded[:, half + n :] = 0
-    padded[:, half : half + n] = x
+    padded = _pad_bins(x, (k - 1) // 2, n + k - 1)
     windows = np.lib.stride_tricks.as_strided(padded, (b, n, k * c), padded.strides,
                                               writeable=False)
     return windows.reshape(b * n, k * c)
 
 
-# Most values one im2col block holds: 4 MB in float32, so a block is still
-# in cache when its GEMM reads it, and it is reused from the heap where the
-# whole (frames*bins, k*C) matrix, up to 169 MB, would be mapped fresh and
-# page-faulted on every call.
+# Most values one im2col block, or one Winograd block's two transform
+# buffers, hold: 4 MB in float32, so a block is still in cache when its
+# GEMMs read it, and it is reused from the heap where the whole (frames*bins,
+# k*C) matrix, up to 169 MB, would be mapped fresh and page-faulted on every
+# call.
 _COLS_BLOCK = 1 << 20
 
 
@@ -450,34 +465,140 @@ def _row_block(x: np.ndarray, k: int, frames: int, start: int):
     return slice(start * n, stop * n), _im2col(x[start:stop], k)
 
 
+# Toom-Cook points of the Winograd transforms, then infinity: eight in all,
+# so one tile of eight bins serves F(6, 3), F(4, 5) and F(2, 7).  Every
+# point is a small dyadic number, so the input and output transforms hold
+# exact binary fractions.
+_WINOGRAD_POINTS = (0.0, 1.0, -1.0, 2.0, -2.0, 0.5, -0.5)
+_TILE = len(_WINOGRAD_POINTS) + 1
+
+
+def _toom_cook(r: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(A^T (m, 8), G (8, r), B^T (8, 8)) in float64 for Winograd's minimal
+    filtering F(m, r), m = 9 - r: the correlation y[i] = sum_j g[j] d[i + j]
+    of a tile d of eight values with a filter g of r taps is
+    A^T ((G g) * (B^T d)), from eight products where the direct sum takes
+    m * r (Lavin & Gray, arXiv 1509.09308).
+
+    With V_n the (8, n) Vandermonde matrix of the points, whose row for
+    infinity picks a polynomial's leading coefficient, the transposed
+    Toom-Cook product gives A^T = V_m^T, G = V_r and B^T = V_8^-T, whose
+    row i holds the coefficients of point i's Lagrange polynomial (for
+    infinity, of the product of every (x - p)).  Each Lagrange row's scale
+    1 / prod(p_i - p_j) moves into G, which only the float64 kernel
+    transform applies, so B^T holds the polynomials' dyadic coefficients.
+    """
+    points = np.array(_WINOGRAD_POINTS)
+
+    def vandermonde(cols):
+        v = np.zeros((_TILE, cols))
+        v[:-1] = points[:, None] ** np.arange(cols)
+        v[-1, -1] = 1.0
+        return v
+
+    a_t, g = vandermonde(_TILE - r + 1).T, vandermonde(r)
+    b_t = np.empty((_TILE, _TILE))
+    for i, p in enumerate(points):
+        others = np.delete(points, i)
+        b_t[i] = np.append(np.poly(others)[::-1], 0.0)
+        g[i] /= np.prod(p - others)
+    b_t[-1] = np.poly(points)[::-1]
+    return a_t, g, b_t
+
+
+# Kernel widths whose correlation runs as Winograd's F(9 - k, k), and the
+# fewest channels it needs on either side.  Timed against im2col with as
+# many channels in as out, 64-128 frames, one BLAS thread: from 64
+# channels every width ran faster, x1.11-1.86 over 17 and 129 bins, and
+# about even over 9 (x0.85-1.11); at 32-48 channels k = 7 was slower
+# (x0.86-1.09), and at 8-24 every width was (down to x0.28).
+_WINOGRAD = {k: _toom_cook(k) for k in (3, 5, 7)}
+_WINOGRAD_MIN_CHANNELS = 64
+
+
+def _winograd_block(x: np.ndarray, u: np.ndarray, a_t: np.ndarray, b_t: np.ndarray,
+                    out: np.ndarray) -> None:
+    """out (f, N, O) = x (f, N, C) correlated with the kernels whose
+    transform is u (8, C, O), zero padded by h = (k-1)/2 each side.
+
+    The bins are tiled, eight positions at stride m, and the input
+    transform is one stacked product over a strided view of the padded
+    block, written a-major; then one GEMM (f*tiles, C) @ (C, O) per tile
+    position, and the output transform straight into out, the last tile
+    cut to the bins that are left.
+    """
+    m, k = a_t.shape[0], _TILE - a_t.shape[0] + 1
+    (f, n, c), o = x.shape, u.shape[2]
+    tiles, whole = -(-n // m), n // m
+    padded = _pad_bins(x, (k - 1) // 2, tiles * m + k - 1)
+    s = padded.strides
+    view = np.lib.stride_tricks.as_strided(padded, (f, tiles, _TILE, c),
+                                           (s[0], m * s[1], s[1], s[2]), writeable=False)
+    v = np.empty((_TILE, f * tiles, c), dtype=x.dtype)
+    np.matmul(b_t, view, out=v.reshape(_TILE, f, tiles, c).transpose(1, 2, 0, 3))
+    products = np.matmul(v, u).reshape(_TILE, f, tiles, o).transpose(1, 2, 0, 3)
+    np.matmul(a_t, products[:, :whole], out=out[:, : whole * m].reshape(f, whole, m, o))
+    if whole < tiles:
+        np.matmul(a_t[: n - whole * m], products[:, whole], out=out[:, whole * m :])
+
+
 def _correlate(x: np.ndarray, w: np.ndarray, k: int,
                bias: np.ndarray | None = None) -> np.ndarray:
     """im2col(x) @ w (+ bias) for x (B, N, C) and w (k*C, O): (B*N, O).
 
-    One GEMM per row block of a few frames, each block's columns built just
-    before it and the bias added to the rows it wrote while they are in
-    cache; the blocks are shared out among the workers, each writing its
-    own rows of the output, so their shapes and operands, and so the bytes,
-    are those of a one-thread loop.
+    The frames go in row blocks, each block's rows formed and the bias
+    added to them while they are in cache; the blocks are shared out among
+    the workers, each writing its own rows of the output, so their shapes
+    and operands, and so the bytes, are those of a one-thread loop.
+
+    Kernel widths 3, 5 and 7 run as Winograd's F(9 - k, k) along the bins
+    (_winograd_block), the kernels transformed once in float64, when C and
+    O are both at least _WINOGRAD_MIN_CHANNELS.  So conv3 (one output
+    channel, about 2 % of the convs' time) stays im2col, and so does its
+    input gradient, whose one input channel makes the eight GEMMs GEMVs
+    that ran x0.1-0.2 of im2col's speed.  A block holds as many frames as keep its two
+    transform buffers within _COLS_BLOCK values.
+
+    To first order in the unit roundoff eps, the Winograd error is within
+    (C + 17) eps times the same correlation of |x| and |w| through the
+    transforms' absolute values: one rounding of the kernel transform, 8
+    terms in each of the input and output transforms and C in each GEMM.
+    In float32 at the default sizes it reads about 1e-5 absolute against a
+    float64 oracle, 4 times im2col's 3e-6.  Other widths and shapes are
+    one GEMM per block of a few frames, each block's im2col columns built
+    just before it.
     """
-    out = np.empty((x.shape[0] * x.shape[1], w.shape[1]), dtype=x.dtype)
-    frames = _block_frames(x, k)
+    b, n, c = x.shape
+    out = np.empty((b * n, w.shape[1]), dtype=x.dtype)
+    winograd = k in _WINOGRAD and min(c, w.shape[1]) >= _WINOGRAD_MIN_CHANNELS
+    if winograd:
+        a_t, g, b_t = _WINOGRAD[k]
+        u = (g @ w.reshape(k, -1)).reshape(_TILE, c, -1).astype(x.dtype)
+        a_t, b_t = a_t.astype(x.dtype), b_t.astype(x.dtype)
+        tiles = -(-n // a_t.shape[0])
+        frames = max(1, _COLS_BLOCK // (_TILE * tiles * (c + w.shape[1])))
+    else:
+        frames = _block_frames(x, k)
 
     def block(start):
-        rows, cols = _row_block(x, k, frames, start)
-        np.matmul(cols, w, out=out[rows])
+        stop = min(b, start + frames)
+        rows = slice(start * n, stop * n)
+        if winograd:
+            _winograd_block(x[start:stop], u, a_t, b_t, out[rows].reshape(stop - start, n, -1))
+        else:
+            np.matmul(_im2col(x[start:stop], k), w, out=out[rows])
         if bias is not None:
             out[rows] += bias
 
-    _run_shares(block, range(0, x.shape[0], frames))
+    _run_shares(block, range(0, b, frames))
     return out
 
 
 def _kernel_grad(x: np.ndarray, g: np.ndarray, k: int) -> np.ndarray:
-    """im2col(x).T @ g, (k*C, O), summed over _correlate's row blocks in
-    block order.  The workers form the products of a run of as many blocks
-    as there are workers, then they are added in order, so at most that
-    many are held and the sum is the one-thread loop's."""
+    """im2col(x).T @ g, (k*C, O), summed over im2col row blocks in block
+    order.  The workers form the products of a run of as many blocks as
+    there are workers, then they are added in order, so at most that many
+    are held and the sum is the one-thread loop's."""
     gw = np.zeros((k * x.shape[2], g.shape[1]), dtype=g.dtype)
     frames = _block_frames(x, k)
     starts = range(0, x.shape[0], frames)
@@ -500,20 +621,23 @@ def conv1d_freq(x, kernels, bias) -> Tensor:
 
     Channel-last: x is (frames, bins, in_channels), kernels (out_channels,
     in_channels, k) with odd k, and the output (frames, bins, out_channels)
-    keeps the bin count.  The forward is the GEMM im2col(x) @ W + bias, with
-    W[j*C + c, o] = kernels[o, c, j]; the columns are built a few frames at
-    a time and dropped after use, never kept for the backward.  With g the
-    output gradient, the backward rebuilds them from x and computes
+    keeps the bin count.  The forward is im2col(x) @ W + bias, with
+    W[j*C + c, o] = kernels[o, c, j], formed a few frames at a time with
+    nothing kept for the backward.  With g the output gradient, the
+    backward computes
       dW = im2col(x).T @ g,  dbias = sum of g over frames and bins,
       dx = im2col(g) @ W',  W'[j*O + o, c] = kernels[o, c, k-1-j],
     that is the forward again on g with the kernels flipped and transposed.
-    When x's node reads only its first grad_channels channels of its
-    gradient (gather_steps' image), dx is formed for those channels only,
-    (frames, bins, grad_channels), by W' cut to their columns: each column
-    of a GEMM is formed as in the whole product, so its bytes are the same.
-    The row blocks of both GEMMs (each adding the bias to its own rows) and
-    of dW are shared out among the worker threads (RTSN_THREADS), dW's
-    products added in block order, so the bytes are the same at every
+
+    The forward and dx run as Winograd's F(9 - k, k) along the bins for
+    k = 3, 5 and 7 over at least 64 channels a side (see _correlate, which
+    states the error bound): 8 GEMMs per tile of 9 - k bins where im2col's
+    GEMM does k taps per bin, 0.41 times the FLOPs at k = 5 over 129 bins.
+    dW stays im2col.
+
+    The row blocks of both correlations (each adding the bias to its own
+    rows) and of dW are shared out among the worker threads (RTSN_THREADS),
+    dW's products added in block order, so the bytes are the same at every
     worker count.
 
     The backward never reads the output, so a following selu may write
@@ -536,9 +660,8 @@ def conv1d_freq(x, kernels, bias) -> Tensor:
         gw = _kernel_grad(x.data, g, k)
         gx = None
         if x.requires_grad:
-            used = c_in if x.grad_channels is None else x.grad_channels
-            flipped = kernels.data[:, :used, ::-1].transpose(2, 0, 1).reshape(k * c_out, used)
-            gx = _correlate(g.reshape(frames, n, c_out), flipped, k).reshape(frames, n, used)
+            flipped = kernels.data[:, :, ::-1].transpose(2, 0, 1).reshape(k * c_out, c_in)
+            gx = _correlate(g.reshape(frames, n, c_out), flipped, k).reshape(frames, n, c_in)
         return gx, gw.reshape(k, c_in, c_out).transpose(2, 1, 0), g.sum(axis=0)
 
     return _node(out.reshape(frames, n, c_out), (x, kernels, bias), backward,
@@ -556,9 +679,7 @@ def gather_steps(x, idx: np.ndarray, context: np.ndarray) -> Tensor:
       out[f, n, m*R + r] = x[b, idx[b, u, m], r, n],
       out[f, n, M*R + c] = context[b, u, c, n].
     Only x gets a gradient: the gathered channels' gradient is scattered
-    back onto the steps they were read from.  The backward reads no other
-    channel, so the node's grad_channels is M*R and its consumer may hand
-    back the gathered channels' gradient alone.
+    back onto the steps they were read from.
 
     The image is filled in spans of output steps, at most _COLS_BLOCK
     values each, shared out among the workers: each span copies into its
@@ -605,9 +726,7 @@ def gather_steps(x, idx: np.ndarray, context: np.ndarray) -> Tensor:
             gx[keys[sel]] += rows[sel]
         return (gx.reshape(x.data.shape),)
 
-    out = _node(image.reshape(b * u, n, -1), (x,), backward, "gather_steps")
-    out.grad_channels = mr
-    return out
+    return _node(image.reshape(b * u, n, -1), (x,), backward, "gather_steps")
 
 
 def stack_loss(frames, target_frames, stacks, target_stacks, prior_weight: float,

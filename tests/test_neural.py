@@ -606,6 +606,115 @@ def test_conv1d_matches_einsum_oracle(c_in, c_out, dtype):
         assert_close_to_scale(a, b, tol, what)
 
 
+def correlate_taps(x, w, k):
+    """im2col(x) @ w in float64, tap by tap: x (B, N, C), w (k*C, O), the
+    output (B, N, O) is sum over taps j of x shifted by j - h, zero filled,
+    times w's rows for tap j."""
+    b, n, c = x.shape
+    half = (k - 1) // 2
+    padded = np.zeros((b, n + k - 1, c))
+    padded[:, half : half + n] = x
+    return sum(padded[:, j : j + n] @ w[j * c : (j + 1) * c].astype(np.float64)
+               for j in range(k))
+
+
+def winograd_magnitude(x, w, k):
+    """The Winograd correlation of |x| and |w| with every transform taken by
+    absolute value, in float64: (B, N, O), the scale its rounding errors
+    grow with."""
+    a_t, g, b_t = (np.abs(t) for t in layers._WINOGRAD[k])
+    m, (b, n, c) = a_t.shape[0], x.shape
+    tiles, half = -(-n // m), (k - 1) // 2
+    padded = np.zeros((b, tiles * m + k - 1, c))
+    padded[:, half : half + n] = np.abs(x)
+    d = np.lib.stride_tricks.sliding_window_view(padded, 8, axis=1)[:, ::m]  # (B, T, C, 8)
+    v = (d @ b_t.T).transpose(3, 0, 1, 2).reshape(8, b * tiles, c)
+    u = (g @ np.abs(w).astype(np.float64).reshape(k, -1)).reshape(8, c, -1)
+    y = np.einsum("ia,aro->rio", a_t, v @ u)  # (B*T, m, O)
+    return y.reshape(b, tiles * m, -1)[:, :n]
+
+
+# (k, in channels, out channels): a few channels at every Winograd width,
+# and the default posterior's conv0-2 at k = 5 (their forwards; conv0's
+# input gradient is the (256, 90) product)
+WINOGRAD_SHAPES = [(3, 6, 5), (5, 6, 5), (7, 6, 5), (5, 90, 256), (5, 256, 128), (5, 128, 64),
+                   (5, 256, 90)]
+
+
+@pytest.mark.parametrize("dtype", [np.float64, np.float32])
+@pytest.mark.parametrize("k, c_in, c_out", WINOGRAD_SHAPES)
+def test_winograd_correlate_matches_im2col_and_oracle(monkeypatch, k, c_in, c_out, dtype):
+    # The Winograd path of _correlate (fast) against the im2col product
+    # (slow) and a float64 tap-by-tap oracle, over 1-13 bins (tails of
+    # every length, inputs shorter than a tile) and 129, at 1, 3 and 8
+    # frames; the path is taken at every size here.  The bound, fixed
+    # before measuring, is first order in the dtype's unit roundoff eps:
+    # one rounding of the float64 kernel transform, 8 terms in each input
+    # and output transform and C in each GEMM give (C + 17) eps times the
+    # Winograd sum of absolute values, plus the oracle's own float64 error,
+    # C k eps64 times sum |x| |w|.  im2col's product is held to its own
+    # C k eps bound.
+    monkeypatch.setattr(layers, "_WINOGRAD_MIN_CHANNELS", 1)
+    calls = []
+    block = layers._winograd_block
+    monkeypatch.setattr(layers, "_winograd_block",
+                        lambda *a: calls.append(a[0].shape) or block(*a))
+    rng = np.random.default_rng(100 * k + c_in + c_out)
+    eps, eps64 = np.finfo(dtype).eps, np.finfo(np.float64).eps
+    w = (rng.standard_normal((k * c_in, c_out)) / np.sqrt(k * c_in)).astype(dtype)
+    for bins in list(range(1, 14)) + [129]:
+        for frames in (1, 3, 8):
+            x = rng.standard_normal((frames, bins, c_in)).astype(dtype)
+            calls.clear()
+            got = layers._correlate(x, w, k).reshape(frames, bins, c_out)
+            assert got.dtype == dtype and calls
+            slow = layers._im2col(x, k) @ w
+            want = correlate_taps(x, w, k)
+            scale = correlate_taps(np.abs(x), np.abs(w), k)
+            bound = (c_in + 17) * eps * winograd_magnitude(x, w, k) + c_in * k * eps64 * scale
+            assert np.all(np.abs(got - want) <= bound), (bins, frames)
+            slow_bound = c_in * k * (eps + eps64) * scale
+            assert np.all(np.abs(slow.reshape(got.shape) - want) <= slow_bound), (bins, frames)
+
+
+@pytest.mark.parametrize("k, c_in, c_out, bins, winograd", [
+    (5, 90, 256, 129, True), (5, 256, 90, 129, True), (3, 64, 64, 9, True),
+    (7, 128, 64, 129, True), (5, 64, 1, 129, False), (5, 1, 64, 129, False),
+    (5, 63, 64, 129, False), (5, 64, 63, 129, False), (1, 64, 64, 129, False),
+    (9, 64, 64, 129, False)])
+def test_correlate_takes_winograd_by_shape(monkeypatch, k, c_in, c_out, bins, winograd):
+    # Winograd for widths 3, 5 and 7 over at least 64 channels on each
+    # side, at any bin count; im2col for conv3's one output channel and its
+    # input gradient's one input channel, fewer channels, and other widths.
+    calls = []
+    block = layers._winograd_block
+    monkeypatch.setattr(layers, "_winograd_block",
+                        lambda *a: calls.append(a[0].shape) or block(*a))
+    x = np.ones((2, bins, c_in), dtype=np.float32)
+    layers._correlate(x, np.ones((k * c_in, c_out), dtype=np.float32), k)
+    assert bool(calls) == winograd
+
+
+def test_winograd_correlate_bytes_equal_at_every_worker_count(monkeypatch, use_workers):
+    # One row block per frame, shared out among 1, 2 and 3 workers: the
+    # Winograd forward with its bias and the input gradient, float32 at
+    # conv1's shapes, are array_equal.
+    monkeypatch.setattr(layers, "_COLS_BLOCK", 1)
+    rng = np.random.default_rng(41)
+    x = rng.standard_normal((7, 129, 256)).astype(np.float32)
+    kernels = (rng.standard_normal((128, 256, 5)) / 30).astype(np.float32)
+    bias = rng.standard_normal(128).astype(np.float32)
+    g = rng.standard_normal((7, 129, 128)).astype(np.float32)
+    results = {}
+    for workers in (1, 2, 3):
+        use_workers(workers)
+        out = nn.conv1d_freq(nn.parameter(x, "x"), nn.Tensor(kernels), nn.Tensor(bias))
+        results[workers] = (out.data.copy(), out._backward(g)[0])
+    for workers in (2, 3):
+        for want, got in zip(results[1], results[workers], strict=True):
+            assert np.array_equal(got, want)
+
+
 @pytest.mark.parametrize("dtype", [np.float64, np.float32])
 def test_selu_matches_where_oracle(dtype):
     # Into a fresh output and in place (out= the input's own array): in
@@ -659,11 +768,11 @@ def test_selu_rejects_an_unusable_out(case):
 @pytest.mark.parametrize("frames", [1, 3, 8, 13])
 def test_conv0_forms_the_gathered_channels_gradient_only(frames):
     # At the default sizes (81 gathered and 9 context channels, 256 kernels
-    # of width 5, float32), conv0 over a gather_steps image forms its input
-    # gradient for the gathered channels only, and it is array_equal to
-    # those channels of the 90-channel gradient the conv forms over a plain
-    # parameter; so are its other gradients and the gather's own.  The
-    # frame counts give GEMMs of 129 to 774 rows.
+    # of width 5, float32), conv0's gradients over a gather_steps image are
+    # array_equal to those over a plain parameter holding the same image,
+    # and the gather reads only the gathered channels of its gradient: the
+    # context channels' gradient, which goes nowhere, does not move it.
+    # The frame counts give GEMMs of 129 to 774 rows.
     cfg = RtsnConfig()
     p = init_params(cfg, StftConfig(), unit_stats(129), seed=2).tensors
     rng = np.random.default_rng(frames)
@@ -673,16 +782,19 @@ def test_conv0_forms_the_gathered_channels_gradient_only(frames):
     idx = stack_index(np.arange(frames), cfg.lookahead, frames - 1)
     image = nn.gather_steps(x_bar, idx[None], context)
     gathered = cfg.stack_rows ** 2
-    assert image.grad_channels == gathered and image.shape[2] == cfg.posterior_channels
+    assert image.shape[2] == cfg.posterior_channels
     conv = (p["conv0.weight"], p["conv0.bias"])
     g = rng.standard_normal((frames, cfg.n_bins, cfg.conv_channels[0])).astype(np.float32)
-    narrow = nn.conv1d_freq(image, *conv)._backward(g)
-    whole = nn.conv1d_freq(nn.parameter(image.data, "image"), *conv)._backward(g)
-    assert narrow[0].shape == (frames, cfg.n_bins, gathered)
-    assert np.array_equal(narrow[0], whole[0][..., :gathered])
-    for got, want in zip(narrow[1:], whole[1:], strict=True):
+    through = nn.conv1d_freq(image, *conv)._backward(g)
+    plain = nn.conv1d_freq(nn.parameter(image.data, "image"), *conv)._backward(g)
+    assert through[0].shape == (frames, cfg.n_bins, cfg.posterior_channels)
+    for got, want in zip(through, plain, strict=True):
         assert np.array_equal(got, want)
-    assert np.array_equal(image._backward(narrow[0])[0], image._backward(whole[0])[0])
+    gx = image._backward(through[0])[0]
+    moved = through[0].copy()
+    moved[..., gathered:] = rng.standard_normal(moved[..., gathered:].shape)
+    assert np.array_equal(image._backward(moved)[0], gx)
+    assert np.array_equal(image._backward(through[0][..., :gathered])[0], gx)
 
 
 def _context(idx, n, channels=2, seed=0):

@@ -475,3 +475,78 @@ def test_backward_closures_never_write_into_their_gradient():
     found = [f"{path.relative_to(SRC)} {hit}"
              for path in files for hit in gradient_writes(path.read_text(encoding="utf-8"))]
     assert not found, "backward writes into its incoming gradient: " + "; ".join(found)
+
+
+# The one read of the process environment and the one write: the worker
+# count (RTSN_THREADS) and the CLI's pin of the BLAS thread pools to one
+# thread.  Anything else would be a switch the config file does not show.
+ENVIRONMENT_USES_KEPT = (("rtsn/neural/layers.py", "_worker_count", "read"),
+                         ("rtsn/cli.py", "<module>", "write"))
+_ENVIRONMENT = {"environ", "environb", "getenv", "getenvb", "putenv", "unsetenv"}
+_ENVIRONMENT_WRITES = {"putenv", "unsetenv", "setdefault", "update", "pop", "popitem",
+                       "clear"}
+
+
+def environment_uses(sources: dict[str, str], kept=ENVIRONMENT_USES_KEPT) -> list[str]:
+    """Reads and writes of the process environment (os.environ, os.getenv
+    and their kin, by attribute or imported name) outside the (module,
+    top-level def or <module>, read or write) uses kept allows.  A use is a
+    write when it calls putenv or unsetenv, calls a mutating method of the
+    mapping, or stores into or deletes a key; any other use reads."""
+    found = []
+    for name, source in sources.items():
+        for top in ast.parse(source).body:
+            scope = getattr(top, "name", "<module>")
+            parent = {child: node for node in ast.walk(top)
+                      for child in ast.iter_child_nodes(node)}
+            for node in ast.walk(top):
+                ref = (node.attr if isinstance(node, ast.Attribute)
+                       else node.id if isinstance(node, ast.Name) else None)
+                if ref not in _ENVIRONMENT:
+                    continue
+                up = parent.get(node)
+                write = (ref in _ENVIRONMENT_WRITES
+                         or isinstance(up, ast.Attribute) and up.attr in _ENVIRONMENT_WRITES
+                         or isinstance(up, ast.Subscript) and not isinstance(up.ctx, ast.Load))
+                use = "write" if write else "read"
+                if (name, scope, use) not in kept:
+                    found.append(f"{name} line {node.lineno}: {use} in {scope}")
+    return found
+
+
+def test_environment_check_flags_what_it_should():
+    sources = {
+        "a.py": (
+            "import os\n"
+            "from os import environ, getenv\n"       # importing is no use
+            "for v in ('A', 'B'):\n"
+            "    os.environ.setdefault(v, '1')\n"    # the kept write
+            "X = os.environ.get('X')\n"
+            "def count():\n"
+            "    return os.environ.get('N')\n"       # the kept read
+            "def knob():\n"
+            "    os.environ['N'] = '2'\n"
+            "    del environ['N']\n"
+            "    return getenv('K'), 'K' in os.environ\n"
+            "class C:\n"
+            "    def f(self):\n"
+            "        os.putenv('P', '1')\n"
+            "        return os.environ['Q']\n"
+            "environment = {}\n"                     # another name
+        ),
+    }
+    kept = (("a.py", "count", "read"), ("a.py", "<module>", "write"))
+    assert environment_uses(sources, kept) == [
+        "a.py line 5: read in <module>",
+        "a.py line 9: write in knob", "a.py line 10: write in knob",
+        "a.py line 11: read in knob", "a.py line 11: read in knob",
+        "a.py line 14: write in C", "a.py line 15: read in C",
+    ]
+
+
+def test_environment_is_read_only_for_the_worker_count():
+    sources = {str(path.relative_to(SRC)): path.read_text(encoding="utf-8")
+               for path in sorted(SRC.rglob("*.py"))}
+    found = environment_uses(sources)
+    assert not found, "environment used outside the worker count and the BLAS pin: " \
+        + "; ".join(found)
