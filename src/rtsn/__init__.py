@@ -12,12 +12,10 @@ from .corpus import (
     build_corpus,
     compute_norm_stats,
     load_corpus,
-    load_norm_stats,
     mix_with_reference,
     normalize,
     parse_manifest,
     read_wav,
-    save_norm_stats,
     write_wav,
 )
 from .dsp import (
@@ -82,7 +80,6 @@ __all__ = [
     "istft",
     "load_checkpoint",
     "load_corpus",
-    "load_norm_stats",
     "log_spectral_distance",
     "lps_from_magnitude",
     "magnitude_from_lps",
@@ -92,7 +89,6 @@ __all__ = [
     "parse_manifest",
     "read_wav",
     "save_checkpoint",
-    "save_norm_stats",
     "segmental_snr",
     "spectrogram_image_bytes",
     "stft",

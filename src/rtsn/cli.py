@@ -81,11 +81,9 @@ def cmd_build_corpus(args: argparse.Namespace) -> int:
 
 def cmd_train(args: argparse.Namespace) -> int:
     model_config, stft_config, train_config = load_train_setup(args.config, args.seed)
-    out_dir = Path(args.manifest).parent
-    corpus = corpus_mod.load_corpus(args.manifest, out_dir)
-    if corpus is None:
-        corpus = corpus_mod.build_corpus(args.manifest, stft_config,
-                                         seed=args.seed, out_dir=out_dir)
+    corpus = corpus_mod.load_corpus(args.manifest)
+    if corpus is None or (corpus.stft, corpus.seed) != (stft_config, args.seed):
+        corpus = corpus_mod.build_corpus(args.manifest, stft_config, seed=args.seed)
     params = init_params(model_config, stft_config, corpus.stats, seed=args.seed)
     result = train(params, corpus, train_config)
     save_checkpoint(result.params, args.out)

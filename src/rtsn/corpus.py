@@ -3,6 +3,8 @@
 Mixtures are materialized from a manifest of (speech, noise, snr_db, seed,
 output) lines.  Per-bin normalization statistics come from the training
 noisy log-power spectra only, so a validation file change never moves them.
+The statistics file records what they were taken from: the framing, the
+split seed and a digest of the manifest rows.
 """
 from __future__ import annotations
 
@@ -10,7 +12,6 @@ import csv
 import io
 import math
 import os
-import struct
 import tempfile
 import wave
 from dataclasses import dataclass
@@ -28,12 +29,11 @@ from .dsp import (
     lps_from_magnitude,
     stft,
 )
-from .settings import decode_utf8
+from .settings import (build, decode_utf8, finite_floats, format_settings, parse_settings,
+                       schema)
 
 PCM_SCALE = 32768.0
 STD_FLOOR = 1e-5
-STATS_MAGIC = b"RTSNSTAT"
-STATS_VERSION = 1
 PEAK_TARGET = 0.999
 
 # ---------------------------------------------------------------------------
@@ -248,33 +248,33 @@ def denormalize(l: LpsSequence, stats: NormStats) -> LpsSequence:
     return LpsSequence(l.values * stats.std + stats.mean)
 
 
-def save_norm_stats(path: str | os.PathLike, stats: NormStats) -> None:
-    """Binary stats file: magic, u32 version, f64 means then f64 stds (LE)."""
-    payload = (
-        STATS_MAGIC
-        + struct.pack("<I", STATS_VERSION)
-        + stats.mean.astype("<f8").tobytes()
-        + stats.std.astype("<f8").tobytes()
-    )
-    _atomic_write(path, payload)
+def _save_norm_stats(path: str | os.PathLike, stats: NormStats, stft_config: StftConfig,
+                     seed: int, manifest_sha256: str) -> None:
+    """Statistics as settings text: the framing, split seed and manifest
+    digest they were taken from, then the per-bin means and standard
+    deviations as repr(float) lists, which read back bit-exactly."""
+    text = format_settings(stft_config, {"seed": seed, "manifest_sha256": manifest_sha256,
+                                         "mean": stats.mean.tolist(),
+                                         "std": stats.std.tolist()})
+    _atomic_write(path, (text + "\n").encode("utf-8"))
 
 
-def load_norm_stats(path: str | os.PathLike) -> NormStats:
-    data = Path(path).read_bytes()
-    if len(data) < 12 or data[:8] != STATS_MAGIC:
-        raise ValueError(f"{path}: not a stats file (bad magic)")
-    (version,) = struct.unpack("<I", data[8:12])
-    if version != STATS_VERSION:
-        raise ValueError(f"{path}: unsupported stats version {version}")
-    body = data[12:]
-    if len(body) % 16 != 0:
-        raise ValueError(f"{path}: truncated stats payload")
-    n = len(body) // 16
-    values = np.frombuffer(body, dtype="<f8")
+def _load_norm_stats(path: str | os.PathLike) -> tuple[NormStats, StftConfig, int, str]:
+    """(statistics, framing, split seed, manifest digest) of a file
+    _save_norm_stats wrote; every defect raises a ValueError naming path."""
+    keys = schema(StftConfig) | {"seed": int, "manifest_sha256": str,
+                                 "mean": finite_floats, "std": finite_floats}
+    values = parse_settings(decode_utf8(Path(path).read_bytes(), path), keys, path,
+                            required=True)
     try:
-        return NormStats(values[:n].copy(), values[n:].copy())
+        stft_config = build(StftConfig, values)
+        stats = NormStats(values["mean"], values["std"])
+        if stats.mean.size != stft_config.n_bins:
+            raise ValueError(f"statistics have {stats.mean.size} bins, fft_size "
+                             f"{stft_config.fft_size} gives {stft_config.n_bins}")
     except ValueError as e:
         raise ValueError(f"{path}: {e}") from None
+    return stats, stft_config, values["seed"], values["manifest_sha256"]
 
 
 # ---------------------------------------------------------------------------
@@ -330,12 +330,24 @@ def parse_manifest(path: str | os.PathLike) -> list[MixtureSpec]:
 
 @dataclass
 class Corpus:
-    """Materialized corpus: (noisy, clean) path pairs plus stats."""
+    """Materialized corpus: (noisy, clean) path pairs plus stats, and the
+    framing and split seed the stats and the split were made with."""
 
     train_pairs: list[tuple[str, str]]
     val_pairs: list[tuple[str, str]]
     stats: NormStats
     stats_path: str
+    stft: StftConfig
+    seed: int
+
+
+def _manifest_digest(specs: list[MixtureSpec]) -> str:
+    """sha256 of the parsed manifest rows: comments, blank lines and
+    spelling (`5` or `5.0`) do not count."""
+    import hashlib  # maps OpenSSL, 3.5 MB resident that enhancing never needs
+    rows = "\n".join(repr((s.speech_path, s.noise_path, s.snr_db, s.seed, s.output_path))
+                     for s in specs)
+    return hashlib.sha256(rows.encode("utf-8")).hexdigest()
 
 
 def _resolve(base: Path, p: str) -> str:
@@ -392,54 +404,39 @@ def build_corpus(
             yield lps_from_magnitude(decompose(spec)[0])
 
     stats = compute_norm_stats(train_lps())
-    stats_path = out_dir / "stats.bin"
-    save_norm_stats(stats_path, stats)
+    stats_path = out_dir / "stats.txt"
+    _save_norm_stats(stats_path, stats, stft_config, seed, _manifest_digest(specs))
 
-    split_lines = []
-    roles = {i: "train" for i in train_idx}
-    roles.update({i: "val" for i in val_idx})
-    for i, spec in enumerate(specs):
-        split_lines.append(f"{spec.output_path},{roles[i]}")
-    split_path = out_dir / "split.csv"
-    _atomic_write(split_path, ("\n".join(split_lines) + "\n").encode("utf-8"))
-
-    return Corpus(
-        train_pairs=[pairs[i] for i in train_idx],
-        val_pairs=[pairs[i] for i in val_idx],
-        stats=stats,
-        stats_path=str(stats_path),
-    )
+    val = set(val_idx)
+    split = "".join(f"{spec.output_path},{'val' if i in val else 'train'}\n"
+                    for i, spec in enumerate(specs))
+    _atomic_write(out_dir / "split.csv", split.encode("utf-8"))
+    return Corpus([pairs[i] for i in train_idx], [pairs[i] for i in val_idx], stats,
+                  str(stats_path), stft_config, seed)
 
 
 def load_corpus(
     manifest_path: str | os.PathLike, out_dir: str | os.PathLike | None = None
 ) -> Corpus | None:
-    """Reload a previously built corpus; None if any artifact is missing."""
+    """Reload the corpus build_corpus made from this manifest's rows, split
+    at the recorded seed; None if a mixture or the statistics are missing or
+    were made from other rows.  The framing and seed are not checked."""
     manifest_path = Path(manifest_path)
     base = manifest_path.parent
-    out_dir = Path(out_dir) if out_dir is not None else base
-    stats_path = out_dir / "stats.bin"
-    split_path = out_dir / "split.csv"
-    if not stats_path.exists() or not split_path.exists():
+    stats_path = Path(out_dir if out_dir is not None else base) / "stats.txt"
+    if not stats_path.exists():
         return None
-    roles = {}
-    for line in decode_utf8(split_path.read_bytes(), split_path).splitlines():
-        if not line.strip():
-            continue
-        out, _, role = line.rpartition(",")
-        roles[out] = role
     specs = parse_manifest(manifest_path)
-    train_pairs, val_pairs = [], []
+    stats, stft_config, seed, digest = _load_norm_stats(stats_path)
+    if digest != _manifest_digest(specs):
+        return None
+    pairs = []
     for spec in specs:
-        role = roles.get(spec.output_path)
-        if role not in ("train", "val"):
-            return None
         noisy = _resolve(base, spec.output_path)
         clean = clean_path_for(noisy)
         if not os.path.exists(noisy) or not os.path.exists(clean):
             return None
-        (train_pairs if role == "train" else val_pairs).append((noisy, clean))
-    if not train_pairs or not val_pairs:
-        return None
-    return Corpus(train_pairs, val_pairs, load_norm_stats(stats_path),
-                  str(stats_path))
+        pairs.append((noisy, clean))
+    train_idx, val_idx = split_indices(len(specs), seed)
+    return Corpus([pairs[i] for i in train_idx], [pairs[i] for i in val_idx], stats,
+                  str(stats_path), stft_config, seed)

@@ -503,12 +503,8 @@ def load_checkpoint(path) -> RtsnParams:
     if version != CHECKPOINT_VERSION:
         raise ValueError(f"{path}: unsupported checkpoint version {version}")
     (config_len,) = struct.unpack("<I", take(4, "header"))
-    keys = schema(RtsnConfig, StftConfig)
     values = parse_settings(decode_utf8(bytes(take(config_len, "config text")), path),
-                            keys, path)
-    missing = [k for k in keys if k not in values]
-    if missing:
-        raise ValueError(f"{path}: checkpoint config missing keys {missing}")
+                            schema(RtsnConfig, StftConfig), path, required=True)
     (count,) = struct.unpack("<I", take(4, "tensor table"))
     tensors: dict[str, np.ndarray] = {}
     for _ in range(count):

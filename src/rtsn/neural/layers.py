@@ -224,10 +224,8 @@ _LSTM_BLOCK_ROWS = 128
 def _lstm_blocks(batch: int, steps: int) -> list[slice]:
     """The wavefront's blocks of steps, _LSTM_BLOCK_ROWS rows each.  A tail
     shorter than half a block joins the block before it, so no block is a
-    single row unless the whole chunk is (see lstm_cell).  One worker has
-    nothing to overlap, and its whole chunk is one block: smaller input
-    GEMMs would only run slower."""
-    size = max(1, _LSTM_BLOCK_ROWS // batch if _workers()[0] > 1 else steps)
+    single row unless the whole chunk is (see lstm_cell)."""
+    size = max(1, _LSTM_BLOCK_ROWS // batch)
     starts = list(range(0, steps, size))
     if len(starts) > 1 and 2 * (steps - starts[-1]) < size:
         del starts[-1]
@@ -340,9 +338,8 @@ def lstm_cell(x, layers) -> Tensor:
     because the halving writes into it.  A step is then the recurrent GEMV
     plus elementwise work into preallocated arrays.
 
-    With more than one worker the steps are cut into blocks of
-    _LSTM_BLOCK_ROWS rows (batch x steps), a tail shorter than half a block
-    joined to the block before it.
+    The steps are cut into blocks of _LSTM_BLOCK_ROWS rows (batch x steps),
+    a tail shorter than half a block joined to the block before it.
     Layer i on block k is one task: the block's input GEMM, rows of the
     layer's input times w_in.T, then its steps.  It needs layer i on block
     k - 1, for the state, and layer i - 1 on block k, for its input, so the

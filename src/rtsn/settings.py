@@ -1,15 +1,15 @@
-"""The `key = value` settings schema shared by config files and checkpoints.
+"""The `key = value` settings schema shared by config files, checkpoints
+and corpus statistics.
 
-A key is a field name of a config dataclass (RtsnConfig, StftConfig,
+A config key is a field name of a config dataclass (RtsnConfig, StftConfig,
 TrainConfig) and its type is the type of the field's default: int, a
 finite float, or a tuple of ints written comma-separated.  One writer and
-one reader serve both the `rtsn train --config` file and the checkpoint
-header.
+one reader serve the config file, the checkpoint header and the statistics.
 """
 from __future__ import annotations
 
 import math
-from dataclasses import fields
+from dataclasses import asdict, fields
 from typing import Callable
 
 
@@ -22,6 +22,10 @@ def _finite_float(text: str) -> float:
     if not math.isfinite(value):
         raise ValueError(f"{text!r} is not finite")
     return value
+
+
+def finite_floats(text: str) -> tuple[float, ...]:
+    return tuple(_finite_float(x) for x in text.split(","))
 
 
 _PARSERS = {tuple: _int_tuple, float: _finite_float}
@@ -49,23 +53,24 @@ def decode_utf8(data: bytes, source) -> str:
 
 
 def format_settings(*configs) -> str:
-    """One `key=value` line per field, in declaration order."""
+    """One `key=value` line per field of each config dataclass or item of
+    each dict, in order; a tuple or list is written comma-separated."""
     lines = []
     for config in configs:
-        for f in fields(config):
-            value = getattr(config, f.name)
-            if isinstance(f.default, tuple):
+        for key, value in (config if isinstance(config, dict) else asdict(config)).items():
+            if isinstance(value, (tuple, list)):
                 value = ",".join(str(x) for x in value)
-            lines.append(f"{f.name}={value}")
+            lines.append(f"{key}={value}")
     return "\n".join(lines)
 
 
 def parse_settings(text: str, keys: dict[str, Callable[[str], object]],
-                   source) -> dict[str, object]:
+                   source, required: bool = False) -> dict[str, object]:
     """Typed values of `key = value` lines; `#` starts a comment.
 
     A malformed line, an unknown or repeated key, and a value its key's
-    parser rejects each raise a ValueError naming source, line and key.
+    parser rejects each raise a ValueError naming source, line and key;
+    with required, so does a key of keys that text leaves out.
     """
     values: dict[str, object] = {}
     for ln, raw in enumerate(text.splitlines(), start=1):
@@ -85,6 +90,9 @@ def parse_settings(text: str, keys: dict[str, Callable[[str], object]],
             values[key] = keys[key](value)
         except ValueError:
             raise ValueError(f"{where}: bad value {value!r} for key {key!r}") from None
+    missing = [k for k in keys if k not in values] if required else []
+    if missing:
+        raise ValueError(f"{source}: missing keys {missing}")
     return values
 
 

@@ -379,7 +379,7 @@ def run_pipeline(root, capsys):
         text.append(out.replace(str(root), "<root>"))
 
     names = sorted(str(p.relative_to(root)) for p in root.rglob("*")
-                   if p.suffix in (".wav", ".bin", ".csv", ".ckpt", ".pgm"))
+                   if p.suffix in (".wav", ".txt", ".csv", ".ckpt", ".pgm"))
     blobs = {n: (root / n).read_bytes() for n in names}
     return blobs, text
 

@@ -12,9 +12,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from rtsn import cli
-from rtsn.corpus import read_wav, write_wav
-from rtsn.dsp import StftConfig, Waveform
-from rtsn.model import RtsnConfig, enhance_lps, init_params, save_checkpoint
+from rtsn.corpus import compute_norm_stats, load_corpus, read_wav, split_indices, write_wav
+from rtsn.dsp import StftConfig, Waveform, decompose, lps_from_magnitude, stft
+from rtsn.model import RtsnConfig, enhance_lps, init_params, load_checkpoint, save_checkpoint
 from rtsn.settings import format_settings, parse_settings, schema
 from rtsn.trainer import TrainConfig
 
@@ -126,7 +126,7 @@ def test_build_corpus_command(tmp_path, capsys):
                         "--seed", "0"], capsys)
     assert rc == 0 and err == ""
     assert "train=5" in out and "val=1" in out
-    assert (tmp_path / "stats.bin").exists()
+    assert (tmp_path / "stats.txt").exists()
     assert (tmp_path / "split.csv").exists()
     assert (tmp_path / "mix_0_0.wav").exists()
     assert (tmp_path / "mix_0_0_clean.wav").exists()
@@ -244,7 +244,7 @@ def test_train_rerun_bit_identical(tmp_path, capsys):
         make_inputs(d)
         rc, _, err = train_once(d, capsys)
         assert rc == 0, err
-    for name in ("model.ckpt", "model.ckpt.log.csv", "stats.bin", "split.csv",
+    for name in ("model.ckpt", "model.ckpt.log.csv", "stats.txt", "split.csv",
                  "mix_0_0.wav", "mix_0_0_clean.wav"):
         assert (a / name).read_bytes() == (b / name).read_bytes(), name
 
@@ -416,13 +416,13 @@ def test_train_bad_config_value(tmp_path, capsys):
                             "--out", tmp_path / "m.ckpt"], capsys)
         assert (rc, out) == (1, ""), line
         assert err.startswith(f"error: {key} must be") and err.count("\n") == 1, err
-    assert not (tmp_path / "stats.bin").exists()
+    assert not (tmp_path / "stats.txt").exists()
 
 
-def test_train_over_statistics_of_another_framing_names_them(tmp_path, capsys):
+def test_train_over_statistics_of_another_framing_rebuilds_them(tmp_path, capsys):
     # a corpus built at the default framing (129 bins) and a config whose
-    # framing gives 65: the statistics do not fit the model, and the one
-    # line says so
+    # framing gives 65: train rebuilds the statistics at the config's
+    # framing and trains over them
     make_inputs(tmp_path)
     rc, _, err = run(["build-corpus", "--manifest", tmp_path / "manifest.csv"], capsys)
     assert rc == 0, err
@@ -431,9 +431,72 @@ def test_train_over_statistics_of_another_framing_names_them(tmp_path, capsys):
     rc, out, err = run(["train", "--manifest", tmp_path / "manifest.csv",
                         "--config", tmp_path / "tiny.cfg",
                         "--out", tmp_path / "m.ckpt"], capsys)
-    assert (rc, out) == (1, "")
-    assert err == "error: statistics have 129 bins, config n_bins is 65\n"
-    assert not (tmp_path / "m.ckpt").exists()
+    assert (rc, err) == (0, ""), err
+    assert load_checkpoint(tmp_path / "m.ckpt").norm.mean.shape == (65,)
+    assert load_corpus(tmp_path / "manifest.csv").stft == StftConfig(128, 8, 128)
+
+
+def _file_ids(root):
+    """(inode, mtime) of every corpus artifact under root: a rewrite, which
+    renames a new file over the old, changes both."""
+    return {p.name: (p.stat().st_ino, p.stat().st_mtime_ns) for p in root.iterdir()
+            if p.name.startswith("mix_") or p.name in ("stats.txt", "split.csv")}
+
+
+def test_train_reuses_a_matching_corpus(tmp_path, capsys):
+    make_inputs(tmp_path)
+    rc, _, err = train_once(tmp_path, capsys)
+    assert rc == 0, err
+    before = _file_ids(tmp_path)
+    assert len(before) == 14
+    rc, _, err = train_once(tmp_path, capsys)
+    assert rc == 0, err
+    assert _file_ids(tmp_path) == before
+
+
+def test_train_rebuilds_the_statistics_at_a_changed_hop(tmp_path, capsys):
+    # hop 8 then hop 4 over the same manifest: the model's statistics are
+    # those of the training mixtures at hop 4, not the reused hop-8 ones
+    make_inputs(tmp_path)
+    rc, _, err = train_once(tmp_path, capsys)
+    assert rc == 0, err
+    (tmp_path / "tiny.cfg").write_text(TINY_CFG.replace("hop = 8", "hop = 4"))
+    rc, _, err = train_once(tmp_path, capsys)
+    assert rc == 0, err
+    framing = StftConfig(16, 4, 16)
+    corpus = load_corpus(tmp_path / "manifest.csv")
+    want = compute_norm_stats(lps_from_magnitude(decompose(stft(read_wav(noisy), framing))[0])
+                              for noisy, _ in corpus.train_pairs)
+    norm = load_checkpoint(tmp_path / "model.ckpt").norm
+    for got, oracle in ((norm.mean, want.mean), (norm.std, want.std)):
+        assert np.array_equal(got, oracle.astype(np.float32))
+    assert corpus.stft == framing
+
+
+def test_train_rebuilds_the_split_at_a_changed_seed(tmp_path, capsys):
+    make_inputs(tmp_path)
+    names = [f"mix_{i}_{snr}.wav" for i in range(3) for snr in (0, 5)]
+    for seed in (0, 1):
+        rc, _, err = train_once(tmp_path, capsys, seed=str(seed))
+        assert rc == 0, err
+        _, val = split_indices(6, seed)
+        want = "".join(f"{n},{'val' if i in val else 'train'}\n" for i, n in enumerate(names))
+        assert (tmp_path / "split.csv").read_text() == want, seed
+
+
+def test_train_remixes_after_a_manifest_snr_change(tmp_path, capsys):
+    # the SNR of three rows goes from 5 to -5 dB, the output paths stay:
+    # train mixes them again
+    make_inputs(tmp_path)
+    rc, _, err = train_once(tmp_path, capsys)
+    assert rc == 0, err
+    before = {i: (tmp_path / f"mix_{i}_5.wav").read_bytes() for i in range(3)}
+    manifest = tmp_path / "manifest.csv"
+    manifest.write_text(manifest.read_text().replace("noise.wav,5,", "noise.wav,-5,"))
+    rc, _, err = train_once(tmp_path, capsys)
+    assert rc == 0, err
+    for i, data in before.items():
+        assert (tmp_path / f"mix_{i}_5.wav").read_bytes() != data, i
 
 
 # A small model's config file, every key set.  Each example overrides a

@@ -1,6 +1,5 @@
 import math
 import re
-import struct
 import tempfile
 from pathlib import Path
 
@@ -10,20 +9,19 @@ from hypothesis import example, given, settings, strategies as st
 from numpy.testing import assert_allclose
 
 from rtsn.corpus import (
-    STATS_MAGIC,
     STD_FLOOR,
     NormStats,
+    _load_norm_stats,
+    _save_norm_stats,
     build_corpus,
     clean_path_for,
     compute_norm_stats,
     denormalize,
     load_corpus,
-    load_norm_stats,
     mix_with_reference,
     normalize,
     parse_manifest,
     read_wav,
-    save_norm_stats,
     split_indices,
     write_wav,
 )
@@ -298,37 +296,67 @@ def test_normalize_round_trip():
         normalize(LpsSequence(np.zeros((3, 5))), stats)
 
 
+# Doubles whose text must read back bit-exactly: a signed zero, the least
+# subnormal, the least normal, the largest finite and a non-dyadic fraction.
+EDGE_DOUBLES = [-0.0, 5e-324, 2.2250738585072014e-308, 1.7976931348623157e308, 0.1]
+DIGEST = "ab" * 32
+
+
 def test_stats_file_round_trip(tmp_path):
     rng = np.random.default_rng(17)
-    stats = NormStats(rng.standard_normal(129), rng.uniform(0.1, 3.0, 129))
-    p = tmp_path / "stats.bin"
-    save_norm_stats(p, stats)
-    raw = p.read_bytes()
-    assert raw[:8] == b"RTSNSTAT"
-    assert len(raw) == 8 + 4 + 129 * 8 * 2
-    loaded = load_norm_stats(p)
-    assert_allclose(loaded.mean, stats.mean, rtol=0, atol=0)
-    assert_allclose(loaded.std, stats.std, rtol=0, atol=0)
+    mean = np.concatenate([EDGE_DOUBLES, rng.standard_normal(124)])
+    std = np.concatenate([np.abs(EDGE_DOUBLES[1:]), rng.uniform(0.1, 3.0, 125)])
+    p = tmp_path / "stats.txt"
+    _save_norm_stats(p, NormStats(mean, std), StftConfig(), 3, DIGEST)
+    lines = p.read_text(encoding="utf-8").splitlines()
+    assert [line.split("=")[0] for line in lines] == [
+        "frame_len", "hop", "fft_size", "seed", "manifest_sha256", "mean", "std"]
+    assert lines[:5] == ["frame_len=200", "hop=80", "fft_size=256", "seed=3",
+                         f"manifest_sha256={DIGEST}"]
+    assert "np.float64" not in lines[5]
+    stats, stft_config, seed, digest = _load_norm_stats(p)
+    assert np.array_equal(stats.mean, mean) and np.array_equal(stats.std, std)
+    assert np.array_equal(np.signbit(stats.mean), np.signbit(mean))
+    assert (stft_config, seed, digest) == (StftConfig(), 3, DIGEST)
+
+
+def _stats_text(mean="0.5,-1.0", std="1.0,2.0", fft_size="2", **extra):
+    """A statistics file's text at 2 bins (frame_len 2, hop 1), any value
+    replaced by a keyword; a keyword set to None leaves its line out."""
+    values = {"frame_len": "2", "hop": "1", "fft_size": fft_size, "seed": "0",
+              "manifest_sha256": DIGEST, "mean": mean, "std": std} | extra
+    return "".join(f"{k} = {v}\n" for k, v in values.items() if v is not None)
 
 
 def test_stats_file_errors(tmp_path):
-    p = tmp_path / "bad.bin"
-    p.write_bytes(b"NOTSTATS" + b"\x01\x00\x00\x00" + b"\x00" * 32)
-    with pytest.raises(ValueError, match="bad magic"):
-        load_norm_stats(p)
-    p.write_bytes(b"RTSNSTAT" + b"\x02\x00\x00\x00" + b"\x00" * 32)
-    with pytest.raises(ValueError, match="version"):
-        load_norm_stats(p)
-    p.write_bytes(b"RTSNSTAT" + b"\x01\x00\x00\x00" + b"\x00" * 31)
-    with pytest.raises(ValueError, match="truncated"):
-        load_norm_stats(p)
-    p.write_bytes(b"RTSNSTAT" + b"\x01\x00\x00\x00")
-    with pytest.raises(ValueError, match="no bins"):
-        load_norm_stats(p)
-    save_norm_stats(p, NormStats(np.zeros(2), np.ones(2)))
-    p.write_bytes(p.read_bytes()[:12] + np.array([np.nan, 0.0, 1.0, 1.0]).tobytes())
-    with pytest.raises(ValueError, match="non-finite mean/std"):
-        load_norm_stats(p)
+    # every defect raises a ValueError that names the file, and the line
+    # and key where there is one
+    p = tmp_path / "stats.txt"
+    p.write_text(_stats_text())
+    stats, stft_config, _, _ = _load_norm_stats(p)
+    assert stats.mean.tolist() == [0.5, -1.0] and stft_config.n_bins == 2
+    cases = [
+        (_stats_text().encode() + b"# \xff\n", r" line 8: not valid UTF-8"),
+        (_stats_text(hop=None), r": missing keys \['hop'\]"),
+        (_stats_text(std=None, seed=None), r": missing keys \['seed', 'std'\]"),
+        (_stats_text() + "seed = 1\n", r" line 8: duplicate key 'seed'"),
+        (_stats_text() + "window = 2\n", r" line 8: unknown config key 'window'"),
+        (_stats_text(mean="0.5,x"), r" line 6: bad value '0.5,x' for key 'mean'"),
+        (_stats_text(mean="0.5,"), r" line 6: bad value '0.5,' for key 'mean'"),
+        (_stats_text(std="nan,1.0"), r" line 7: bad value 'nan,1.0' for key 'std'"),
+        (_stats_text(mean="0.5,-inf"), r" line 6: bad value '0.5,-inf' for key 'mean'"),
+        (_stats_text(std="1.0,1e999"), r" line 7: bad value '1.0,1e999' for key 'std'"),
+        (_stats_text(seed="one"), r" line 4: bad value 'one' for key 'seed'"),
+        (_stats_text(std="1.0,0.0"), r": non-positive std"),
+        (_stats_text(std="1.0,-2.0"), r": non-positive std"),
+        (_stats_text(std="1.0,2.0,3.0"), r": mean/std must be equal-length vectors"),
+        (_stats_text(fft_size="4"), r": statistics have 2 bins, fft_size 4 gives 3"),
+        (_stats_text(hop="3"), r": need hop <= frame_len <= fft_size"),
+    ]
+    for text, message in cases:
+        p.write_bytes(text if isinstance(text, bytes) else text.encode())
+        with pytest.raises(ValueError, match="^" + re.escape(str(p)) + message):
+            _load_norm_stats(p)
 
 
 # ---------------------------------------------------------------------------
@@ -416,32 +444,49 @@ def test_manifest_rows_property(rows):
     assert [s.line for s in specs] == sorted({s.line for s in specs})
 
 
-@settings(max_examples=150, deadline=None)
-@given(st.one_of(
-    st.binary(max_size=40),
-    st.builds(lambda v, body: STATS_MAGIC + struct.pack("<I", v) + body,
-              st.sampled_from([1, 1, 1, 2]), st.binary(max_size=40)),
-    st.builds(lambda vals: STATS_MAGIC + struct.pack("<I", 1)
-              + np.array(vals, dtype="<f8").tobytes(),
-              st.lists(st.floats(allow_nan=True, allow_infinity=True), max_size=8)),
-))
-@example(STATS_MAGIC + struct.pack("<I", 1) + np.array([np.nan, 1.0]).tobytes())
-@example(STATS_MAGIC + struct.pack("<I", 1) + np.array([0.0, np.inf]).tobytes())
-@example(STATS_MAGIC + struct.pack("<I", 1) + np.array([0.5, -2.0, 1.0, 3.0]).tobytes())
+_STATS_LINES = _stats_text().splitlines()
+_ODD = st.sampled_from(["nan", "-inf", "1e999", "0", "-0.0", "-1", "x", "", "1,", ",2",
+                        "1_0", "0x10", "5e-324", "1,2,3", "0.5", "4", "٣", "-0.0,5e-324",
+                        "1e308,0.1"]) | st.text(max_size=6)
+_EDITS = st.lists(st.tuples(st.integers(0, len(_STATS_LINES) - 1),
+                            st.sampled_from(["drop", "twice", "value", "key"])), max_size=3)
+
+
+@st.composite
+def _edited_stats(draw):
+    """A valid statistics file with up to three of its lines dropped,
+    written twice, given an odd value or an odd key; sometimes with a stray
+    non-UTF-8 byte."""
+    lines = [[line] for line in _STATS_LINES]
+    for i, how in draw(_EDITS):
+        key, _, value = _STATS_LINES[i].partition(" = ")
+        lines[i] = {"drop": [], "twice": lines[i] * 2, "value": [f"{key} = {draw(_ODD)}"],
+                    "key": [f"{draw(_ODD)} = {value}"]}[how]
+    data = "\n".join(line for group in lines for line in group).encode("utf-8")
+    return data + b"\xff" if draw(st.integers(0, 9)) == 0 else data
+
+
+@settings(max_examples=300, deadline=None)
+@given(_edited_stats())
+@example(_stats_text().encode())
+@example(_stats_text(std="1.0,0.0").encode())
+@example(_stats_text(fft_size="4").encode())
 def test_stats_reader_property(blob):
-    # every stats file either loads finite, positive, equal-length per-bin
-    # values or raises a ValueError that names the file
+    # every statistics file either loads finite, positive, equal-length
+    # per-bin values of its framing's bin count, or raises a ValueError
+    # that names the file
     with tempfile.TemporaryDirectory() as d:
-        p = Path(d) / "stats.bin"
+        p = Path(d) / "stats.txt"
         p.write_bytes(blob)
         try:
-            stats = load_norm_stats(p)
+            stats, stft_config, seed, digest = _load_norm_stats(p)
         except ValueError as e:
-            assert str(e).startswith(f"{p}: "), str(e)
+            assert re.match(re.escape(str(p)) + r"( line \d+)?: ", str(e)), str(e)
             return
-    assert stats.mean.shape == stats.std.shape and stats.mean.size >= 1
+    assert stats.mean.shape == stats.std.shape == (stft_config.n_bins,)
     assert np.all(np.isfinite(stats.mean)) and np.all(np.isfinite(stats.std))
     assert np.all(stats.std > 0)
+    assert isinstance(seed, int) and isinstance(digest, str) and digest
 
 
 def test_clean_path_for():
@@ -537,17 +582,29 @@ def test_build_corpus_short_source_names_line(tmp_path):
 
 def test_load_corpus_round_trip(tmp_path):
     manifest = _make_corpus_inputs(tmp_path)
-    built = build_corpus(manifest, TINY, seed=0, out_dir=tmp_path)
+    built = build_corpus(manifest, TINY, seed=5, out_dir=tmp_path)
     loaded = load_corpus(manifest, tmp_path)
     assert loaded is not None
-    assert sorted(loaded.train_pairs) == sorted(built.train_pairs)
-    assert sorted(loaded.val_pairs) == sorted(built.val_pairs)
-    assert_allclose(loaded.stats.mean, built.stats.mean, rtol=0, atol=0)
+    assert loaded.train_pairs == built.train_pairs
+    assert loaded.val_pairs == built.val_pairs
+    assert np.array_equal(loaded.stats.mean, built.stats.mean)
+    assert np.array_equal(loaded.stats.std, built.stats.std)
+    assert (loaded.stft, loaded.seed) == (built.stft, built.seed) == (TINY, 5)
 
-    split = tmp_path / "split.csv"
-    split.write_bytes(split.read_bytes() + b"\xff,val\n")
-    with pytest.raises(ValueError, match=r"split\.csv line \d+: not valid UTF-8"):
+    # the manifest's rows count, not its comments, blank lines or spelling
+    rows = manifest.read_text()
+    manifest.write_text("# speech,noise,snr_db,seed,output\n\n"
+                        + rows.replace(",5.0,", ",5,"))
+    assert load_corpus(manifest, tmp_path).train_pairs == built.train_pairs
+    manifest.write_text(rows.replace(",5.0,", ",-5.0,"))
+    assert load_corpus(manifest, tmp_path) is None
+    manifest.write_text(rows)
+
+    (tmp_path / "stats.txt").write_bytes(b"seed = 5\n\xff\n")
+    with pytest.raises(ValueError, match=r"stats\.txt line 2: not valid UTF-8"):
         load_corpus(manifest, tmp_path)
-
-    (tmp_path / "stats.bin").unlink()
+    (tmp_path / "stats.txt").unlink()
+    assert load_corpus(manifest, tmp_path) is None
+    build_corpus(manifest, TINY, seed=5, out_dir=tmp_path)
+    Path(built.val_pairs[0][1]).unlink()
     assert load_corpus(manifest, tmp_path) is None

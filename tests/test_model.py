@@ -558,16 +558,14 @@ def test_worker_split_changes_no_byte(monkeypatch, use_workers):
         assert dispatched.count(("_correlate", 40)) == 4  # a block per frame
         assert [n for task, n in dispatched if task == "selu"] == [workers] * 3
         assert dispatched.count(("gather_steps", 40)) == 1  # a span per step
-        # two layers over five blocks of 8 steps, six anti-diagonals; one
-        # block, run layer after layer, on one worker
-        assert [n for task, n in dispatched if task == "lstm_cell"] == (
-            [1, 2, 2, 2, 2, 1] if workers > 1 else [1, 1])
+        # two layers over five blocks of 8 steps, six anti-diagonals, at
+        # every worker count
+        assert [n for task, n in dispatched if task == "lstm_cell"] == [1, 2, 2, 2, 2, 1]
         dispatched.clear()
         result = forward_chunk(params, chunk, zero_state(params, 2))
         grads = nn.grads_for(result.loss.total, tensors)
         # two blocks of 4 steps at batch 2
-        assert [n for task, n in dispatched if task == "lstm_cell"] == (
-            [1, 2, 1] if workers > 1 else [1, 1])
+        assert [n for task, n in dispatched if task == "lstm_cell"] == [1, 2, 1]
         assert [n for task, n in dispatched if task == "gather_steps"] == [8]
         # four forwards and four input gradients, conv0's to the gather
         assert [n for task, n in dispatched if task == "_correlate"] == [16] * 8

@@ -314,7 +314,7 @@ def test_lstm_blocks_cover_the_steps_without_a_one_row_block(monkeypatch, use_wo
     # At every length up to a few blocks the blocks run in order over every
     # step, each a whole block of steps but the last, which is at least half
     # a block (or the whole chunk); no block is a single row unless the
-    # chunk is.  One worker takes the whole chunk as one block.
+    # chunk is.  One worker takes the same blocks as two.
     monkeypatch.setattr(layers, "_LSTM_BLOCK_ROWS", 8)
     size = max(1, 8 // batch)
     use_workers(2)
@@ -327,7 +327,31 @@ def test_lstm_blocks_cover_the_steps_without_a_one_row_block(monkeypatch, use_wo
         assert 2 * last >= size or len(blocks) == 1
         assert batch * last >= 2 or batch * steps == 1
     use_workers(1)
-    assert layers._lstm_blocks(batch, 4 * size + 1) == [slice(0, 4 * size + 1)]
+    assert layers._lstm_blocks(batch, 4 * size + 1) == blocks
+
+
+def test_lstm_inference_holds_one_block_of_gates_on_one_worker(use_workers):
+    # A two-layer stack over 4096 steps at batch 1 that records no graph,
+    # on one worker: the traced peak is each layer's hidden and cell states
+    # and the input's time-major copy, plus one block of gates per layer,
+    # well under a quarter of one layer's gates over every step (4 MiB).
+    use_workers(1)
+    rng = np.random.default_rng(3)
+    b, t, d, h = 1, 4096, 16, 64
+    x = nn.Tensor(rng.standard_normal((b, t, d)).astype(np.float32))
+    stack = [(nn.Tensor(rng.standard_normal((4 * h, d if i == 0 else h)).astype(np.float32)),
+              nn.Tensor(rng.standard_normal((4 * h, h)).astype(np.float32)),
+              nn.Tensor(np.zeros(4 * h, np.float32)),
+              np.zeros((b, h), np.float32), np.zeros((b, h), np.float32)) for i in range(2)]
+    tracemalloc.start()
+    try:
+        nn.lstm_cell(x, stack)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    states = 2 * 2 * (t + 1) * b * h * 4
+    gates = t * b * 4 * h * 4
+    assert peak <= states + x.data.nbytes + gates / 4, f"peak {peak / 2**20:.2f} MiB"
 
 
 def _stack_oracle(x, stack):
@@ -382,7 +406,7 @@ def test_lstm_stack_matches_layer_by_layer(monkeypatch, use_workers, batch, rows
             grads = [] if how == "frozen" else nn.grads_for(weighted_sum([out], [g]),
                                                             tensors)
             runs[how] = [out.data, carried] + grads
-        assert len(layers._lstm_blocks(batch, steps)) > 1 or steps < 8 or workers == 1
+        assert len(layers._lstm_blocks(batch, steps)) > 1 or steps < 8
         for how in ("stack", "frozen"):
             for i, (got, want) in enumerate(zip(runs[how], runs["oracle"])):
                 assert got.dtype == np.float32

@@ -46,24 +46,26 @@ def test_no_unused_imports_in_src():
     assert not found, "unused imports: " + "; ".join(found)
 
 
-def concurrency_imports(sources: dict[str, str],
-                        home: str = "rtsn/neural/layers.py") -> list[str]:
-    """Imports of threading or concurrent.futures (or anything under them)
-    anywhere but home, the one module that runs work on threads."""
+def imports_outside(sources: dict[str, str], modules: tuple[str, ...], home: str) -> list[str]:
+    """Imports of the given top-level modules (or anything under them)
+    anywhere but home, the one module that may use them."""
     found = []
     for name, source in sources.items():
         if name == home:
             continue
         for node in ast.walk(ast.parse(source)):
             if isinstance(node, ast.Import):
-                modules = [alias.name for alias in node.names]
+                imported = [alias.name for alias in node.names]
             elif isinstance(node, ast.ImportFrom) and not node.level:
-                modules = [node.module]
+                imported = [node.module]
             else:
                 continue
-            found += [f"{name} line {node.lineno}: {m}" for m in modules
-                      if m.split(".")[0] in ("threading", "concurrent")]
+            found += [f"{name} line {node.lineno}: {m}" for m in imported
+                      if m.split(".")[0] in modules]
     return found
+
+
+CONCURRENCY = ("threading", "concurrent")
 
 
 def test_concurrency_import_check_flags_what_it_should():
@@ -77,7 +79,7 @@ def test_concurrency_import_check_flags_what_it_should():
             "import threadpoolctl\n"                  # another package
         ),
     }
-    assert concurrency_imports(sources, home="home.py") == [
+    assert imports_outside(sources, CONCURRENCY, home="home.py") == [
         "a.py line 1: threading", "a.py line 2: concurrent", "a.py line 3: concurrent.futures",
     ]
 
@@ -86,8 +88,30 @@ def test_threads_are_started_only_by_the_layers():
     sources = {str(path.relative_to(SRC)): path.read_text(encoding="utf-8")
                for path in sorted(SRC.rglob("*.py"))}
     assert "rtsn/neural/layers.py" in sources
-    found = concurrency_imports(sources)
+    found = imports_outside(sources, CONCURRENCY, home="rtsn/neural/layers.py")
     assert not found, "concurrency outside neural/layers.py: " + "; ".join(found)
+
+
+def test_binary_format_import_check_flags_what_it_should():
+    sources = {
+        "model.py": "import struct\n",
+        "corpus.py": "import io, struct\n",
+        "settings.py": "def f():\n    from struct import pack\n    return pack\n",
+        "wav.py": "from .struct import local_module\nimport structlog\n",
+    }
+    assert imports_outside(sources, ("struct",), home="model.py") == [
+        "corpus.py line 1: struct", "settings.py line 2: struct",
+    ]
+
+
+def test_struct_is_imported_only_by_the_checkpoint():
+    # the checkpoint is the one binary format; every other file rtsn
+    # writes is text or WAV
+    sources = {str(path.relative_to(SRC)): path.read_text(encoding="utf-8")
+               for path in sorted(SRC.rglob("*.py"))}
+    assert "import struct" in sources["rtsn/model.py"]
+    found = imports_outside(sources, ("struct",), home="rtsn/model.py")
+    assert not found, "struct outside model.py: " + "; ".join(found)
 
 
 _DEFS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
