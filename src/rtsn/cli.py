@@ -87,11 +87,9 @@ def cmd_train(args: argparse.Namespace) -> int:
     params = init_params(model_config, stft_config, corpus.stats, seed=args.seed)
     result = train(params, corpus, train_config)
     save_checkpoint(result.params, args.out)
-    log_lines = ["epoch,train_loss,val_loss,seconds"]
+    log_lines = ["epoch,train_loss,val_loss"]
     for row in result.log:
-        log_lines.append(
-            f"{row.epoch},{row.train_loss:.8f},{row.val_loss:.8f},{int(row.seconds)}"
-        )
+        log_lines.append(f"{row.epoch},{row.train_loss:.8f},{row.val_loss:.8f}")
     corpus_mod._atomic_write(str(args.out) + ".log.csv",
                              ("\n".join(log_lines) + "\n").encode("utf-8"))
     print(f"epochs={len(result.log)}")
@@ -178,6 +176,8 @@ def main(argv: list[str] | None = None) -> int:
     try:
         _worker_count()  # a bad RTSN_THREADS fails before any work starts
         args = build_parser().parse_args(argv)
+        if getattr(args, "seed", 0) < 0:
+            raise ValueError(f"--seed must be >= 0, got {args.seed}")
         return args.func(args)
     except (ValueError, OSError, FloatingPointError) as e:
         print(f"error: {e}", file=sys.stderr)

@@ -52,7 +52,7 @@ def read_wav(path: str | os.PathLike) -> Waveform:
             raw = f.readframes(declared)
     except wave.Error as e:
         raise ValueError(f"{path}: unsupported wav encoding ({e})") from e
-    except EOFError:
+    except (EOFError, RuntimeError):  # RuntimeError: a chunk runs past the end
         raise ValueError(f"{path}: empty or truncated wav header") from None
     if channels != 1:
         raise ValueError(f"{path}: channels={channels} unsupported (need mono)")

@@ -176,7 +176,8 @@ def _assemble(config: RtsnConfig, stft_config: StftConfig,
     """The one check of a model: RtsnParams holding make(arrays[name], name)
     for every name of _expected_shapes, in its order.  Framing or
     statistics whose bin count is not config.n_bins, and a missing,
-    misshapen or unknown entry of arrays, each raise a named ValueError."""
+    misshapen, non-finite or unknown entry of arrays, each raise a named
+    ValueError."""
     if config.n_bins != stft_config.n_bins:
         raise ValueError(f"config n_bins {config.n_bins} does not match "
                          f"fft_size {stft_config.fft_size}")
@@ -190,6 +191,8 @@ def _assemble(config: RtsnConfig, stft_config: StftConfig,
         if arrays[name].shape != shape:
             raise ValueError(f"tensor {name} has shape {arrays[name].shape}, "
                              f"expected {shape}")
+        if not np.isfinite(arrays[name]).all():
+            raise ValueError(f"non-finite values in tensor {name}")
     surplus = sorted(set(arrays) - set(shapes))
     if surplus:
         raise ValueError(f"unexpected tensors {surplus}")
@@ -317,13 +320,8 @@ def _prior(params: RtsnParams, windows: np.ndarray,
 
 def _conv_stack(params: RtsnParams, v: nn.Tensor) -> nn.Tensor:
     """The posterior convs over a channel-last image, SELU between them.
-
     Each SELU writes over the conv output it follows (selu's out=), so a
-    conv+SELU pair holds one array, graph or no graph: the conv node's
-    value becomes the SELU's output, which no backward minds, since the
-    conv backward reads only its input and kernels and the SELU backward
-    only its output.
-    """
+    conv+SELU pair holds one array, graph or no graph (see layers.py)."""
     p = params.tensors
     last = len(params.config.conv_channels) - 1
     for i in range(last + 1):
@@ -367,14 +365,11 @@ def forward_chunk(params: RtsnParams, data: ChunkData,
     x_bar = nn.reshape(stacks, (batch, steps, params.config.stack_rows, n_bins))
     # (B, U, R): each lane's stacks clamped to its valid steps
     gather_idx = stack_index(np.arange(steps), lookahead, data.valid[:, None, None] - 1)
-    # the posterior's context enters as a named constant, as the prior's
-    # windows do, so a non-finite value in it is reported by that name
-    context = nn.Tensor(noisy_ctx, name="noisy_ctx").data
     block = max(1, POST_BLOCK_FRAMES // batch)
     blocks = []
     for start in range(0, steps, block):
         rows = slice(start, start + block)
-        image = nn.gather_steps(x_bar, gather_idx[:, rows], context[:, rows])
+        image = nn.gather_steps(x_bar, gather_idx[:, rows], noisy_ctx[:, rows])
         blocks.append(nn.reshape(_conv_stack(params, image), (batch, -1, n_bins)))
     x_hat = nn.concat(blocks, axis=1)
     loss = None
@@ -427,11 +422,15 @@ def enhance_lps(params: RtsnParams, norm_values: np.ndarray) -> np.ndarray:
     """Full-sequence two-stage forward on normalized LPS values.
 
     Graph-free over frozen parameters and block-bounded in the posterior,
-    so memory beyond the O(frames) arrays does not grow with length.
+    so memory beyond the O(frames) arrays does not grow with length.  The
+    result alone is checked: a non-finite value raises FloatingPointError.
     """
     values = np.asarray(norm_values, dtype=params.dtype)
     data = chunk_from_frames([values], None, [0], len(values), params.config.lookahead)
-    return forward_chunk(params.frozen(), data).x_hat.data[0]
+    x_hat = forward_chunk(params.frozen(), data).x_hat.data[0]
+    if not np.isfinite(x_hat).all():
+        raise FloatingPointError("non-finite values in the enhanced frames")
+    return x_hat
 
 
 def enhance_utterance(
@@ -506,14 +505,16 @@ def load_checkpoint(path) -> RtsnParams:
     values = parse_settings(decode_utf8(bytes(take(config_len, "config text")), path),
                             schema(RtsnConfig, StftConfig), path, required=True)
     (count,) = struct.unpack("<I", take(4, "tensor table"))
+    max_rank = max(map(len, _expected_shapes(RtsnConfig()).values()))  # any config's
     tensors: dict[str, np.ndarray] = {}
     for _ in range(count):
         (name_len,) = struct.unpack("<H", take(2, "tensor header"))
         name = decode_utf8(bytes(take(name_len, "tensor header")), f"{path} tensor name")
         (rank,) = struct.unpack("<B", take(1, "tensor header"))
+        if rank > max_rank:
+            raise ValueError(f"{path}: tensor {name} has rank {rank}, more than {max_rank}")
         dims = struct.unpack(f"<{rank}I", take(4 * rank, "tensor header"))
-        size = int(np.prod(dims, dtype=np.int64)) if rank else 1
-        raw = take(4 * size, "tensor data")
+        raw = take(4 * math.prod(dims), "tensor data")
         tensors[name] = np.frombuffer(raw, dtype="<f4").reshape(dims).copy()
     if pos != len(view):
         raise ValueError(f"{path}: {len(view) - pos} trailing bytes")

@@ -17,12 +17,14 @@ a local map.  A node's first gradient is adopted without a copy and later
 ones are summed out of place, so adopting the views that reshape and
 concat's split hand over is safe.  A node's entry leaves the map when its
 closure runs, so only the frontier of live gradients is held.
+
+A Tensor holds values unchecked.  They are checked where they enter and
+leave the network, and only a non-finite loss makes grads_for scan the
+graph, to name the op.
 """
 from __future__ import annotations
 
 import numpy as np
-
-_FLOAT_TYPES = (np.float32, np.float64)
 
 
 class Tensor:
@@ -31,12 +33,8 @@ class Tensor:
     def __init__(self, data, requires_grad: bool = False, name: str | None = None,
                  parents: tuple = (), backward=None):
         arr = np.asarray(data)
-        if arr.dtype not in _FLOAT_TYPES:
+        if arr.dtype not in (np.float32, np.float64):
             arr = arr.astype(np.float64)
-        if not np.all(np.isfinite(arr)):
-            raise FloatingPointError(
-                f"non-finite values in tensor {name or '<unnamed>'}"
-            )
         self.data = arr
         self.requires_grad = requires_grad
         self.name = name
@@ -54,10 +52,6 @@ class Tensor:
     def item(self) -> float:
         return float(self.data)
 
-    def __repr__(self) -> str:
-        tag = f" {self.name}" if self.name else ""
-        return f"Tensor{tag}(shape={self.data.shape}, dtype={self.data.dtype})"
-
 
 def parameter(data, name: str) -> Tensor:
     return Tensor(np.asarray(data), requires_grad=True, name=name)
@@ -69,8 +63,8 @@ def as_tensor(x) -> Tensor:
 
 def _node(data, parents, backward, op: str) -> Tensor:
     """The output of op; it records parents and backward only when some
-    parent requires a gradient, and is named after op so a non-finite
-    value names the op that produced it."""
+    parent requires a gradient, and is named after op so that grads_for
+    can name the op that produced a non-finite value."""
     requires = any(p.requires_grad for p in parents)
     return Tensor(data, requires_grad=requires, name=op,
                   parents=tuple(parents) if requires else (),
@@ -136,6 +130,11 @@ def grads_for(loss: Tensor, params: list[Tensor]) -> list[np.ndarray]:
     reverse topological order, of what its consumers' closures return for
     it, cast to its dtype; constant nodes get none.  A returned gradient may
     be an adopted view, read-only.
+
+    A non-finite loss raises FloatingPointError naming the first node in
+    topological order with a non-finite value: its parents are finite, so
+    its op made that value, unless it is a conv whose array its SELU wrote
+    over (selu's out=), where the SELU may have made it.
     """
     order = _topo_order(loss)
     in_graph = {id(t) for t in order}
@@ -150,6 +149,9 @@ def grads_for(loss: Tensor, params: list[Tensor]) -> list[np.ndarray]:
             )
     if loss.data.size != 1:
         raise ValueError(f"grads_for needs a scalar loss, got shape {loss.data.shape}")
+    if not np.isfinite(loss.data).all():
+        bad = next(t for t in order if not np.isfinite(t.data).all())
+        raise FloatingPointError(f"non-finite values in tensor {bad.name or '<unnamed>'}")
     grads = {id(loss): np.ones_like(loss.data)}
     for node in reversed(order):
         if node._backward is None or id(node) not in grads:

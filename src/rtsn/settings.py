@@ -83,7 +83,7 @@ def parse_settings(text: str, keys: dict[str, Callable[[str], object]],
         if not sep or not key or not value:
             raise ValueError(f"{where}: expected `key = value`, got {raw!r}")
         if key not in keys:
-            raise ValueError(f"{where}: unknown config key {key!r}")
+            raise ValueError(f"{where}: unknown key {key!r}")
         if key in values:
             raise ValueError(f"{where}: duplicate key {key!r}")
         try:

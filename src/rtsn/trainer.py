@@ -14,7 +14,6 @@ returns the best-epoch snapshot.
 from __future__ import annotations
 
 import math
-import time
 from dataclasses import dataclass
 
 import numpy as np
@@ -117,7 +116,6 @@ class EpochLog:
     epoch: int
     train_loss: float
     val_loss: float
-    seconds: float
 
 
 @dataclass
@@ -161,6 +159,8 @@ def train(params: RtsnParams, corpus_or_utts, cfg: TrainConfig) -> TrainResult:
         for i, utt in enumerate(utts):
             if utt.num_frames < 1:
                 raise ValueError(f"{kind} utterance {i} has no frames")
+            if not (np.isfinite(utt.noisy).all() and np.isfinite(utt.clean).all()):
+                raise ValueError(f"{kind} utterance {i} has non-finite frames")
 
     unroll = cfg.unroll_steps
     # each lane's utterance (None until its first draw) and next start frame
@@ -180,7 +180,6 @@ def train(params: RtsnParams, corpus_or_utts, cfg: TrainConfig) -> TrainResult:
     log: list[EpochLog] = []
 
     for epoch in range(1, cfg.max_epochs + 1):
-        tick = time.perf_counter()
         loss_sum = 0.0
         frame_sum = 0.0
         for step in range(1, steps_per_epoch + 1):
@@ -194,23 +193,20 @@ def train(params: RtsnParams, corpus_or_utts, cfg: TrainConfig) -> TrainResult:
                                      [start for _, start in lanes], unroll, lookahead)
             try:
                 result = forward_chunk(params, data, state)
+                grads = nn.grads_for(result.loss.total, tensors)
+                nn.adam_update(adam, tensors, grads)
             except FloatingPointError as e:
                 raise FloatingPointError(f"epoch {epoch} step {step}: {e}") from None
-            loss_value = result.loss.total.item()
-            grads = nn.grads_for(result.loss.total, tensors)
-            nn.adam_update(adam, tensors, grads)
-            loss_sum += loss_value * result.loss.frames
+            loss_sum += result.loss.total.item() * result.loss.frames
             frame_sum += result.loss.frames
             # the step's graph dies here, not during the next forward
             del result, grads
             lanes = [(utt, start + unroll) for utt, start in lanes]
         train_loss = loss_sum / frame_sum
-        try:
-            val_loss = evaluate(params, val_utts)
-        except FloatingPointError as e:
-            raise FloatingPointError(f"epoch {epoch} validation: {e}") from None
-        seconds = time.perf_counter() - tick
-        log.append(EpochLog(epoch, train_loss, val_loss, seconds))
+        val_loss = evaluate(params, val_utts)
+        if not math.isfinite(val_loss):
+            raise FloatingPointError(f"epoch {epoch} validation: non-finite loss")
+        log.append(EpochLog(epoch, train_loss, val_loss))
         improved, stop = stopper.update(val_loss)
         if improved:
             best_params = params.copy()

@@ -10,11 +10,13 @@ node replaced; the posterior image oracle is the gather, transpose and concat
 that gather_steps fuses; frame_stack and stacked_chunk are the layout
 that stored every utterance's stacks, which chunk_from_frames replaced;
 matmul, mul, weighted_sum and tmean are graph primitives that only the
-tests compose with.
+tests compose with; byte_edits and mutate make the mutants that the binary
+readers' property tests feed them.
 """
 import math
 
 import numpy as np
+from hypothesis import strategies as st
 
 import rtsn.neural as nn
 from rtsn.corpus import NormStats
@@ -502,3 +504,29 @@ def evaluate_pri(params, utterances) -> float:
         total += forward_chunk(params, data).loss.pri * utt.num_frames
         frames += utt.num_frames
     return total / frames
+
+
+def byte_edits(hot: int, extra=st.nothing()):
+    """Up to three edits of a file's bytes, for mutate: ("cut", n) keeps the
+    first n bytes, ("set", i, v) sets byte i to v, ("flip", i, b) flips bit
+    b of byte i, and extra draws more.  Offsets wrap at the file's length
+    and half of them fall in its first hot bytes, where the headers are."""
+    at = st.integers(0, hot - 1) | st.integers(0, 1 << 20)
+    edit = (st.tuples(st.just("cut"), at) | st.tuples(st.just("set"), at, st.integers(0, 255))
+            | st.tuples(st.just("flip"), at, st.integers(0, 7)) | extra)
+    return st.lists(edit, min_size=1, max_size=3)
+
+
+def mutate(data: bytes, edits) -> bytes:
+    """data with edits (see byte_edits) applied in order; ("put", i, raw)
+    writes the bytes raw from offset i."""
+    out = bytearray(data)
+    for how, i, *arg in edits:
+        i %= max(1, len(out))
+        if how == "cut":
+            del out[i:]
+        elif how == "put":
+            out[i : i + len(arg[0])] = arg[0]
+        elif out:
+            out[i] = arg[0] if how == "set" else out[i] ^ (1 << arg[0])
+    return bytes(out)

@@ -202,7 +202,7 @@ def test_full_pipeline(tmp_path, capsys):
     assert rc == 0, err
     assert (tmp_path / "model.ckpt").exists()
     log = (tmp_path / "model.ckpt.log.csv").read_text().splitlines()
-    assert log[0] == "epoch,train_loss,val_loss,seconds"
+    assert log[0] == "epoch,train_loss,val_loss"
     assert len(log) == 3  # header + 2 epochs
     assert "best_epoch=" in out
 
@@ -310,7 +310,7 @@ def test_config_parser_accepts_comments_and_spacing(tmp_path):
 def test_config_parser_errors_name_lines(tmp_path):
     p = tmp_path / "c.cfg"
     p.write_text("lookahead = 2\nwhatever = 3\n")
-    with pytest.raises(ValueError, match="line 2: unknown config key 'whatever'"):
+    with pytest.raises(ValueError, match="line 2: unknown key 'whatever'"):
         read_config(p)
     p.write_text("lookahead\n")
     with pytest.raises(ValueError, match="line 1"):
@@ -545,6 +545,56 @@ def test_bad_rtsn_threads_fails_cleanly(monkeypatch, capsys):
     rc, out, err = run(["--help"], capsys)
     assert (rc, out, err) == (1, "", "error: RTSN_THREADS must be a positive integer, "
                                      "got 'abc'\n")
+
+
+@pytest.mark.parametrize("command", ["mix", "build-corpus", "train"])
+def test_negative_seed_names_the_flag(tmp_path, capsys, command):
+    make_inputs(tmp_path)
+    argv = {"mix": ["mix", "--speech", tmp_path / "sp0.wav", "--noise", tmp_path / "noise.wav",
+                    "--snr", "5", "--out", tmp_path / "m.wav"],
+            "build-corpus": ["build-corpus", "--manifest", tmp_path / "manifest.csv"],
+            "train": ["train", "--manifest", tmp_path / "manifest.csv", "--config",
+                      tmp_path / "tiny.cfg", "--out", tmp_path / "model.ckpt"]}[command]
+    assert run(argv + ["--seed", "-1"], capsys) == (
+        1, "", "error: --seed must be >= 0, got -1\n")
+    assert not (tmp_path / "m.wav").exists() and not (tmp_path / "stats.txt").exists()
+
+
+def test_malformed_wav_fails_cleanly(tmp_path, capsys):
+    # a fmt chunk that claims 16 + 2**24 bytes (byte 19 set to 1)
+    bad = tmp_path / "bad.wav"
+    write_wav(bad, Waveform(synth_voice(7, 400)))
+    data = bytearray(bad.read_bytes())
+    data[19] = 1
+    bad.write_bytes(data)
+    rc, out, err = run(["spectrogram", "--in", bad, "--out", tmp_path / "s.pgm"], capsys)
+    assert (rc, out, err) == (
+        1, "", f"error: {bad}: empty or truncated wav header\n")
+
+
+@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning",
+                            "ignore:invalid value:RuntimeWarning")
+@pytest.mark.parametrize("weight, message", [
+    (np.inf, "{model}: non-finite values in tensor lstm0.w_in"),
+    (1e38, "non-finite values in the enhanced frames"),
+], ids=["inf_weight", "overflowing_projection"])
+def test_enhance_with_non_finite_values_fails_cleanly(tmp_path, capsys, weight, message):
+    # a non-finite weight is named as the checkpoint is read; finite weights
+    # whose projection overflows are caught in the enhanced frames
+    model, wav = tmp_path / "model.ckpt", tmp_path / "in.wav"
+    params = init_params(RtsnConfig(), StftConfig(), unit_stats(129))
+    save_checkpoint(params, model)
+    name = "lstm0.w_in" if np.isinf(weight) else "proj.weight"
+    blob = bytearray(model.read_bytes())
+    at = blob.index(name.encode()) + len(name) + 1 + 8  # rank byte, two dims
+    size = params.tensors[name].data.nbytes
+    blob[at : at + size] = np.full(size // 4, weight, dtype="<f4").tobytes()
+    model.write_bytes(blob)
+    write_wav(wav, Waveform(synth_voice(8, 1600)))
+    rc, out, err = run(["enhance", "--model", model, "--in", wav,
+                        "--out", tmp_path / "out.wav"], capsys)
+    assert (rc, out, err) == (1, "", f"error: {message.format(model=model)}\n")
+    assert not (tmp_path / "out.wav").exists()
 
 
 def test_train_and_enhance_bytes_equal_at_one_and_two_workers(tmp_path):

@@ -27,7 +27,7 @@ from rtsn.corpus import (
 )
 from rtsn.dsp import LpsSequence, StftConfig, Waveform, decompose, lps_from_magnitude, stft
 
-from helpers import synth_noise, synth_voice
+from helpers import byte_edits, mutate, synth_noise, synth_voice
 
 TINY = StftConfig(frame_len=16, hop=8, fft_size=16)
 
@@ -115,6 +115,47 @@ def test_wav_empty_or_cut_short_raises_naming_the_file(tmp_path):
     p.write_bytes(data[:-4])
     with pytest.raises(ValueError, match="data chunk holds 3 of 5 declared samples"):
         read_wav(p)
+
+
+def test_wav_chunk_past_the_end_names_the_file(tmp_path):
+    # byte 19 set to 1 makes the fmt chunk claim 16 + 2**24 bytes, and
+    # wave's seek past its end raises a bare RuntimeError
+    p = tmp_path / "w.wav"
+    write_wav(p, Waveform(synth_voice(3, 400)))
+    data = bytearray(p.read_bytes())
+    data[19] = 1
+    p.write_bytes(data)
+    with pytest.raises(ValueError, match=re.escape(
+            f"{p}: empty or truncated wav header")):
+        read_wav(p)
+
+
+def _small_wav_bytes() -> bytes:
+    with tempfile.TemporaryDirectory() as d:
+        p = Path(d) / "w.wav"
+        write_wav(p, Waveform(synth_voice(3, 400)))
+        return p.read_bytes()
+
+
+_WAV = _small_wav_bytes()
+
+
+@settings(max_examples=400, deadline=None)
+@given(byte_edits(hot=64))
+@example([("set", 19, 1)])
+@example([("cut", 43)])
+def test_wav_reader_byte_mutations(edits):
+    # every truncation, byte set or bit flip of a 400-sample WAV either
+    # reads as a mono 16-bit signal or raises a ValueError naming the file
+    with tempfile.TemporaryDirectory() as d:
+        p = Path(d) / "m.wav"
+        p.write_bytes(mutate(_WAV, edits))
+        try:
+            w = read_wav(p)
+        except ValueError as e:
+            assert str(e).startswith(f"{p}: "), str(e)
+            return
+    assert w.samples.ndim == 1 and np.all(np.abs(w.samples) <= 1.0)
 
 
 def test_wav_write_is_deterministic(tmp_path):
@@ -340,7 +381,7 @@ def test_stats_file_errors(tmp_path):
         (_stats_text(hop=None), r": missing keys \['hop'\]"),
         (_stats_text(std=None, seed=None), r": missing keys \['seed', 'std'\]"),
         (_stats_text() + "seed = 1\n", r" line 8: duplicate key 'seed'"),
-        (_stats_text() + "window = 2\n", r" line 8: unknown config key 'window'"),
+        (_stats_text() + "window = 2\n", r" line 8: unknown key 'window'"),
         (_stats_text(mean="0.5,x"), r" line 6: bad value '0.5,x' for key 'mean'"),
         (_stats_text(mean="0.5,"), r" line 6: bad value '0.5,' for key 'mean'"),
         (_stats_text(std="nan,1.0"), r" line 7: bad value 'nan,1.0' for key 'std'"),

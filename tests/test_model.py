@@ -41,10 +41,12 @@ from rtsn.settings import format_settings
 
 from helpers import (
     assemble_posterior_input,
+    byte_edits,
     assemble_pri_input,
     enhance_one_block,
     frame_stack,
     gather_mbps,
+    mutate,
     post_forward,
     pri_forward,
     rel_err,
@@ -832,6 +834,37 @@ def test_enhance_memory_does_not_grow_with_length():
     assert long_peak - short_peak <= long_whole - short_whole + slack
 
 
+def test_enhance_checks_finiteness_once_whatever_the_length(monkeypatch):
+    # no per-node scan: the np.isfinite calls of an enhancement (the model's
+    # tensors as frozen() assembles them, then the result) do not grow with
+    # the number of posterior blocks (2 at 300 frames, 8 at 2001)
+    params = tiny_params(dtype=np.float32)
+    calls = []
+    real = np.isfinite
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(np, "isfinite", counted)
+    counts = []
+    for frames in (300, 2001):
+        calls.clear()
+        enhance_lps(params, np.random.default_rng(frames).standard_normal((frames, 9)))
+        counts.append(len(calls))
+    assert counts[0] == counts[1] == len(params.tensors) + 1, counts
+
+
+@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning",
+                            "ignore:invalid value:RuntimeWarning")
+def test_enhance_rejects_non_finite_output():
+    # finite weights whose projection overflows at the default config
+    params = init_params(RtsnConfig(), StftConfig(), unit_stats(129))
+    params.tensors["proj.weight"].data[...] = 1e38
+    with pytest.raises(FloatingPointError, match="^non-finite values in the enhanced frames$"):
+        enhance_lps(params, np.random.default_rng(0).standard_normal((20, 129)))
+
+
 # ---------------------------------------------------------------------------
 # checkpoints
 # ---------------------------------------------------------------------------
@@ -1040,3 +1073,58 @@ def test_checkpoint_surplus_tensor_rejected(tmp_path):
     p.write_bytes(bytes(blob) + extra)
     with pytest.raises(ValueError, match="unexpected tensors.*rogue"):
         load_checkpoint(p)
+
+
+@pytest.mark.parametrize("value", [np.inf, -np.inf, np.nan])
+def test_non_finite_weight_named(tmp_path, value):
+    # weights enter through _assemble, which names the tensor; the
+    # checkpoint reader adds the path
+    p, blob = _saved_blob(tmp_path)
+    at = bytes(blob).index(b"lstm0.w_in") + len(b"lstm0.w_in") + 1 + 8  # rank, 2 dims
+    blob[at + 20 : at + 24] = np.float32(value).tobytes()
+    p.write_bytes(blob)
+    with pytest.raises(ValueError, match=re.escape(
+            f"{p}: non-finite values in tensor lstm0.w_in")):
+        load_checkpoint(p)
+    params = tiny_params(dtype=np.float32)
+    params.tensors["conv2.bias"].data[1] = value
+    for make in (params.copy, params.frozen):
+        with pytest.raises(ValueError, match="^non-finite values in tensor conv2.bias$"):
+            make()
+
+
+@pytest.mark.parametrize("rank", [4, 91, 255])
+def test_checkpoint_rank_beyond_every_tensor_named(tmp_path, rank):
+    p, blob = _saved_blob(tmp_path)
+    blob[bytes(blob).index(b"conv0.weight") + len(b"conv0.weight")] = rank
+    p.write_bytes(blob)
+    with pytest.raises(ValueError, match=re.escape(
+            f"{p}: tensor conv0.weight has rank {rank}, more than 3")):
+        load_checkpoint(p)
+
+
+def _tiny_checkpoint_bytes() -> bytes:
+    with tempfile.TemporaryDirectory() as d:
+        return _saved_blob(Path(d))[1]
+
+
+_CKPT = bytes(_tiny_checkpoint_bytes())
+_NON_FINITE = st.sampled_from([np.inf, -np.inf, np.nan]).map(lambda v: np.float32(v).tobytes())
+
+
+@settings(max_examples=300, deadline=None)
+@given(byte_edits(hot=512, extra=st.tuples(st.just("put"), st.integers(0, 1 << 20),
+                                           _NON_FINITE)))
+def test_checkpoint_reader_byte_mutations(edits):
+    # every truncation, byte set, bit flip or non-finite float32 written
+    # into a checkpoint either loads as a model or raises a ValueError
+    # naming the file
+    with tempfile.TemporaryDirectory() as d:
+        p = Path(d) / "m.ckpt"
+        p.write_bytes(mutate(_CKPT, edits))
+        try:
+            params = load_checkpoint(p)
+        except ValueError as e:
+            assert str(e).startswith(str(p)), str(e)
+            return
+    assert all(np.isfinite(t.data).all() for t in params.tensors.values())

@@ -65,20 +65,28 @@ def _proj(t, seed):
 # ---------------------------------------------------------------------------
 
 
-def test_tensor_rejects_nonfinite():
-    with pytest.raises(FloatingPointError, match="non-finite"):
-        nn.Tensor(np.array([1.0, np.inf]))
-    with pytest.raises(FloatingPointError, match="myname"):
-        nn.Tensor(np.array([np.nan]), name="myname")
+def test_grads_for_names_a_nonfinite_constant():
+    # a Tensor holds any value; grads_for names the first non-finite node
+    # in topological order, here a constant the loss reads
+    w = nn.parameter(np.ones(2), "w")
+    for value, name in ((np.inf, "myname"), (np.nan, None)):
+        c = nn.Tensor(np.array([1.0, value]), name=name)
+        assert np.array_equal(c.data, [1.0, value], equal_nan=True)
+        with pytest.raises(FloatingPointError,
+                           match=f"^non-finite values in tensor {name or '<unnamed>'}$"):
+            nn.grads_for(weighted_sum([mul(w, c)]), [w])
 
 
 def test_nonfinite_op_output_names_the_op():
-    big = nn.Tensor(np.full((1, 2), 1e30, dtype=np.float32))
-    with np.errstate(over="ignore"):
-        with pytest.raises(FloatingPointError, match="non-finite values in tensor linear"):
-            nn.linear(big, big, np.zeros(1, dtype=np.float32))
-        with pytest.raises(FloatingPointError, match="tensor mul"):
-            mul(big, big)
+    # every input is finite: the first non-finite node is the op whose
+    # arithmetic overflowed, not the ops after it or the loss
+    big = nn.parameter(np.full((1, 2), 1e30, dtype=np.float32), "big")
+    with np.errstate(over="ignore", invalid="ignore"):
+        out = nn.linear(big, big, np.zeros(1, dtype=np.float32))
+        with pytest.raises(FloatingPointError, match="^non-finite values in tensor linear$"):
+            nn.grads_for(tmean(mul(out, out)), [big])
+        with pytest.raises(FloatingPointError, match="^non-finite values in tensor mul$"):
+            nn.grads_for(tmean(nn.reshape(mul(big, big), (2,))), [big])
 
 
 def test_tensor_dtypes():

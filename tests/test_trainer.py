@@ -9,6 +9,7 @@ from numpy.testing import assert_allclose
 from rtsn.corpus import NormStats, compute_norm_stats, normalize, read_wav, write_wav
 from rtsn.dsp import StftConfig, Waveform, decompose, lps_from_magnitude, stft
 from rtsn.model import ChunkData, RtsnConfig, chunk_from_frames, forward_chunk, init_params
+import rtsn.neural as nn
 from rtsn import trainer
 from rtsn.trainer import (
     EarlyStopper,
@@ -270,23 +271,64 @@ def test_train_rejects_empty_sets():
         train(params, ([], utts), cfg)
 
 
+@pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
 def test_train_rejects_non_finite_inputs():
+    # frames are checked once, as they enter, before any step
     cfg = TrainConfig(unroll_steps=16, utterances_per_batch=2, max_epochs=1)
-    utts = make_utts(2, 800)
-    utts[0].noisy[3, 0] = np.nan  # frame 3, a prior input before any context
-    with pytest.raises(FloatingPointError,
-                       match="^epoch 1 step 1: non-finite values in tensor windows$"):
-        train(tiny_params(), (utts[:1], utts[1:]), cfg)
-    with pytest.raises(FloatingPointError,
-                       match="^epoch 1 validation: non-finite values in tensor windows$"):
-        train(tiny_params(), (utts[1:], utts[:1]), cfg)
-    # every frame is some step's prior input, so only a chunk whose context
-    # alone is non-finite reaches the posterior's check
+    utts = make_utts(3, 800)
+    utts[0].noisy[3, 0] = np.nan
+    utts[2].clean[5, 1] = -np.inf
+    with pytest.raises(ValueError, match="^training utterance 0 has non-finite frames$"):
+        train(tiny_params(), (utts[:2], utts[1:2]), cfg)
+    with pytest.raises(ValueError, match="^validation utterance 1 has non-finite frames$"):
+        train(tiny_params(), (utts[1:2], utts[1:]), cfg)
+    # a chunk whose context alone is non-finite makes the loss non-finite,
+    # and grads_for names the op that reads the context
     utts[0].noisy[3, 0] = 0.0
     data = chunk_from_frames([utts[0].noisy], [utts[0].clean], [0], 16, TINY.lookahead)
     data.noisy_ctx[0, 3, 0, 0] = np.inf  # frame 2 in step 3's context only
-    with pytest.raises(FloatingPointError, match="^non-finite values in tensor noisy_ctx$"):
-        forward_chunk(tiny_params(), data)
+    params = tiny_params()
+    loss = forward_chunk(params, data).loss.total
+    with pytest.raises(FloatingPointError,
+                       match="^non-finite values in tensor gather_steps$"):
+        nn.grads_for(loss, list(params.tensors.values()))
+
+
+def test_train_names_the_step_of_a_non_finite_gradient_or_validation_loss(monkeypatch):
+    cfg = TrainConfig(unroll_steps=16, utterances_per_batch=2, max_epochs=2)
+    utts = make_utts(2, 800)
+    with monkeypatch.context() as m:
+        m.setattr(trainer, "evaluate", lambda params, val: math.nan)
+        with pytest.raises(FloatingPointError,
+                           match="^epoch 1 validation: non-finite loss$"):
+            train(tiny_params(), (utts[:1], utts[1:]), cfg)
+    real = nn.grads_for
+
+    def poisoned(loss, params):
+        grads = real(loss, params)
+        grads[3] = grads[3] * np.nan
+        return grads
+
+    monkeypatch.setattr(nn, "grads_for", poisoned)
+    with pytest.raises(FloatingPointError, match="^epoch 1 step 1: non-finite gradient "
+                                                 "for parameter lstm1.w_in$"):
+        train(tiny_params(), (utts[:1], utts[1:]), cfg)
+
+
+@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning",
+                            "ignore:invalid value:RuntimeWarning")
+@pytest.mark.parametrize("weight, op", [(1e30, "stack_loss"), (1e38, "linear")])
+def test_default_step_names_the_op_that_overflowed(weight, op):
+    # a default-sized step: 1e38 projection weights overflow the projection
+    # itself, 1e30 ones only the squared error in the loss
+    rng = np.random.default_rng(0)
+    params = init_params(RtsnConfig(), StftConfig(), NormStats(np.zeros(129), np.ones(129)))
+    params.tensors["proj.weight"].data[...] = weight
+    utts = [UtteranceData(*rng.standard_normal((2, 64, 129)).astype(np.float32))
+            for _ in range(17)]
+    with pytest.raises(FloatingPointError,
+                       match=f"^epoch 1 step 1: non-finite values in tensor {op}$"):
+        train(params, (utts[1:], utts[:1]), TrainConfig(max_epochs=1))
 
 
 def test_lane_walks_its_utterance_by_start_frame(monkeypatch):
