@@ -20,6 +20,7 @@ for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS",
 
 import argparse
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -173,15 +174,21 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    try:
-        _worker_count()  # a bad RTSN_THREADS fails before any work starts
-        args = build_parser().parse_args(argv)
-        if getattr(args, "seed", 0) < 0:
-            raise ValueError(f"--seed must be >= 0, got {args.seed}")
-        return args.func(args)
-    except (ValueError, OSError, FloatingPointError) as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 1
+    # numpy's RuntimeWarnings (overflow, invalid value) would precede the
+    # one-line error of a failing run; every non-finite value they warn of
+    # is checked and named where it matters.  The filter is process-wide,
+    # so it reaches the worker threads, which an np.errstate does not.
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        try:
+            _worker_count()  # a bad RTSN_THREADS fails before any work starts
+            args = build_parser().parse_args(argv)
+            if getattr(args, "seed", 0) < 0:
+                raise ValueError(f"--seed must be >= 0, got {args.seed}")
+            return args.func(args)
+        except (ValueError, OSError, FloatingPointError) as e:
+            print(f"error: {e}", file=sys.stderr)
+            return 1
 
 
 if __name__ == "__main__":

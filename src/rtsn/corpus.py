@@ -84,8 +84,11 @@ def write_wav(path: str | os.PathLike, w: Waveform) -> None:
     """Write 16-bit PCM mono, rounding half away from zero and clipping.
 
     The file appears atomically: a temp file in the same directory is
-    renamed over the target only after a complete write.
+    renamed over the target only after a complete write.  Non-finite
+    samples raise a ValueError naming path, and nothing is written.
     """
+    if not np.isfinite(w.samples).all():
+        raise ValueError(f"{path}: non-finite samples")
     x = w.samples * PCM_SCALE
     q = np.trunc(x + np.copysign(0.5, x))
     q = np.clip(q, -32768, 32767).astype("<i2")

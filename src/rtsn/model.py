@@ -26,8 +26,10 @@ There is one forward, forward_chunk, for training, validation and
 enhancement.  Training runs it over parameters that record an autodiff
 graph; validation and enhancement run it over params.frozen(), constants
 sharing the same arrays, so no graph is kept.  The posterior runs over
-blocks of at most POST_BLOCK_FRAMES frames, so enhancement memory stays
-bounded apart from the O(frames) stacks, prior outputs and result.
+blocks of at most POST_BLOCK_STEPS steps and POST_BLOCK_FRAMES frames, so
+enhancement memory stays bounded apart from the O(frames) stacks, prior
+outputs and result.  A frame's convs read only its own image: the blocks
+change a frame's output only by the rounding of the GEMM rows it shares.
 
 _expected_shapes is the one table of parameter names and shapes: it fixes
 the initialization draw order, the checkpoint tensor order and the
@@ -61,13 +63,16 @@ from .settings import build, decode_utf8, format_settings, parse_settings, schem
 
 CHECKPOINT_MAGIC = b"RTSNCKPT"
 CHECKPOINT_VERSION = 1
-# Most frames (batch x steps) the posterior convolves at once.  The convs'
-# im2col columns or Winograd transforms are built a few frames at a time (at
-# most 4 MB per worker thread, layers._COLS_BLOCK), so a block's largest
-# buffer is an activation: conv0's output, which the SELU after it
-# overwrites, 256 frames x 129 bins x 256 ch x 4 B = 34 MB at the default
-# config.
+# Most frames (batch x steps) and most steps the posterior convolves at
+# once.  The convs' im2col columns or Winograd transforms are built a few
+# frames at a time (layers._COLS_BLOCK), so a block's largest buffer is
+# conv0's output, which the SELU after it overwrites: 132 KB a frame at the
+# default config.  At batch 1 that is the transient that sets enhance's
+# peak, which 64-step blocks cut from 177 to 128 MB on a 20 s file (32 went
+# no lower and ran slower).  A 16-lane training chunk keeps 256-frame
+# blocks: 64-frame blocks trained slower, one 1024-frame block took more.
 POST_BLOCK_FRAMES = 256
+POST_BLOCK_STEPS = 64
 
 # ---------------------------------------------------------------------------
 # configuration and parameters
@@ -344,9 +349,11 @@ def forward_chunk(params: RtsnParams, data: ChunkData,
     discards it).  The prior runs over the whole chunk, one lstm_cell node
     for the whole stack, its layers overlapped block by block; the
     posterior (a gather_steps image, then the conv stack) runs over
-    consecutive blocks of steps holding at most POST_BLOCK_FRAMES frames
-    (batch x steps; one step per block when the batch alone is larger),
-    and the block outputs are concatenated into x_hat.  With
+    consecutive blocks of at most POST_BLOCK_STEPS steps holding at most
+    POST_BLOCK_FRAMES frames (batch x steps; one step per block when the
+    batch alone is larger), and the block outputs are concatenated into
+    x_hat.  The blocks follow from the batch alone, so a frozen forward
+    and a graph forward run the same blocks and give the same bytes.  With
     params.frozen() nothing is recorded, so a block's intermediates are
     freed before the next block starts and the memory beyond the O(steps)
     inputs and outputs does not grow with the chunk.
@@ -365,7 +372,7 @@ def forward_chunk(params: RtsnParams, data: ChunkData,
     x_bar = nn.reshape(stacks, (batch, steps, params.config.stack_rows, n_bins))
     # (B, U, R): each lane's stacks clamped to its valid steps
     gather_idx = stack_index(np.arange(steps), lookahead, data.valid[:, None, None] - 1)
-    block = max(1, POST_BLOCK_FRAMES // batch)
+    block = min(POST_BLOCK_STEPS, max(1, POST_BLOCK_FRAMES // batch))
     blocks = []
     for start in range(0, steps, block):
         rows = slice(start, start + block)
@@ -441,7 +448,8 @@ def enhance_utterance(
     """Enhance a noisy waveform; returns (waveform, enhanced LPS).
 
     gla_iters overrides the configured iteration count; 0 keeps the noisy
-    phase as-is.
+    phase as-is.  Enhanced frames finite but too large for their
+    magnitudes raise FloatingPointError before phase reconstruction.
     """
     spec = stft(noisy, params.stft)
     magnitude, phase = decompose(spec)
@@ -450,6 +458,9 @@ def enhance_utterance(
     enhanced_norm = enhance_lps(params, norm_values).astype(np.float64)
     enhanced = denormalize(LpsSequence(enhanced_norm), params.norm)
     mag_hat = magnitude_from_lps(enhanced)
+    if not np.isfinite(mag_hat).all():
+        raise FloatingPointError("magnitude_from_lps overflowed: the enhanced "
+                                 "log-power spectra are too large")
     iters = params.config.gla_iters if gla_iters is None else gla_iters
     wav = griffin_lim(mag_hat, phase, GlaConfig(iters, params.stft), len(noisy))
     return wav, enhanced
@@ -515,6 +526,8 @@ def load_checkpoint(path) -> RtsnParams:
             raise ValueError(f"{path}: tensor {name} has rank {rank}, more than {max_rank}")
         dims = struct.unpack(f"<{rank}I", take(4 * rank, "tensor header"))
         raw = take(4 * math.prod(dims), "tensor data")
+        if name in tensors:
+            raise ValueError(f"{path}: tensor {name} appears twice")
         tensors[name] = np.frombuffer(raw, dtype="<f4").reshape(dims).copy()
     if pos != len(view):
         raise ValueError(f"{path}: {len(view) - pos} trailing bytes")

@@ -11,6 +11,11 @@ BETA1 = 0.9
 BETA2 = 0.999
 EPS = 1e-8
 
+# Values per block of an update: 128 KB in float32, so a block of the
+# parameter, its gradient and moments and the two scratch blocks stay in a
+# core's L2 across the update's passes.
+_BLOCK = 1 << 15
+
 
 @dataclass
 class AdamState:
@@ -25,17 +30,26 @@ def adam_update(state: AdamState, params: list[Tensor],
     """Apply one Adam step in place.
 
     Parameter tensors are matched to moment buffers by name, so the same
-    state can be reused across calls regardless of list order.
+    state can be reused across calls regardless of list order.  Every
+    parameter and gradient is checked first (a name, a C-contiguous
+    parameter, the parameter's shape, finite values), so an update that
+    raises moves no parameter, moment or step count.
+
+    Each parameter is updated in place, _BLOCK values at a time, through
+    two block-sized scratch arrays, with gradients taken in the
+    parameter's dtype.  Every expression keeps the operation order of
+      m += (1 - BETA1) * (g - m),  v += (1 - BETA2) * (g * g - v),
+      p -= lr * (m / correct1) / (sqrt(v / correct2) + EPS),
+    so the bytes are those of the whole-array expressions.
     """
     if len(params) != len(grads):
         raise ValueError(f"{len(params)} params but {len(grads)} grads")
-    state.step += 1
-    t = state.step
-    correct1 = 1.0 - BETA1 ** t
-    correct2 = 1.0 - BETA2 ** t
+    checked = []
     for p, g in zip(params, grads):
         if p.name is None:
             raise ValueError("adam_update needs named parameters")
+        if not p.data.flags.c_contiguous:
+            raise ValueError(f"parameter {p.name} is not C-contiguous")
         g = np.asarray(g)
         if g.shape != p.data.shape:
             raise ValueError(
@@ -43,10 +57,31 @@ def adam_update(state: AdamState, params: list[Tensor],
             )
         if not np.all(np.isfinite(g)):
             raise FloatingPointError(f"non-finite gradient for parameter {p.name}")
-        m = state.m.setdefault(p.name, np.zeros_like(p.data))
-        v = state.v.setdefault(p.name, np.zeros_like(p.data))
-        m += (1.0 - BETA1) * (g - m)
-        v += (1.0 - BETA2) * (g * g - v)
-        m_hat = m / correct1
-        v_hat = v / correct2
-        p.data -= state.learning_rate * m_hat / (np.sqrt(v_hat) + EPS)
+        checked.append((p, g))
+    state.step += 1
+    t = state.step
+    correct1 = 1.0 - BETA1 ** t
+    correct2 = 1.0 - BETA2 ** t
+    for p, g in checked:
+        dtype = p.data.dtype
+        m = state.m.setdefault(p.name, np.zeros(p.data.shape, dtype))
+        v = state.v.setdefault(p.name, np.zeros(p.data.shape, dtype))
+        flats = [a.reshape(-1) for a in (p.data, np.ascontiguousarray(g, dtype), m, v)]
+        scratch = np.empty((2, min(_BLOCK, p.data.size)), dtype)
+        for lo in range(0, p.data.size, _BLOCK):
+            pb, gb, mb, vb = (f[lo : lo + _BLOCK] for f in flats)
+            a, b = scratch[:, : len(pb)]
+            np.subtract(gb, mb, out=a)
+            a *= 1.0 - BETA1
+            mb += a
+            np.multiply(gb, gb, out=a)
+            a -= vb
+            a *= 1.0 - BETA2
+            vb += a
+            np.divide(vb, correct2, out=b)
+            np.sqrt(b, out=b)
+            b += EPS
+            np.divide(mb, correct1, out=a)
+            a *= state.learning_rate
+            a /= b
+            pb -= a

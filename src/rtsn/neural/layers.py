@@ -6,12 +6,12 @@ closure that returns its parents' gradients in parent order, None for a
 constant input it skips; the engine's grads_for sums them.  Finite-difference
 tests in the suite check every one of them.
 
-conv1d_freq's forward and input gradient run as Winograd's minimal
-filtering F(9 - k, k) along the bins for kernel widths 3, 5 and 7 when
-both sides of the product have at least 64 channels; im2col GEMMs run
-the rest, and every kernel gradient.  In float32 its error against a
-float64 oracle is about 4 times im2col's, and stays within (C + 17)
-roundings of the transforms' absolute-value sum (see _correlate).
+conv1d_freq runs as Winograd's minimal filtering along the bins for
+kernel widths 3, 5 and 7 when both sides of the product have at least 64
+channels: its forward and input gradient as F(9 - k, k), its kernel
+gradient as F(k, 9 - k) over the same tiles; im2col GEMMs run the rest.
+In float32 their errors against a float64 oracle are about 4 and 6 times
+im2col's, within the bounds that _correlate and _kernel_grad state.
 
 The heavy loops, the conv GEMMs, the SELU passes, the posterior image's
 copies and the LSTM stack's blocks, run on a small pool of worker threads
@@ -455,15 +455,9 @@ def _block_frames(x: np.ndarray, k: int) -> int:
     return max(1, _COLS_BLOCK // (n * k * c))
 
 
-def _row_block(x: np.ndarray, k: int, frames: int, start: int):
-    """(row slice, im2col columns) of the row block of x's frames from start."""
-    n = x.shape[1]
-    stop = min(x.shape[0], start + frames)
-    return slice(start * n, stop * n), _im2col(x[start:stop], k)
-
-
 # Toom-Cook points of the Winograd transforms, then infinity: eight in all,
-# so one tile of eight bins serves F(6, 3), F(4, 5) and F(2, 7).  Every
+# so one tile of eight bins serves F(6, 3), F(4, 5) and F(2, 7), and the
+# kernel gradient's F(3, 6), F(5, 4) and F(7, 2).  Every
 # point is a small dyadic number, so the input and output transforms hold
 # exact binary fractions.
 _WINOGRAD_POINTS = (0.0, 1.0, -1.0, 2.0, -2.0, 0.5, -0.5)
@@ -511,6 +505,37 @@ def _toom_cook(r: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 # (x0.86-1.09), and at 8-24 every width was (down to x0.28).
 _WINOGRAD = {k: _toom_cook(k) for k in (3, 5, 7)}
 _WINOGRAD_MIN_CHANNELS = 64
+# The kernel gradient's transforms by kernel width k: F(k, 9 - k), its
+# filter the 9 - k output-gradient bins of a tile.
+_WINOGRAD_GRAD = {k: _toom_cook(_TILE + 1 - k) for k in _WINOGRAD}
+
+
+def _winograd_frames(k: int, n: int, c: int, o: int) -> int | None:
+    """Frames per row block of a correlation over n bins, C channels on one
+    side and O on the other, that runs as Winograd; None for im2col.  A
+    block holds as many frames as keep its two transform buffers,
+    (8, frames*tiles, C) and (8, frames*tiles, O), within _COLS_BLOCK
+    values."""
+    if k not in _WINOGRAD or min(c, o) < _WINOGRAD_MIN_CHANNELS:
+        return None
+    tiles = -(-n // (_TILE - k + 1))
+    return max(1, _COLS_BLOCK // (_TILE * tiles * (c + o)))
+
+
+def _input_tiles(x: np.ndarray, k: int, b_t: np.ndarray) -> np.ndarray:
+    """(8, f*tiles, C): B^T times every tile of x (f, N, C) zero padded by
+    h = (k-1)/2, eight padded bins at stride m = 9 - k.  One stacked
+    product over a strided view of the padded block, written a-major."""
+    m = _TILE - k + 1
+    f, n, c = x.shape
+    tiles = -(-n // m)
+    padded = _pad_bins(x, (k - 1) // 2, tiles * m + k - 1)
+    s = padded.strides
+    view = np.lib.stride_tricks.as_strided(padded, (f, tiles, _TILE, c),
+                                           (s[0], m * s[1], s[1], s[2]), writeable=False)
+    v = np.empty((_TILE, f * tiles, c), dtype=x.dtype)
+    np.matmul(b_t, view, out=v.reshape(_TILE, f, tiles, c).transpose(1, 2, 0, 3))
+    return v
 
 
 def _winograd_block(x: np.ndarray, u: np.ndarray, a_t: np.ndarray, b_t: np.ndarray,
@@ -518,25 +543,33 @@ def _winograd_block(x: np.ndarray, u: np.ndarray, a_t: np.ndarray, b_t: np.ndarr
     """out (f, N, O) = x (f, N, C) correlated with the kernels whose
     transform is u (8, C, O), zero padded by h = (k-1)/2 each side.
 
-    The bins are tiled, eight positions at stride m, and the input
-    transform is one stacked product over a strided view of the padded
-    block, written a-major; then one GEMM (f*tiles, C) @ (C, O) per tile
-    position, and the output transform straight into out, the last tile
-    cut to the bins that are left.
+    The input tiles (_input_tiles), then one GEMM (f*tiles, C) @ (C, O)
+    per tile position, and the output transform straight into out, the
+    last tile cut to the bins that are left.
     """
     m, k = a_t.shape[0], _TILE - a_t.shape[0] + 1
-    (f, n, c), o = x.shape, u.shape[2]
+    (f, n, _), o = x.shape, u.shape[2]
     tiles, whole = -(-n // m), n // m
-    padded = _pad_bins(x, (k - 1) // 2, tiles * m + k - 1)
-    s = padded.strides
-    view = np.lib.stride_tricks.as_strided(padded, (f, tiles, _TILE, c),
-                                           (s[0], m * s[1], s[1], s[2]), writeable=False)
-    v = np.empty((_TILE, f * tiles, c), dtype=x.dtype)
-    np.matmul(b_t, view, out=v.reshape(_TILE, f, tiles, c).transpose(1, 2, 0, 3))
-    products = np.matmul(v, u).reshape(_TILE, f, tiles, o).transpose(1, 2, 0, 3)
+    products = np.matmul(_input_tiles(x, k, b_t), u).reshape(_TILE, f, tiles, o)
+    products = products.transpose(1, 2, 0, 3)
     np.matmul(a_t, products[:, :whole], out=out[:, : whole * m].reshape(f, whole, m, o))
     if whole < tiles:
         np.matmul(a_t[: n - whole * m], products[:, whole], out=out[:, whole * m :])
+
+
+def _winograd_grad_block(x: np.ndarray, g: np.ndarray, k: int, g_t: np.ndarray,
+                         b_t: np.ndarray) -> np.ndarray:
+    """(8, C, O): the kernel gradient of x (f, N, C) against the output
+    gradient g (f, N, O), before its output transform.  Per tile position
+    p, V[p].T @ U[p], with V the forward's input tiles and U the transform
+    G of g's tiles of m = 9 - k bins, the last zero padded."""
+    m = _TILE - k + 1
+    f, n, o = g.shape
+    tiles = -(-n // m)
+    u = np.empty((_TILE, f * tiles, o), dtype=g.dtype)
+    np.matmul(g_t, _pad_bins(g, 0, tiles * m).reshape(f, tiles, m, o),
+              out=u.reshape(_TILE, f, tiles, o).transpose(1, 2, 0, 3))
+    return np.matmul(_input_tiles(x, k, b_t).transpose(0, 2, 1), u)
 
 
 def _correlate(x: np.ndarray, w: np.ndarray, k: int,
@@ -553,8 +586,7 @@ def _correlate(x: np.ndarray, w: np.ndarray, k: int,
     O are both at least _WINOGRAD_MIN_CHANNELS.  So conv3 (one output
     channel, about 2 % of the convs' time) stays im2col, and so does its
     input gradient, whose one input channel makes the eight GEMMs GEMVs
-    that ran x0.1-0.2 of im2col's speed.  A block holds as many frames as keep its two
-    transform buffers within _COLS_BLOCK values.
+    that ran x0.1-0.2 of im2col's speed (_winograd_frames).
 
     To first order in the unit roundoff eps, the Winograd error is within
     (C + 17) eps times the same correlation of |x| and |w| through the
@@ -567,13 +599,12 @@ def _correlate(x: np.ndarray, w: np.ndarray, k: int,
     """
     b, n, c = x.shape
     out = np.empty((b * n, w.shape[1]), dtype=x.dtype)
-    winograd = k in _WINOGRAD and min(c, w.shape[1]) >= _WINOGRAD_MIN_CHANNELS
+    frames = _winograd_frames(k, n, c, w.shape[1])
+    winograd = frames is not None
     if winograd:
         a_t, g, b_t = _WINOGRAD[k]
         u = (g @ w.reshape(k, -1)).reshape(_TILE, c, -1).astype(x.dtype)
         a_t, b_t = a_t.astype(x.dtype), b_t.astype(x.dtype)
-        tiles = -(-n // a_t.shape[0])
-        frames = max(1, _COLS_BLOCK // (_TILE * tiles * (c + w.shape[1])))
     else:
         frames = _block_frames(x, k)
 
@@ -592,24 +623,55 @@ def _correlate(x: np.ndarray, w: np.ndarray, k: int,
 
 
 def _kernel_grad(x: np.ndarray, g: np.ndarray, k: int) -> np.ndarray:
-    """im2col(x).T @ g, (k*C, O), summed over im2col row blocks in block
-    order.  The workers form the products of a run of as many blocks as
-    there are workers, then they are added in order, so at most that many
-    are held and the sum is the one-thread loop's."""
-    gw = np.zeros((k * x.shape[2], g.shape[1]), dtype=g.dtype)
-    frames = _block_frames(x, k)
-    starts = range(0, x.shape[0], frames)
+    """im2col(x).T @ g, (k*C, O), for x (B, N, C) and g (B*N, O), summed
+    over row blocks in block order.  The workers form the products of a
+    run of as many blocks as there are workers, then they are added in
+    order, so at most that many are held and the sum is the one-thread
+    loop's.
+
+    Where the forward runs as Winograd (_winograd_frames), so does this:
+    dW[j] = sum over frames and bins n of xpad[n + j] g[n] is, per tile of
+    m = 9 - k bins, the correlation of the tile's eight padded input bins
+    with its m gradient bins, F(k, m).  Each row block gives the products
+    V[p].T @ U[p] (_winograd_grad_block), summed in the transformed
+    domain; A^T is applied once, to the sum.
+
+    To first order in eps, the Winograd error is within (S + m + 17) eps
+    times the same sum over |x| and |g| through the transforms' absolute
+    values, S = frames x tiles: one rounding of G and m terms in its
+    product, 8 terms in each of B^T and A^T, and S in the transformed sum.
+    In float32 at conv0-2's shapes it reads 2-3e-6 of max |dW| against a
+    float64 oracle, about 6 times im2col's.
+    """
+    b, n, c = x.shape
+    o = g.shape[1]
+    frames = _winograd_frames(k, n, c, o)
+    winograd = frames is not None
+    if winograd:
+        a_t, g_t, b_t = (t.astype(x.dtype) for t in _WINOGRAD_GRAD[k])
+        gw = np.zeros((_TILE, c, o), dtype=g.dtype)
+    else:
+        frames = _block_frames(x, k)
+        gw = np.zeros((k * c, o), dtype=g.dtype)
+    starts = range(0, b, frames)
     wave = _workers()[0]
     products = {}
 
     def product(start):
-        rows, cols = _row_block(x, k, frames, start)
-        products[start] = cols.T @ g[rows]
+        stop = min(b, start + frames)
+        rows = g[start * n : stop * n]
+        if winograd:
+            products[start] = _winograd_grad_block(
+                x[start:stop], rows.reshape(stop - start, n, o), k, g_t, b_t)
+        else:
+            products[start] = _im2col(x[start:stop], k).T @ rows
 
     for i in range(0, len(starts), wave):
         _run_shares(product, starts[i : i + wave])
         for start in starts[i : i + wave]:
             gw += products.pop(start)
+    if winograd:
+        return (a_t @ gw.reshape(_TILE, -1)).reshape(k * c, o)
     return gw
 
 
@@ -626,11 +688,12 @@ def conv1d_freq(x, kernels, bias) -> Tensor:
       dx = im2col(g) @ W',  W'[j*O + o, c] = kernels[o, c, k-1-j],
     that is the forward again on g with the kernels flipped and transposed.
 
-    The forward and dx run as Winograd's F(9 - k, k) along the bins for
-    k = 3, 5 and 7 over at least 64 channels a side (see _correlate, which
-    states the error bound): 8 GEMMs per tile of 9 - k bins where im2col's
-    GEMM does k taps per bin, 0.41 times the FLOPs at k = 5 over 129 bins.
-    dW stays im2col.
+    For k = 3, 5 and 7 over at least 64 channels a side, all three run as
+    Winograd's minimal filtering along the bins: the forward and dx as
+    F(9 - k, k) (see _correlate), dW as F(k, 9 - k) over the same tiles
+    (see _kernel_grad), each stating its error bound.  8 GEMMs per tile of
+    9 - k bins where im2col's GEMM does k taps per bin, 0.41 times the
+    FLOPs at k = 5 over 129 bins.
 
     The row blocks of both correlations (each adding the bias to its own
     rows) and of dW are shared out among the worker threads (RTSN_THREADS),

@@ -11,13 +11,18 @@ that gather_steps fuses; frame_stack and stacked_chunk are the layout
 that stored every utterance's stacks, which chunk_from_frames replaced;
 matmul, mul, weighted_sum and tmean are graph primitives that only the
 tests compose with; byte_edits and mutate make the mutants that the binary
-readers' property tests feed them.
+readers' property tests feed them; run_cli runs the CLI as its own process.
 """
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 from hypothesis import strategies as st
 
+import rtsn
 import rtsn.neural as nn
 from rtsn.corpus import NormStats
 from rtsn.dsp import LpsSequence
@@ -530,3 +535,16 @@ def mutate(data: bytes, edits) -> bytes:
         elif out:
             out[i] = arg[0] if how == "set" else out[i] ^ (1 << arg[0])
     return bytes(out)
+
+
+def run_cli(argv, env=None) -> tuple[int, str, str]:
+    """(exit code, stdout, stderr) of python -m rtsn.cli argv in a process
+    of its own, with this rtsn first on its path and env's variables set
+    over this process's.  Unlike an in-process run, whose warnings pytest
+    captures, it sees everything the command writes."""
+    src = str(Path(rtsn.__file__).parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-m", "rtsn.cli"] + [str(a) for a in argv],
+                          capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": path, **(env or {})})
+    return proc.returncode, proc.stdout, proc.stderr

@@ -1,8 +1,5 @@
 import math
-import os
 import re
-import subprocess
-import sys
 import tempfile
 from dataclasses import field, fields, make_dataclass
 from pathlib import Path
@@ -18,7 +15,7 @@ from rtsn.model import RtsnConfig, enhance_lps, init_params, load_checkpoint, sa
 from rtsn.settings import format_settings, parse_settings, schema
 from rtsn.trainer import TrainConfig
 
-from helpers import synth_noise, synth_voice, unit_stats
+from helpers import run_cli, synth_noise, synth_voice, unit_stats
 
 TINY_CFG = """\
 # tiny setup for fast tests
@@ -581,6 +578,17 @@ def test_malformed_wav_fails_cleanly(tmp_path, capsys):
 def test_enhance_with_non_finite_values_fails_cleanly(tmp_path, capsys, weight, message):
     # a non-finite weight is named as the checkpoint is read; finite weights
     # whose projection overflows are caught in the enhanced frames
+    model, wav = _model_with_weight(tmp_path, weight)
+    rc, out, err = run(["enhance", "--model", model, "--in", wav,
+                        "--out", tmp_path / "out.wav"], capsys)
+    assert (rc, out, err) == (1, "", f"error: {message.format(model=model)}\n")
+    assert not (tmp_path / "out.wav").exists()
+
+
+def _model_with_weight(tmp_path, weight):
+    """(checkpoint, wav) paths: a default model whose lstm0.w_in (for an
+    infinite weight) or proj.weight is weight everywhere, and a short
+    voice to enhance."""
     model, wav = tmp_path / "model.ckpt", tmp_path / "in.wav"
     params = init_params(RtsnConfig(), StftConfig(), unit_stats(129))
     save_checkpoint(params, model)
@@ -591,9 +599,25 @@ def test_enhance_with_non_finite_values_fails_cleanly(tmp_path, capsys, weight, 
     blob[at : at + size] = np.full(size // 4, weight, dtype="<f4").tobytes()
     model.write_bytes(blob)
     write_wav(wav, Waveform(synth_voice(8, 1600)))
-    rc, out, err = run(["enhance", "--model", model, "--in", wav,
-                        "--out", tmp_path / "out.wav"], capsys)
-    assert (rc, out, err) == (1, "", f"error: {message.format(model=model)}\n")
+    return model, wav
+
+
+@pytest.mark.parametrize("weight, gla, message", [
+    (1e30, 0, "magnitude_from_lps overflowed: the enhanced log-power spectra are too large"),
+    (1e30, 1, "magnitude_from_lps overflowed: the enhanced log-power spectra are too large"),
+    (1e30, 5, "magnitude_from_lps overflowed: the enhanced log-power spectra are too large"),
+    (1e38, 5, "non-finite values in the enhanced frames"),
+])
+def test_enhance_overflow_prints_one_stderr_line_and_no_file(tmp_path, weight, gla, message):
+    # Run as its own process, so numpy's RuntimeWarnings, raised on the
+    # pool threads too, would reach stderr.  Projection weights of 1e30
+    # give finite enhanced frames whose magnitudes overflow: at 0 or 1
+    # Griffin-Lim iterations that wrote an all-zero WAV with exit 0, at 5
+    # it failed inside Griffin-Lim.  1e38 overflows the frames themselves.
+    model, wav = _model_with_weight(tmp_path, weight)
+    rc, out, err = run_cli(["enhance", "--model", model, "--in", wav,
+                            "--out", tmp_path / "out.wav", "--gla", gla])
+    assert (rc, out, err) == (1, "", f"error: {message}\n")
     assert not (tmp_path / "out.wav").exists()
 
 
@@ -603,28 +627,22 @@ def test_train_and_enhance_bytes_equal_at_one_and_two_workers(tmp_path):
         root = tmp_path / threads
         root.mkdir()
         make_inputs(root)
-        env = dict(os.environ, RTSN_THREADS=threads)
         for argv in (["train", "--manifest", root / "manifest.csv", "--config",
                       root / "tiny.cfg", "--out", root / "model.ckpt"],
                      ["enhance", "--model", root / "model.ckpt",
                       "--in", root / "mix_0_0.wav", "--out", root / "enh.wav"]):
-            proc = subprocess.run([sys.executable, "-m", "rtsn.cli"] + [str(a) for a in argv],
-                                  capture_output=True, text=True, env=env)
-            assert (proc.returncode, proc.stderr) == (0, ""), argv[0]
+            rc, _, err = run_cli(argv, {"RTSN_THREADS": threads})
+            assert (rc, err) == (0, ""), argv[0]
     for name in ("model.ckpt", "enh.wav"):
         assert (tmp_path / "1" / name).read_bytes() == (tmp_path / "2" / name).read_bytes()
 
 
 def test_module_entry_point_subprocess(tmp_path):
     make_inputs(tmp_path)
-    env = dict(os.environ, RTSN_THREADS="2")
-    proc = subprocess.run(
-        [sys.executable, "-m", "rtsn.cli", "mix",
-         "--speech", str(tmp_path / "sp0.wav"),
-         "--noise", str(tmp_path / "noise.wav"),
-         "--snr", "10", "--out", str(tmp_path / "m.wav")],
-        capture_output=True, text=True, env=env,
-    )
-    assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.startswith("snr_db=10.000000")
+    rc, out, err = run_cli(["mix", "--speech", tmp_path / "sp0.wav",
+                            "--noise", tmp_path / "noise.wav",
+                            "--snr", "10", "--out", tmp_path / "m.wav"],
+                           {"RTSN_THREADS": "2"})
+    assert rc == 0, err
+    assert out.startswith("snr_db=10.000000")
     assert (tmp_path / "m.wav").exists()

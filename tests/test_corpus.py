@@ -64,6 +64,16 @@ def test_wav_clipping(tmp_path):
     assert_allclose(got, [32767.0, -32768.0, 32767.0, -32768.0], rtol=0, atol=0)
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_wav_write_rejects_non_finite_samples(tmp_path, bad):
+    # A NaN would cast to a silent 0; the error names the path and nothing
+    # is written.
+    p = tmp_path / "bad.wav"
+    with pytest.raises(ValueError, match=re.escape(f"{p}: non-finite samples")):
+        write_wav(p, Waveform(np.array([0.1, bad, -0.1])))
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_wav_rejects_stereo_and_wrong_width(tmp_path):
     import wave
 

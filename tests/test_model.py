@@ -23,6 +23,7 @@ from rtsn.corpus import NormStats
 from rtsn.dsp import LpsSequence, StftConfig, Waveform
 from rtsn.model import (
     POST_BLOCK_FRAMES,
+    POST_BLOCK_STEPS,
     ChunkData,
     RtsnConfig,
     chunk_from_frames,
@@ -737,6 +738,8 @@ def test_frozen_params_share_arrays_as_named_constants():
         assert f.data is t.data and not f.requires_grad
 
 
+# 256 steps: four posterior blocks of POST_BLOCK_STEPS at batch 1 and 2,
+# so each size below ends in a partial block.
 BLOCK = POST_BLOCK_FRAMES
 
 
@@ -802,11 +805,13 @@ def test_enhance_lps_chunk_matches_stacked_layout(monkeypatch, frames):
 
 
 def test_enhance_memory_does_not_grow_with_length():
-    # Traced allocation peaks of enhance_lps at 4 and 16 posterior blocks.
-    # Past the whole-utterance arrays (noisy context, gather indices, prior
-    # stacks, the block outputs and their concatenation) the peak may grow
-    # by a fixed slack only; a forward that keeps a graph grows by every
-    # conv activation of every frame.
+    # Traced allocation peaks of enhance_lps at 16 and 64 posterior blocks.
+    # Past the whole-utterance arrays (noisy context, the prior's input
+    # windows, gather indices, prior stacks, the block outputs and their
+    # concatenation) the peak may grow by a fixed slack only; a forward
+    # that keeps a graph grows by every conv activation of every frame.
+    # With blocks of 64 steps the peak is the prior's, while the windows
+    # are alive; with 256-frame blocks a block's convs had set it.
     stft_config = StftConfig(frame_len=128, hop=64, fft_size=128)
     cfg = RtsnConfig(lookahead=2, n_bins=65, lstm_layers=1, lstm_units=8,
                      conv_kernel=3, conv_channels=(32, 16, 1))
@@ -817,6 +822,7 @@ def test_enhance_memory_does_not_grow_with_length():
         values = np.random.default_rng(frames).standard_normal(
             (frames, cfg.n_bins)).astype(params.dtype)
         whole = (2 * frame_stack(values, cfg.lookahead).nbytes  # context, stacks
+                 + frames * (cfg.lookahead + 1) * cfg.n_bins * itemsize  # windows
                  + stack_index(np.arange(frames), cfg.lookahead, frames - 1).nbytes
                  + 2 * frames * cfg.n_bins * itemsize)  # blocks, x_hat
         tracemalloc.start()
@@ -832,6 +838,29 @@ def test_enhance_memory_does_not_grow_with_length():
     long_peak, long_whole = peak_and_budget(16 * BLOCK)
     slack = 2 * 2**20
     assert long_peak - short_peak <= long_whole - short_whole + slack
+
+
+def test_enhance_blocks_of_64_steps_cut_the_traced_peak(monkeypatch):
+    # At batch 1 one posterior block's activations are the transient that
+    # sets enhance_lps's peak: at the default config conv0's output alone
+    # is 132 KB a frame.  Over 600 frames, blocks of POST_BLOCK_STEPS (64)
+    # steps must peak at least 30 MiB below blocks of 256 frames.
+    params = init_params(RtsnConfig(), StftConfig(), unit_stats(129), seed=0)
+    values = np.random.default_rng(23).standard_normal((600, 129)).astype(np.float32)
+
+    def peak():
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            enhance_lps(params, values)
+            return tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+
+    assert POST_BLOCK_STEPS == 64
+    small = peak()
+    monkeypatch.setattr(rtsn.model, "POST_BLOCK_STEPS", 256)
+    assert peak() - small >= 30 * 2**20
 
 
 def test_enhance_checks_finiteness_once_whatever_the_length(monkeypatch):
@@ -1022,6 +1051,16 @@ def test_checkpoint_corruption_errors(tmp_path):
     # norm.std is the last tensor in the file
     p.write_bytes(bytes(blob[:-4]) + np.array([np.nan], dtype="<f4").tobytes())
     with pytest.raises(ValueError, match="norm tensors: non-finite mean/std"):
+        load_checkpoint(p)
+
+    # a second proj.bias entry (27 values of 7.0) after the last tensor,
+    # the tensor count raised by one: the table names proj.bias twice
+    at = 16 + struct.unpack_from("<I", blob, 12)[0]
+    bad = bytearray(blob)
+    struct.pack_into("<I", bad, at, struct.unpack_from("<I", blob, at)[0] + 1)
+    p.write_bytes(bytes(bad) + struct.pack("<H", 9) + b"proj.bias" + struct.pack("<BI", 1, 27)
+                  + np.full(27, 7.0, dtype="<f4").tobytes())
+    with pytest.raises(ValueError, match=re.escape(f"{p}: tensor proj.bias appears twice")):
         load_checkpoint(p)
 
 

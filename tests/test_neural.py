@@ -11,6 +11,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 import rtsn.neural as nn
+import rtsn.neural.adam as adam
 import rtsn.neural.layers as layers
 
 from helpers import (
@@ -709,6 +710,74 @@ def test_winograd_correlate_matches_im2col_and_oracle(monkeypatch, k, c_in, c_ou
             assert np.all(np.abs(slow.reshape(got.shape) - want) <= slow_bound), (bins, frames)
 
 
+def kernel_grad_taps(x, g, k):
+    """im2col(x).T @ g in float64, tap by tap: x (B, N, C), g (B*N, O), the
+    (k*C, O) result's rows j*C.. the product of x shifted by j - h, zero
+    filled, with g."""
+    b, n, c = x.shape
+    half = (k - 1) // 2
+    padded = np.zeros((b, n + k - 1, c))
+    padded[:, half : half + n] = x
+    return np.concatenate([padded[:, j : j + n].reshape(-1, c).T @ g.astype(np.float64)
+                           for j in range(k)])
+
+
+def kernel_grad_magnitude(x, g, k):
+    """The Winograd kernel gradient of |x| and |g| with every transform
+    taken by absolute value, in float64: (k*C, O), the scale its rounding
+    errors grow with."""
+    a_t, g_t, b_t = (np.abs(t) for t in layers._WINOGRAD_GRAD[k])
+    m, (b, n, c), o = g_t.shape[1], x.shape, g.shape[1]
+    tiles, half = -(-n // m), (k - 1) // 2
+    padded = np.zeros((b, tiles * m + k - 1, c))
+    padded[:, half : half + n] = np.abs(x)
+    d = np.lib.stride_tricks.sliding_window_view(padded, 8, axis=1)[:, ::m]  # (B, T, C, 8)
+    v = (d @ b_t.T).transpose(3, 0, 1, 2).reshape(8, b * tiles, c)
+    g_tiles = np.zeros((b, tiles * m, o))
+    g_tiles[:, :n] = np.abs(g).reshape(b, n, o)
+    u = (g_tiles.reshape(b, tiles, m, o).swapaxes(2, 3) @ g_t.T)  # (B, T, O, 8)
+    u = u.transpose(3, 0, 1, 2).reshape(8, b * tiles, o)
+    return (a_t @ (v.swapaxes(1, 2) @ u).reshape(8, -1)).reshape(k * c, o)
+
+
+@pytest.mark.parametrize("dtype", [np.float64, np.float32])
+@pytest.mark.parametrize("k, c_in, c_out", WINOGRAD_SHAPES)
+def test_winograd_kernel_grad_matches_oracle(monkeypatch, k, c_in, c_out, dtype):
+    # The Winograd path of _kernel_grad, F(k, 9 - k), against a float64
+    # tap-by-tap oracle, over 1-13 bins and 129, at 1, 3 and 8 frames; the
+    # path is taken at every size here.  The bound, fixed before measuring,
+    # is first order in the dtype's unit roundoff eps: one rounding of G
+    # and m terms in its product, 8 terms in each of B^T and A^T, and
+    # S = frames x tiles terms in the transformed sum give (S + m + 17) eps
+    # times the Winograd sum of absolute values, plus the oracle's own
+    # float64 error, frames x bins x eps64 times sum |x| |g|.  im2col's
+    # product is held to its own frames x bins bound.
+    monkeypatch.setattr(layers, "_WINOGRAD_MIN_CHANNELS", 1)
+    calls = []
+    block = layers._winograd_grad_block
+    monkeypatch.setattr(layers, "_winograd_grad_block",
+                        lambda *a: calls.append(a[0].shape) or block(*a))
+    rng = np.random.default_rng(200 * k + c_in + c_out)
+    eps, eps64 = np.finfo(dtype).eps, np.finfo(np.float64).eps
+    m = 9 - k
+    for bins in list(range(1, 14)) + [129]:
+        for frames in (1, 3, 8):
+            x = rng.standard_normal((frames, bins, c_in)).astype(dtype)
+            g = rng.standard_normal((frames * bins, c_out)).astype(dtype)
+            calls.clear()
+            got = layers._kernel_grad(x, g, k)
+            assert got.shape == (k * c_in, c_out) and got.dtype == dtype and calls
+            want = kernel_grad_taps(x, g, k)
+            scale = kernel_grad_taps(np.abs(x), np.abs(g), k)
+            terms = frames * -(-bins // m)
+            bound = ((terms + m + 17) * eps * kernel_grad_magnitude(x, g, k)
+                     + frames * bins * eps64 * scale)
+            assert np.all(np.abs(got - want) <= bound), (bins, frames)
+            slow = layers._im2col(x, k).T @ g
+            slow_bound = frames * bins * (eps + eps64) * scale
+            assert np.all(np.abs(slow - want) <= slow_bound), (bins, frames)
+
+
 @pytest.mark.parametrize("k, c_in, c_out, bins, winograd", [
     (5, 90, 256, 129, True), (5, 256, 90, 129, True), (3, 64, 64, 9, True),
     (7, 128, 64, 129, True), (5, 64, 1, 129, False), (5, 1, 64, 129, False),
@@ -718,19 +787,23 @@ def test_correlate_takes_winograd_by_shape(monkeypatch, k, c_in, c_out, bins, wi
     # Winograd for widths 3, 5 and 7 over at least 64 channels on each
     # side, at any bin count; im2col for conv3's one output channel and its
     # input gradient's one input channel, fewer channels, and other widths.
+    # The kernel gradient of x against an output of c_out channels follows
+    # the same rule.
     calls = []
-    block = layers._winograd_block
-    monkeypatch.setattr(layers, "_winograd_block",
-                        lambda *a: calls.append(a[0].shape) or block(*a))
+    for name in ("_winograd_block", "_winograd_grad_block"):
+        block = getattr(layers, name)
+        monkeypatch.setattr(layers, name, lambda *a, name=name, block=block:
+                            calls.append(name) or block(*a))
     x = np.ones((2, bins, c_in), dtype=np.float32)
     layers._correlate(x, np.ones((k * c_in, c_out), dtype=np.float32), k)
-    assert bool(calls) == winograd
+    layers._kernel_grad(x, np.ones((2 * bins, c_out), dtype=np.float32), k)
+    assert calls == (["_winograd_block", "_winograd_grad_block"] if winograd else [])
 
 
 def test_winograd_correlate_bytes_equal_at_every_worker_count(monkeypatch, use_workers):
     # One row block per frame, shared out among 1, 2 and 3 workers: the
-    # Winograd forward with its bias and the input gradient, float32 at
-    # conv1's shapes, are array_equal.
+    # Winograd forward with its bias, the input gradient and the kernel
+    # gradient, float32 at conv1's shapes, are array_equal.
     monkeypatch.setattr(layers, "_COLS_BLOCK", 1)
     rng = np.random.default_rng(41)
     x = rng.standard_normal((7, 129, 256)).astype(np.float32)
@@ -741,7 +814,7 @@ def test_winograd_correlate_bytes_equal_at_every_worker_count(monkeypatch, use_w
     for workers in (1, 2, 3):
         use_workers(workers)
         out = nn.conv1d_freq(nn.parameter(x, "x"), nn.Tensor(kernels), nn.Tensor(bias))
-        results[workers] = (out.data.copy(), out._backward(g)[0])
+        results[workers] = (out.data.copy(), *out._backward(g)[:2])
     for workers in (2, 3):
         for want, got in zip(results[1], results[workers], strict=True):
             assert np.array_equal(got, want)
@@ -1190,6 +1263,48 @@ def test_adam_moment_buffers_follow_names():
         assert np.array_equal(x, y)
 
 
+@pytest.mark.parametrize("shape", [(15,), (16,), (17,), (40,), (3, 7)])
+def test_adam_blocks_match_the_plain_expressions(monkeypatch, shape):
+    # Blocks of 16 values, so the sizes fall on either side of a block
+    # boundary: three float32 steps of the in-place block update leave the
+    # parameter and both moments array_equal to the whole-array expressions.
+    monkeypatch.setattr(adam, "_BLOCK", 16)
+    rng = np.random.default_rng(sum(shape))
+    p0 = rng.standard_normal(shape).astype(np.float32)
+    p = nn.parameter(p0.copy(), "w")
+    state = nn.AdamState(learning_rate=0.01)
+    want, m, v = p0.copy(), np.zeros_like(p0), np.zeros_like(p0)
+    for t in range(1, 4):
+        g = rng.standard_normal(shape).astype(np.float32)
+        nn.adam_update(state, [p], [g])
+        m += (1.0 - 0.9) * (g - m)
+        v += (1.0 - 0.999) * (g * g - v)
+        want -= 0.01 * (m / (1.0 - 0.9**t)) / (np.sqrt(v / (1.0 - 0.999**t)) + 1e-8)
+    assert np.array_equal(p.data, want)
+    assert np.array_equal(state.m["w"], m) and np.array_equal(state.v["w"], v)
+
+
+def test_adam_checks_every_gradient_before_moving_anything():
+    # A NaN in the last gradient raises before any parameter, moment or
+    # the step count moves.
+    rng = np.random.default_rng(22)
+    params = [nn.parameter(rng.standard_normal(shape).astype(np.float32), f"p{i}")
+              for i, shape in enumerate([(3, 4), (5,), (2, 2)])]
+    state = nn.AdamState(learning_rate=0.1)
+    nn.adam_update(state, params, [rng.standard_normal(p.shape).astype(np.float32)
+                                   for p in params])
+    before = ([p.data.copy() for p in params], {k: a.copy() for k, a in state.m.items()},
+              {k: a.copy() for k, a in state.v.items()})
+    grads = [rng.standard_normal(p.shape).astype(np.float32) for p in params]
+    grads[-1][1, 0] = np.nan
+    with pytest.raises(FloatingPointError, match="parameter p2"):
+        nn.adam_update(state, params, grads)
+    assert state.step == 1
+    assert all(np.array_equal(p.data, a) for p, a in zip(params, before[0], strict=True))
+    for moments, kept in zip((state.m, state.v), before[1:]):
+        assert all(np.array_equal(moments[k], a) for k, a in kept.items())
+
+
 def test_adam_error_cases():
     p = nn.parameter(np.ones(2), "w")
     state = nn.AdamState()
@@ -1201,3 +1316,5 @@ def test_adam_error_cases():
         nn.adam_update(state, [nn.Tensor(np.ones(2), requires_grad=True)], [np.ones(2)])
     with pytest.raises(ValueError, match="params but"):
         nn.adam_update(state, [p], [])
+    with pytest.raises(ValueError, match="parameter w is not C-contiguous"):
+        nn.adam_update(state, [nn.parameter(np.ones((2, 3)).T, "w")], [np.ones((3, 2))])
