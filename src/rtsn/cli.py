@@ -113,9 +113,12 @@ def cmd_eval(args: argparse.Namespace) -> int:
     deg = corpus_mod.read_signal(args.deg, cfg)
     ref_lps = lps_from_magnitude(decompose(stft(ref, cfg))[0])
     deg_lps = lps_from_magnitude(decompose(stft(deg, cfg))[0])
-    print(f"snr={float(evalkit.global_snr(ref, deg))!r}")
-    print(f"seg_snr={float(evalkit.segmental_snr(ref, deg))!r}")
-    print(f"lsd={float(evalkit.log_spectral_distance(ref_lps, deg_lps))!r}")
+    # every metric before any line, so a failing one prints nothing but its error
+    scores = [("snr", evalkit.global_snr(ref, deg)),
+              ("seg_snr", evalkit.segmental_snr(ref, deg)),
+              ("lsd", evalkit.log_spectral_distance(ref_lps, deg_lps))]
+    for name, value in scores:
+        print(f"{name}={float(value)!r}")
     return 0
 
 

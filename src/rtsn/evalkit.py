@@ -44,9 +44,13 @@ def segmental_snr(ref: Waveform, deg: Waveform) -> float:
     """Mean per-frame SNR, clamped to [-10, 35] dB per frame.
 
     Frames are 200 samples at hop 80; frames whose reference energy is at
-    or below 1e-8 are skipped.
+    or below 1e-8 are skipped.  A signal shorter than one frame raises a
+    ValueError naming its length.
     """
     r, d = _check_pair(ref, deg)
+    if len(r) < SEG_FRAME:
+        raise ValueError(f"{len(r)} samples, shorter than one {SEG_FRAME}-sample "
+                         "segmental SNR frame")
     if float(np.sum(r * r)) == 0.0:
         raise ValueError("silent reference")
     scores = []

@@ -3,9 +3,9 @@
 Stage one (the prior network) runs a unidirectional LSTM over windows of
 noisy log-power frames and emits, per step, a stack of 2*lookahead+1 base
 predictions covering frames t-lookahead..t+lookahead.  The whole LSTM
-stack is one graph node over the whole chunk, which runs its layers as a
-wavefront over blocks of steps on the worker pool, and each layer's (h, c)
-state arrays advance in place from one chunk to the next.  Stage two (the
+stack is one lstm_cell node, which runs its layers as a wavefront over
+blocks of steps on the worker pool, and each layer's (h, c) state arrays
+advance in place from one chunk to the next.  Stage two (the
 posterior network) collects every stack overlapping frame t together with
 the noisy frames themselves into a channel image and reduces it to one
 enhanced frame with 1-D convolutions over frequency and SELU between them.
@@ -16,7 +16,8 @@ with no transposes in between.  Training minimizes the posterior error
 plus prior_weight times the stack error, one stack_loss node.
 
 Every per-step input and target comes from one layout, the frame stack:
-frames t-lookahead..t+lookahead of step t, clamped (chunk_from_frames).
+frames t-lookahead..t+lookahead of step t, clamped (chunk_from_frames;
+an enhancement chunk views its frames instead of copying every stack).
 A chunk carries the noisy and clean stacks only.  The prior's input is the
 noisy stack's rows lookahead.. (frames t..t+lookahead), the posterior's
 noisy context is the whole noisy stack, the prior's target is the clean
@@ -25,11 +26,16 @@ stack and the posterior's target its row lookahead (frame t).
 There is one forward, forward_chunk, for training, validation and
 enhancement.  Training runs it over parameters that record an autodiff
 graph; validation and enhancement run it over params.frozen(), constants
-sharing the same arrays, so no graph is kept.  The posterior runs over
-blocks of at most POST_BLOCK_STEPS steps and POST_BLOCK_FRAMES frames, so
-enhancement memory stays bounded apart from the O(frames) stacks, prior
-outputs and result.  A frame's convs read only its own image: the blocks
-change a frame's output only by the rounding of the GEMM rows it shares.
+sharing the same arrays, so no graph is kept.  A frozen forward runs the
+prior in segments of POST_BLOCK_FRAMES rows, one lstm_cell call each with
+its layer wavefront carried across them, and each posterior block of at
+most POST_BLOCK_STEPS steps and POST_BLOCK_FRAMES frames as soon as its
+stacks exist, dropping the stacks no later block reads.  So enhancement
+memory stays bounded apart from the frames in and out.  A graph forward
+runs the prior as one segment.  The segments and blocks do the arithmetic
+of the whole chunk's, so no byte depends on them.  A frame's convs read
+only its own image: the blocks change a frame's output only by the
+rounding of the GEMM rows it shares.
 
 _expected_shapes is the one table of parameter names and shapes: it fixes
 the initialization draw order, the checkpoint tensor order and the
@@ -48,6 +54,7 @@ from pathlib import Path
 import numpy as np
 
 from . import neural as nn
+from .neural.layers import _lstm_blocks
 from .corpus import NormStats, _atomic_write, denormalize, normalize
 from .dsp import (
     LpsSequence,
@@ -71,6 +78,8 @@ CHECKPOINT_VERSION = 1
 # peak, which 64-step blocks cut from 177 to 128 MB on a 20 s file (32 went
 # no lower and ran slower).  A 16-lane training chunk keeps 256-frame
 # blocks: 64-frame blocks trained slower, one 1024-frame block took more.
+# POST_BLOCK_FRAMES rows are also a frozen forward's prior segment, two
+# LSTM blocks: on a 20 s file, segments of four blocks peaked 3 MB higher.
 POST_BLOCK_FRAMES = 256
 POST_BLOCK_STEPS = 64
 
@@ -248,8 +257,21 @@ def chunk_from_frames(noisy: list[np.ndarray], clean: list[np.ndarray] | None,
     """The chunk of each lane's (T, N) frames from its start on: rows
     start..start + steps - 1 clamped to the last frame, then each row's
     stack (stack_index), with valid counting the real rows.  clean None
-    leaves clean_stack None, for inference."""
+    leaves clean_stack None, for inference.
+
+    An inference chunk of one lane none of whose rows is clamped is a
+    read-only view of overlapping windows over the frames, edge-padded by
+    lookahead: the stacks stack_index clamps, at one copy of the frames.
+    Every other chunk holds copies of its stacks."""
     tops = [frames.shape[0] - 1 for frames in noisy]
+    valid = np.array([min(steps, top + 1 - start) for start, top in zip(starts, tops)])
+    if clean is None and len(noisy) == 1 and valid[0] == steps:
+        frames = noisy[0]
+        padded = np.concatenate([frames[:1].repeat(lookahead, axis=0), frames,
+                                 frames[-1:].repeat(lookahead, axis=0)])
+        windows = np.lib.stride_tricks.sliding_window_view(padded, 2 * lookahead + 1, axis=0)
+        start = starts[0]
+        return ChunkData(windows.swapaxes(1, 2)[None, start : start + steps], None, valid)
     index = [stack_index(np.minimum(np.arange(start, start + steps), top), lookahead, top)
              for start, top in zip(starts, tops)]
 
@@ -258,7 +280,6 @@ def chunk_from_frames(noisy: list[np.ndarray], clean: list[np.ndarray] | None,
         gathered = [frames[idx] for frames, idx in zip(lanes, index)]
         return gathered[0][None] if len(gathered) == 1 else np.stack(gathered)
 
-    valid = np.array([min(steps, top + 1 - start) for start, top in zip(starts, tops)])
     return ChunkData(stacks(noisy), None if clean is None else stacks(clean), valid)
 
 
@@ -305,22 +326,37 @@ class ChunkData:
 @dataclass
 class ChunkResult:
     x_hat: nn.Tensor
-    x_bar: nn.Tensor
     loss: LossOut | None
 
 
-def _prior(params: RtsnParams, windows: np.ndarray,
-           state: tuple[list, list]) -> nn.Tensor:
-    """LSTM stack then projection from (B, U, (lookahead+1)*N) inputs:
-    the stacks flat, (B*U, R*N).  The whole stack is one lstm_cell node."""
-    batch, steps, _ = windows.shape
+def _segments(batch: int, steps: int) -> list[slice]:
+    """The steps of a frozen forward's prior segments: runs of lstm_cell's
+    blocks of the whole chunk, one run per POST_BLOCK_FRAMES rows (batch x
+    steps) that the blocks start in; two blocks at the default.  The last
+    segment ends with the chunk's last block, the tail lstm_cell joins."""
+    blocks = _lstm_blocks(batch, steps)
+    starts = [b.start for i, b in enumerate(blocks)
+              if i == 0 or b.start * batch // POST_BLOCK_FRAMES
+              != blocks[i - 1].start * batch // POST_BLOCK_FRAMES]
+    return [slice(lo, hi) for lo, hi in zip(starts, starts[1:] + [steps])]
+
+
+def _prior(params: RtsnParams, windows: np.ndarray, state: tuple[list, list],
+           carry: list | None = None, last: bool = True) -> nn.Tensor | None:
+    """The stacks (B*n, R*N) of the n steps the LSTM stack finishes on
+    (B, U, (lookahead+1)*N) input windows, projected; None when it finishes
+    none.  One lstm_cell call: carry and last as lstm_cell takes them, the
+    whole chunk when left out."""
     p = params.tensors
     hs, cs = state
-    x = nn.lstm_cell(nn.Tensor(windows, name="windows"),
-                     [(p[f"lstm{i}.w_in"], p[f"lstm{i}.w_rec"], p[f"lstm{i}.bias"],
-                       hs[i], cs[i]) for i in range(params.config.lstm_layers)])
-    flat = nn.reshape(x, (batch * steps, -1))
-    return nn.linear(flat, p["proj.weight"], p["proj.bias"])
+    top = nn.lstm_cell(nn.Tensor(windows, name="windows"),
+                       [(p[f"lstm{i}.w_in"], p[f"lstm{i}.w_rec"], p[f"lstm{i}.bias"],
+                         hs[i], cs[i]) for i in range(params.config.lstm_layers)],
+                       carry=carry, last=last)
+    batch, steps = top.shape[:2]
+    if not steps:
+        return None
+    return nn.linear(nn.reshape(top, (batch * steps, -1)), p["proj.weight"], p["proj.bias"])
 
 
 def _conv_stack(params: RtsnParams, v: nn.Tensor) -> nn.Tensor:
@@ -346,38 +382,64 @@ def forward_chunk(params: RtsnParams, data: ChunkData,
     state is the per-layer LSTM (h, c) arrays from zero_state; lstm_cell
     advances them in place to the state after the chunk, so passing the
     same state to the next chunk carries it on (None starts from zero and
-    discards it).  The prior runs over the whole chunk, one lstm_cell node
-    for the whole stack, its layers overlapped block by block; the
-    posterior (a gather_steps image, then the conv stack) runs over
-    consecutive blocks of at most POST_BLOCK_STEPS steps holding at most
-    POST_BLOCK_FRAMES frames (batch x steps; one step per block when the
-    batch alone is larger), and the block outputs are concatenated into
-    x_hat.  The blocks follow from the batch alone, so a frozen forward
-    and a graph forward run the same blocks and give the same bytes.  With
-    params.frozen() nothing is recorded, so a block's intermediates are
-    freed before the next block starts and the memory beyond the O(steps)
-    inputs and outputs does not grow with the chunk.
+    discards it).
+
+    The prior runs in segments (_segments), one lstm_cell call each, its
+    layer wavefront carried from one call to the next, and each call's
+    finished top-layer rows go through the projection.  The posterior (a
+    gather_steps image, then the conv stack) runs over consecutive blocks
+    of at most POST_BLOCK_STEPS steps holding at most POST_BLOCK_FRAMES
+    frames (batch x steps; one step per block when the batch alone is
+    larger), each as soon as the stacks it reads exist: those of its steps
+    and lookahead more, clamped to each lane's last valid step.  The block
+    outputs are concatenated into x_hat.  Only the stacks from the next
+    block's start minus lookahead on are held, unless the loss needs them
+    all, so with params.frozen() the memory beyond the O(steps) frames in
+    and out does not grow with the chunk.
+
+    A forward that records a graph runs the prior as one segment, because
+    its backward reads every step's gates; the segments, the blocks and
+    their grid follow from the batch and steps alone, and every segment
+    and block does the arithmetic of the whole chunk's, so a frozen
+    forward and a graph forward give the same bytes.
     """
-    dtype = params.dtype
-    lookahead = params.config.lookahead
+    dtype, cfg = params.dtype, params.config
+    lookahead, n_bins = cfg.lookahead, cfg.n_bins
     noisy_ctx = data.noisy_ctx.astype(dtype, copy=False)
-    batch, steps = _check_chunk(params.config, data)
+    batch, steps = _check_chunk(cfg, data)
     if state is None:
         state = zero_state(params, batch)
-    # frames t..t+lookahead of each step, the stacks' last rows, in one
-    # contiguous copy that lstm_cell reads in place at batch 1
-    stacks = _prior(params, np.ascontiguousarray(noisy_ctx[:, :, lookahead:])
-                    .reshape(batch, steps, -1), state)
-    n_bins = params.config.n_bins
-    x_bar = nn.reshape(stacks, (batch, steps, params.config.stack_rows, n_bins))
-    # (B, U, R): each lane's stacks clamped to its valid steps
-    gather_idx = stack_index(np.arange(steps), lookahead, data.valid[:, None, None] - 1)
+    graph = any(t.requires_grad for t in params.tensors.values())
+    carry = [None] * cfg.lstm_layers
     block = min(POST_BLOCK_STEPS, max(1, POST_BLOCK_FRAMES // batch))
-    blocks = []
-    for start in range(0, steps, block):
-        rows = slice(start, start + block)
-        image = nn.gather_steps(x_bar, gather_idx[:, rows], noisy_ctx[:, rows])
-        blocks.append(nn.reshape(_conv_stack(params, image), (batch, -1, n_bins)))
+    tops = data.valid - 1
+    x_bar, base, start = None, 0, 0  # x_bar holds the stacks of steps base..
+    blocks, stacks = [], []
+    for segment in [slice(0, steps)] if graph else _segments(batch, steps):
+        # frames t..t+lookahead of each step, the stacks' last rows, in one
+        # contiguous copy that lstm_cell reads in place at batch 1
+        windows = np.ascontiguousarray(noisy_ctx[:, segment, lookahead:])
+        flat = _prior(params, windows.reshape(batch, segment.stop - segment.start, -1),
+                      state, carry, segment.stop == steps)
+        if flat is None:
+            continue
+        new = nn.reshape(flat, (batch, -1, cfg.stack_rows, n_bins))
+        if data.clean_stack is not None:
+            stacks.append(flat)
+        x_bar = new if x_bar is None else nn.Tensor(
+            np.concatenate([x_bar.data, new.data], axis=1))
+        done = base + x_bar.shape[1]
+        while start < steps and min(start + block - 1 + lookahead, steps - 1) < done:
+            rows = slice(start, min(steps, start + block))
+            idx = stack_index(np.arange(rows.start, rows.stop), lookahead, tops[:, None, None])
+            image = nn.gather_steps(x_bar, idx - base, noisy_ctx[:, rows])
+            blocks.append(nn.reshape(_conv_stack(params, image), (batch, -1, n_bins)))
+            start = rows.stop
+        # the stacks the next block reads start at its first step minus
+        # lookahead, or at a lane's last valid step, whichever is first
+        drop = min(start - lookahead, int(tops.min())) - base
+        if drop > 0:
+            x_bar, base = nn.Tensor(x_bar.data[:, drop:]), base + drop
     x_hat = nn.concat(blocks, axis=1)
     loss = None
     if data.clean_stack is not None:
@@ -385,9 +447,12 @@ def forward_chunk(params: RtsnParams, data: ChunkData,
         # The loss reads the flat stacks, not x_bar: the blocks' gather
         # gradients sum in block order into x_bar, and the stack error's
         # gradient is added to that whole sum at the projection.
-        loss = mol_loss(x_hat, data.clean_stack[:, :, lookahead], stacks,
-                        data.clean_stack, params.config.prior_weight, mask)
-    return ChunkResult(x_hat, x_bar, loss)
+        # A frozen forward's segments are joined lane by lane.
+        pred = stacks[0] if len(stacks) == 1 else nn.Tensor(np.concatenate(
+            [s.data.reshape(batch, -1, s.shape[1]) for s in stacks], axis=1))
+        loss = mol_loss(x_hat, data.clean_stack[:, :, lookahead], pred,
+                        data.clean_stack, cfg.prior_weight, mask)
+    return ChunkResult(x_hat, loss)
 
 
 def _check_chunk(config: RtsnConfig, data: ChunkData) -> tuple[int, int]:
@@ -428,8 +493,10 @@ def mol_loss(pred_frames, target_frames, pred_stacks, target_stacks,
 def enhance_lps(params: RtsnParams, norm_values: np.ndarray) -> np.ndarray:
     """Full-sequence two-stage forward on normalized LPS values.
 
-    Graph-free over frozen parameters and block-bounded in the posterior,
-    so memory beyond the O(frames) arrays does not grow with length.  The
+    One forward_chunk call over frozen parameters, on a chunk that views
+    the frames (chunk_from_frames): the prior runs in segments and the
+    posterior in blocks, each holding a few stacks around it, so the
+    memory beyond the frames in and out does not grow with length.  The
     result alone is checked: a non-finite value raises FloatingPointError.
     """
     values = np.asarray(norm_values, dtype=params.dtype)
@@ -450,13 +517,23 @@ def enhance_utterance(
     gla_iters overrides the configured iteration count; 0 keeps the noisy
     phase as-is.  Enhanced frames finite but too large for their
     magnitudes raise FloatingPointError before phase reconstruction.
+
+    Each whole-utterance float64 array is dropped after its last reader:
+    the complex spectrum, the magnitude and the noisy LPS before the
+    network runs, the normalized frames before phase reconstruction,
+    which runs over the whole utterance.
     """
     spec = stft(noisy, params.stft)
     magnitude, phase = decompose(spec)
+    del spec
     noisy_lps = lps_from_magnitude(magnitude)
+    del magnitude
     norm_values = normalize(noisy_lps, params.norm).values
+    del noisy_lps
     enhanced_norm = enhance_lps(params, norm_values).astype(np.float64)
+    del norm_values
     enhanced = denormalize(LpsSequence(enhanced_norm), params.norm)
+    del enhanced_norm
     mag_hat = magnitude_from_lps(enhanced)
     if not np.isfinite(mag_hat).all():
         raise FloatingPointError("magnitude_from_lps overflowed: the enhanced "

@@ -238,18 +238,22 @@ def _sigmoid_cols(hidden: int) -> tuple[slice, slice]:
 
 
 class _LstmRun(NamedTuple):
-    """One layer of an lstm_cell call: its time-major (T, B, D) input, w_in,
-    w_rec.T with its i, f and o columns halved, the bias, its gates (every
-    step's, or one block's when no backward will read them) and its hidden
-    and cell states (T + 1, B, H), the state after step t in [t + 1]."""
+    """One layer of an lstm_cell call: the time-major (n, B, D) input of each
+    of its blocks this call, their offsets into its steps (rows[k] to
+    rows[k + 1]), w_in, w_rec.T with its i, f and o columns halved, the
+    bias, its gates (every step's, or one block's when no backward will
+    read them), its hidden and cell states (n + 1, B, H), the state after
+    step t in [t + 1], and the anti-diagonal its first block runs on."""
 
-    inputs: np.ndarray
+    feed: list
+    rows: list
     w_in: np.ndarray
     w: np.ndarray
     bias: np.ndarray
     acts: np.ndarray
     hs: np.ndarray
     cs: np.ndarray
+    lag: int
 
 
 def _lstm_steps(acts: np.ndarray, hs: np.ndarray, cs: np.ndarray, w: np.ndarray) -> None:
@@ -320,15 +324,16 @@ def _lstm_layer_grads(g, x, w_in, w_rec, acts, hs, cs, need_dx: bool):
             dz_flat.sum(axis=0))
 
 
-def lstm_cell(x, layers) -> Tensor:
-    """The LSTM stack over a whole chunk, one node: x (B, T, D) -> the top
+def lstm_cell(x, layers, carry: list | None = None, last: bool = True) -> Tensor:
+    """The LSTM stack over a chunk, one node: x (B, T, D) -> the top
     layer's hidden states (B, T, H).
 
     layers holds one (w_in, w_rec, bias, h, c) per layer, bottom first.
     Gate order inside the packed 4H dimension is input, forget, cell,
     output; w_in is (4H, D) for the bottom layer and (4H, H) above it, and
     w_rec is (4H, H).  The state arrays h and c (B, H) enter as constants
-    and are advanced in place to the state after the last step.
+    and are advanced in place to the state after the last step the layer
+    ran.
 
     Each sigmoid is taken as 0.5 * tanh(0.5 * z) + 0.5, so a step runs one
     tanh over all four gates.  The i, f and o columns of the input products
@@ -345,17 +350,34 @@ def lstm_cell(x, layers) -> Tensor:
     k - 1, for the state, and layer i - 1 on block k, for its input, so the
     tasks run one anti-diagonal i + k at a time on the worker pool: layer i
     on block k beside layer i + 1 on block k - 1.  Each task writes its own
-    steps of the layer's whole-chunk hidden and cell states, which carry
-    the state from block to block, and of its gates when a backward will
-    read them; without one, a layer's gates live in one block's scratch.
+    steps of the layer's hidden and cell states, which carry the state from
+    block to block, and of its gates when a backward will read them;
+    without one, a layer's gates live in one block's scratch.
+
+    A chunk may also run as consecutive segments, one call each, over
+    frozen inputs (no graph): carry is then a list with one entry per
+    layer, all None before the first segment, and last is True only for
+    the chunk's last segment.  A segment is a run of whole blocks of the
+    chunk, so its blocks are the chunk's.  The wavefront carries across
+    the calls: each layer i > 0 keeps the hidden states of the last block
+    that layer i - 1 ran in carry[i], as its next call's first input
+    block, so every call runs the anti-diagonals the one whole-chunk call
+    would run, and layer i stays i blocks behind layer 0.  carry[i] also
+    keeps the layer's halved w_rec.T, so the weights must not change
+    between the calls of one chunk.  A call returns the top layer's hidden
+    states of the steps it ran, which start where the previous call's
+    ended; the last call drains every carried block and leaves carry all
+    None.  A forward that records a graph runs the whole chunk in one
+    call, because its backward reads every step.
 
     The bytes are those of running the layers one after another over the
-    whole chunk, at every worker count.  A step is the same arithmetic on
-    the same operands.  The input GEMM of a block forms each of its rows
-    as the whole-chunk GEMM does, measured for the default prior's shapes,
-    as long as the block has two rows or more; a 1-row product goes down
-    another BLAS path and rounds differently, which the tail rule keeps
-    from happening unless the whole chunk is one row.
+    whole chunk, at every worker count and however the chunk is segmented.
+    A step is the same arithmetic on the same operands.  The input GEMM of
+    a block forms each of its rows as the whole-chunk GEMM does, measured
+    for the default prior's shapes, as long as the block has two rows or
+    more; a 1-row product goes down another BLAS path and rounds
+    differently, which the tail rule keeps from happening unless the whole
+    chunk is one row.
 
     The backward runs each layer's reverse loop and whole-chunk GEMMs, top
     layer first, each layer's input gradient the gradient of the layer
@@ -365,42 +387,58 @@ def lstm_cell(x, layers) -> Tensor:
     layers = [tuple(as_tensor(t) for t in layer[:3]) + tuple(layer[3:]) for layer in layers]
     parents = (x,) + tuple(t for layer in layers for t in layer[:3])
     keep = any(p.requires_grad for p in parents)  # the backward reads every gate
+    if carry is None:
+        carry = [None] * len(layers)
+    if keep and not (last and all(c is None for c in carry)):
+        raise ValueError("lstm_cell: a forward that records a graph runs the whole chunk")
     batch, steps = x.data.shape[:2]
-    blocks = _lstm_blocks(batch, steps)
-    gate_steps = steps if keep else max((b.stop - b.start for b in blocks), default=0)
     inputs = np.ascontiguousarray(x.data.swapaxes(0, 1))  # (T, B, D): steps contiguous
-    runs = []
-    for w_in, w_rec, bias, h, c in layers:
+    feed = [inputs[span] for span in _lstm_blocks(batch, steps)]
+    dtype, lag, runs = x.data.dtype, 0, []
+    for i, (w_in, w_rec, bias, h, c) in enumerate(layers):
+        pending, w = carry[i] or (None, None)
+        if i:  # the block carried from the last call, then those the layer below ran
+            if pending is None:
+                lag += 1
+            else:
+                feed = [pending] + feed
+            pending = None if last or not feed else feed.pop()
         hidden = h.shape[1]
-        dtype = np.result_type(inputs, w_in.data, bias.data)
-        w = w_rec.data.T.copy()  # (H, 4H), ours to scale
-        for cols in _sigmoid_cols(hidden):
-            w[:, cols] *= 0.5
-        hs = np.empty((steps + 1, batch, hidden), dtype=dtype)  # hs[t + 1]: after step t
+        dtype = np.result_type(dtype, w_in.data, bias.data)
+        if w is None:
+            w = w_rec.data.T.copy()  # (H, 4H), ours to scale
+            for cols in _sigmoid_cols(hidden):
+                w[:, cols] *= 0.5
+        carry[i] = None if last else (pending, w)
+        rows = np.cumsum([0] + [len(block) for block in feed]).tolist()
+        hs = np.empty((rows[-1] + 1, batch, hidden), dtype=dtype)  # hs[t + 1]: after step t
         cs = np.empty_like(hs)
         hs[0], cs[0] = h, c
-        runs.append(_LstmRun(inputs, w_in.data, w, bias.data,
-                             np.empty((gate_steps, batch, 4 * hidden), dtype=dtype), hs, cs))
-        inputs = hs[1:]
+        gate_steps = rows[-1] if keep else max(map(len, feed), default=0)
+        runs.append(_LstmRun(feed, rows, w_in.data, w, bias.data,
+                             np.empty((gate_steps, batch, 4 * hidden), dtype=dtype),
+                             hs, cs, lag))
+        feed = [hs[lo + 1 : hi + 1] for lo, hi in zip(rows, rows[1:])]
 
     def task(item):
-        run, span = runs[item[0]], blocks[item[1]]
-        acts = run.acts[span] if keep else run.acts[: span.stop - span.start]
+        run, k = runs[item[0]], item[1]
+        lo, hi = run.rows[k], run.rows[k + 1]
+        acts = run.acts[lo:hi] if keep else run.acts[: hi - lo]
         rows = acts.reshape(-1, acts.shape[2])
-        np.matmul(run.inputs[span].reshape(len(rows), -1), run.w_in.T, out=rows)
+        np.matmul(run.feed[k].reshape(len(rows), -1), run.w_in.T, out=rows)
         rows += run.bias
         for cols in _sigmoid_cols(run.hs.shape[2]):
             rows[:, cols] *= 0.5
-        states = slice(span.start, span.stop + 1)
-        _lstm_steps(acts, run.hs[states], run.cs[states], run.w)
+        _lstm_steps(acts, run.hs[lo : hi + 1], run.cs[lo : hi + 1], run.w)
 
-    for diagonal in range(len(runs) + len(blocks) - 1):
-        _run_shares(task, [(layer, diagonal - layer) for layer in range(len(runs))
-                           if 0 <= diagonal - layer < len(blocks)])
+    for diagonal in range(max((run.lag + len(run.feed) for run in runs if run.feed),
+                              default=0)):
+        _run_shares(task, [(i, diagonal - run.lag) for i, run in enumerate(runs)
+                           if 0 <= diagonal - run.lag < len(run.feed)])
     for (*_, h, c), run in zip(layers, runs):
         h[...], c[...] = run.hs[-1], run.cs[-1]
     # what the backward reads of each layer: not the time-major input copy
-    # or the halved weights, which die here
+    # or the halved weights, which die here (a graph call carries nothing)
     kept = [(run.acts, run.hs, run.cs) for run in runs]
 
     def backward(g):

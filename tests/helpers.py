@@ -9,6 +9,8 @@ oracle; the one-layer LSTM node is the layer-by-layer run that the stack
 node replaced; the posterior image oracle is the gather, transpose and concat
 that gather_steps fuses; frame_stack and stacked_chunk are the layout
 that stored every utterance's stacks, which chunk_from_frames replaced;
+whole_chunk_forward is the forward that ran the prior over the whole chunk
+in one call, which the segmented prior replaced;
 matmul, mul, weighted_sum and tmean are graph primitives that only the
 tests compose with; byte_edits and mutate make the mutants that the binary
 readers' property tests feed them; run_cli runs the CLI as its own process.
@@ -26,7 +28,17 @@ import rtsn
 import rtsn.neural as nn
 from rtsn.corpus import NormStats
 from rtsn.dsp import LpsSequence
-from rtsn.model import ChunkData, chunk_from_frames, forward_chunk
+import rtsn.model
+from rtsn.model import (
+    ChunkData,
+    _conv_stack,
+    _prior,
+    chunk_from_frames,
+    forward_chunk,
+    mol_loss,
+    stack_index,
+    zero_state,
+)
 from rtsn.neural.engine import _node
 from rtsn.neural.layers import SELU_ALPHA, SELU_SCALE
 
@@ -491,12 +503,41 @@ def enhance_one_block(params, lps) -> np.ndarray:
     frame's assemble_posterior_input stack, over the model's own prior
     outputs, through the conv stack at once."""
     values = _values(lps).astype(params.dtype, copy=False)
-    data = ChunkData(frame_stack(values, params.config.lookahead)[None], None,
-                     np.full(1, len(values)))
-    stacks = forward_chunk(params.frozen(), data).x_bar.data[0]
+    cfg = params.config
+    windows = frame_stack(values, cfg.lookahead)[:, cfg.lookahead:].reshape(1, len(values), -1)
+    stacks = _prior(params.frozen(), windows, zero_state(params, 1)).data.reshape(
+        len(values), cfg.stack_rows, cfg.n_bins)
     v = np.stack([assemble_posterior_input(stacks, values, t)
                   for t in range(values.shape[0])])
     return _posterior_convs(params, v)
+
+
+def whole_chunk_forward(params, data: ChunkData):
+    """forward_chunk as it ran before the prior was segmented: one
+    lstm_cell call and one projection over the whole chunk, every stack
+    held, then the posterior blocks over them: (x_hat (B, U, N) as an
+    array, LossOut or None)."""
+    cfg = params.config
+    lookahead, n_bins = cfg.lookahead, cfg.n_bins
+    noisy_ctx = data.noisy_ctx.astype(params.dtype, copy=False)
+    batch, steps = noisy_ctx.shape[:2]
+    flat = _prior(params, np.ascontiguousarray(noisy_ctx[:, :, lookahead:])
+                  .reshape(batch, steps, -1), zero_state(params, batch))
+    x_bar = nn.reshape(flat, (batch, steps, cfg.stack_rows, n_bins))
+    gather_idx = stack_index(np.arange(steps), lookahead, data.valid[:, None, None] - 1)
+    block = min(rtsn.model.POST_BLOCK_STEPS, max(1, rtsn.model.POST_BLOCK_FRAMES // batch))
+    blocks = []
+    for start in range(0, steps, block):
+        rows = slice(start, start + block)
+        image = nn.gather_steps(x_bar, gather_idx[:, rows], noisy_ctx[:, rows])
+        blocks.append(nn.reshape(_conv_stack(params, image), (batch, -1, n_bins)))
+    x_hat = nn.concat(blocks, axis=1)
+    loss = None
+    if data.clean_stack is not None:
+        mask = np.arange(steps) < data.valid[:, None]
+        loss = mol_loss(x_hat, data.clean_stack[:, :, lookahead], flat, data.clean_stack,
+                        cfg.prior_weight, mask)
+    return x_hat.data, loss
 
 
 def evaluate_pri(params, utterances) -> float:

@@ -234,6 +234,17 @@ def test_eval_identical_files(tmp_path, capsys):
     assert "lsd=0.0" in out
 
 
+def test_eval_shorter_than_one_segment_fails_cleanly(tmp_path):
+    # 150 samples hold no 200-sample segmental SNR frame: no metric is
+    # printed, only the error naming the length, once.
+    write_wav(tmp_path / "short.wav", Waveform(synth_voice(7, 150)))
+    rc, out, err = run_cli(["eval", "--ref", tmp_path / "short.wav",
+                            "--deg", tmp_path / "short.wav"])
+    assert rc == 1
+    assert out == ""
+    assert err == "error: 150 samples, shorter than one 200-sample segmental SNR frame\n"
+
+
 def test_train_rerun_bit_identical(tmp_path, capsys):
     a, b = tmp_path / "a", tmp_path / "b"
     for d in (a, b):

@@ -78,6 +78,13 @@ def test_segmental_snr_skips_silent_frames():
         segmental_snr(Waveform(np.full(360, 1e-8)), Waveform(np.zeros(360)))
 
 
+def test_segmental_snr_names_a_signal_shorter_than_one_frame():
+    ref = np.random.default_rng(8).standard_normal(199)
+    with pytest.raises(ValueError, match="^199 samples, shorter than one 200-sample"):
+        segmental_snr(Waveform(ref), Waveform(ref))
+    assert segmental_snr(Waveform(ref[:1].repeat(200)), Waveform(ref[:1].repeat(200))) == 35.0
+
+
 # ---------------------------------------------------------------------------
 # LSD
 # ---------------------------------------------------------------------------

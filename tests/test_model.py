@@ -26,6 +26,7 @@ from rtsn.model import (
     POST_BLOCK_STEPS,
     ChunkData,
     RtsnConfig,
+    _prior,
     chunk_from_frames,
     count_parameters,
     enhance_lps,
@@ -54,6 +55,7 @@ from helpers import (
     stacked_chunk,
     synth_voice,
     unit_stats,
+    whole_chunk_forward,
 )
 
 TINY_STFT = StftConfig(frame_len=16, hop=8, fft_size=16)
@@ -176,9 +178,9 @@ def test_prior_input_oracle(monkeypatch):
     seen = []
     lstm_cell = nn.lstm_cell
 
-    def spy(x, stack):
+    def spy(x, stack, **kwargs):
         seen.append((x.data, [t.name for layer in stack for t in layer[:3]]))
-        return lstm_cell(x, stack)
+        return lstm_cell(x, stack, **kwargs)
 
     monkeypatch.setattr(nn, "lstm_cell", spy)
     forward_chunk(params, ChunkData(frame_stack(values, 2)[None], None, np.full(1, 7)))
@@ -351,7 +353,7 @@ def test_forward_chunk_shapes_and_determinism():
     a = forward_chunk(params, data)
     b = forward_chunk(params, data)
     assert a.x_hat.shape == (2, 6, 9)
-    assert a.x_bar.shape == (2, 6, 3, 9)
+    assert a.loss.total._parents[1].shape == (2 * 6, 3 * 9)  # the flat stacks
     assert np.array_equal(a.x_hat.data, b.x_hat.data)
     assert float(a.loss.total.data) == float(b.loss.total.data)
     assert np.isfinite(a.loss.total.data)
@@ -372,8 +374,12 @@ def test_forward_chunk_state_carry_matches_full_run():
     second = forward_chunk(params, ChunkData(ctx[:, 6:], None, np.full(1, 4)), state)
     # prior outputs agree everywhere; posterior outputs agree away from the
     # split where the gather window stays inside one chunk
-    both = np.concatenate([first.x_bar.data, second.x_bar.data], axis=1)
-    assert_allclose(both, full.x_bar.data, rtol=1e-12, atol=1e-12)
+    windows = ctx[:, :, TINY.lookahead:].reshape(1, 10, -1)
+    prior_state = zero_state(params, 1)
+    both = np.concatenate([_prior(params, windows[:, :6], prior_state).data,
+                           _prior(params, windows[:, 6:], prior_state).data])
+    whole = _prior(params, windows, zero_state(params, 1)).data
+    assert_allclose(both, whole, rtol=1e-12, atol=1e-12)
     assert_allclose(first.x_hat.data[:, :5], full.x_hat.data[:, :5],
                     rtol=1e-12, atol=1e-12)
     assert_allclose(second.x_hat.data[:, 1:], full.x_hat.data[:, 7:],
@@ -395,7 +401,8 @@ def test_forward_chunk_loss_matches_frame_oracle():
     out = forward_chunk(params, ChunkData(*stacks, valid))
     real = np.arange(steps) < valid[:, None]
     post = ((out.x_hat.data - clean) ** 2).sum(-1)[real].mean()
-    pri = ((out.x_bar.data - stacks[1]) ** 2).sum((-2, -1))[real].mean()
+    predicted = out.loss.total._parents[1].data.reshape(stacks[1].shape)  # flat stacks
+    pri = ((predicted - stacks[1]) ** 2).sum((-2, -1))[real].mean()
     assert out.loss.frames == 11
     assert_allclose(out.loss.post, post, rtol=1e-12, atol=0)
     assert_allclose(out.loss.pri, pri, rtol=1e-12, atol=0)
@@ -511,14 +518,17 @@ def test_training_step_sums_gradients_in_block_order(monkeypatch):
 
     x_hat = result.loss.total._parents[0]
     g_frames, g_stacks = result.loss.total._backward(np.ones((), np.float32))
-    x_bar_grad = None
+    x_bar, x_bar_grad = None, None
     for node, g in zip(x_hat._parents, x_hat._backward(g_frames), strict=True):
-        while node is not result.x_bar:  # reshape, convs and SELUs, the gather
+        while node.name != "gather_steps":  # reshape, convs and SELUs
             g, node = node._backward(g)[0], node._parents[0]
+        # the gather reads the stacks x_bar, the projection's output reshaped
+        assert x_bar is None or node._parents[0] is x_bar
+        x_bar, g = node._parents[0], node._backward(g)[0]
         x_bar_grad = g if x_bar_grad is None else x_bar_grad + g
     assert len(x_hat._parents) == 5
-    (flat,) = result.x_bar._backward(x_bar_grad)
-    (proj,) = result.x_bar._parents
+    (flat,) = x_bar._backward(x_bar_grad)
+    (proj,) = x_bar._parents
     _, want_weight, want_bias = proj._backward(g_stacks.reshape(flat.shape) + flat)
     assert got[0].dtype == np.float32
     assert np.array_equal(got[0], want_weight)
@@ -757,7 +767,10 @@ def test_frozen_forward_agrees_with_graph_forward(batch, steps):
     assert graph.x_hat.requires_grad and graph.x_hat._parents
     assert not frozen.x_hat.requires_grad and not frozen.x_hat._parents
     assert np.array_equal(frozen.x_hat.data, graph.x_hat.data)
-    assert np.array_equal(frozen.x_bar.data, graph.x_bar.data)
+    windows = np.ascontiguousarray(data.noisy_ctx[:, :, TINY.lookahead:].astype(np.float32))
+    windows = windows.reshape(batch, steps, -1)
+    assert np.array_equal(_prior(params.frozen(), windows, zero_state(params, batch)).data,
+                          _prior(params, windows, zero_state(params, batch)).data)
     assert float(frozen.loss.total.data) == float(graph.loss.total.data)
     assert (frozen.loss.post, frozen.loss.pri) == (graph.loss.post, graph.loss.pri)
 
@@ -804,40 +817,165 @@ def test_enhance_lps_chunk_matches_stacked_layout(monkeypatch, frames):
     assert np.array_equal(got, stored.x_hat.data[0])
 
 
+# Frame counts at batch 1 that straddle the edges of the prior's segments
+# (256 steps), its LSTM blocks (128) and the posterior's blocks (64).
+SEGMENT_EDGES = [1, 2, 63, 64, 65, 127, 128, 129, 255, 256, 257, 511, 512, 513, 2001]
+
+
+def _one_call_enhance(params, values):
+    """enhance_lps by whole_chunk_forward over the stored-stack layout."""
+    data = ChunkData(frame_stack(values, params.config.lookahead)[None], None,
+                     np.full(1, len(values)))
+    return whole_chunk_forward(params.frozen(), data)[0][0]
+
+
+@pytest.mark.parametrize("workers", [1, 2, 3])
+def test_enhance_lps_equals_whole_chunk_forward_across_segment_edges(use_workers, workers):
+    # The segmented prior, its carried wavefront and the posterior's halo
+    # of stacks change no byte: enhance_lps is array_equal to the forward
+    # that ran the prior over the whole utterance in one lstm_cell call,
+    # for two and three LSTM layers.
+    use_workers(workers)
+    for cfg in (TINY, replace(TINY, lstm_layers=3)):
+        params = init_params(cfg, TINY_STFT, unit_stats(9), seed=7)
+        for frames in SEGMENT_EDGES:
+            values = np.random.default_rng(frames).standard_normal((frames, 9))
+            values = values.astype(np.float32)
+            got = enhance_lps(params, values)
+            assert np.array_equal(got, _one_call_enhance(params, values)), (cfg, frames)
+
+
+@pytest.mark.parametrize("workers", [1, 2, 3])
+def test_default_enhance_lps_equals_whole_chunk_forward(use_workers, workers):
+    # The same at the default config, whose GEMMs take the shapes the
+    # byte equality of a block of rows was measured at.
+    use_workers(workers)
+    params = init_params(RtsnConfig(), StftConfig(), unit_stats(129), seed=0)
+    for frames in (2, 257, 513):
+        values = np.random.default_rng(frames).standard_normal((frames, 129))
+        values = values.astype(np.float32)
+        assert np.array_equal(enhance_lps(params, values),
+                              _one_call_enhance(params, values)), frames
+
+
+@pytest.mark.parametrize("frames", [5, 257, 700])
+def test_validation_loss_equals_whole_chunk_forward(frames):
+    # A frozen forward with a loss keeps every stack for stack_loss: the
+    # loss of an utterance's validation chunk equals the one-call forward's
+    # float for float.
+    params = tiny_params(seed=8, dtype=np.float32)
+    rng = np.random.default_rng(frames)
+    noisy, clean = rng.standard_normal((2, frames, 9)).astype(np.float32)
+    data = chunk_from_frames([noisy], [clean], [0], frames, TINY.lookahead)
+    got = forward_chunk(params.frozen(), data)
+    x_hat, want = whole_chunk_forward(params.frozen(), data)
+    assert np.array_equal(got.x_hat.data, x_hat)
+    assert float(got.loss.total.data) == float(want.total.data)
+    assert (got.loss.post, got.loss.pri, got.loss.frames) == (want.post, want.pri,
+                                                                 want.frames)
+
+
+def test_frozen_forward_keeps_the_stacks_a_short_lane_reads():
+    # Two lanes over five segments, the second valid for 37 steps only:
+    # every later block of that lane reads its stack at step 36, so the
+    # halo must keep it.  Bytes and loss equal the one-call forward's.
+    params = tiny_params(seed=9, dtype=np.float32)
+    chunk = random_chunk(TINY, 2, 600, seed=10, valid=[600, 37])
+    chunk = ChunkData(chunk.noisy_ctx.astype(np.float32),
+                      chunk.clean_stack.astype(np.float32), chunk.valid)
+    got = forward_chunk(params.frozen(), chunk)
+    x_hat, want = whole_chunk_forward(params.frozen(), chunk)
+    assert np.array_equal(got.x_hat.data, x_hat)
+    assert float(got.loss.total.data) == float(want.total.data)
+
+
+def test_layer_spans_nest_directly_under_forward_and_backward(monkeypatch):
+    # The bench tracer takes forward_chunk's self time as its span minus
+    # the layer forwards, and grads_for's as its span minus the layer
+    # backward closures.  Bound the way it binds them (every rtsn module's
+    # name for the function), each layer forward must run directly under
+    # forward_chunk and each backward closure directly under grads_for:
+    # over a batch-1 enhance_lps of three prior segments, one lstm_cell
+    # call each, and a training step.
+    targets = {layers.conv1d_freq, layers.selu, layers.lstm_cell, layers.linear,
+               layers.gather_steps, rtsn.model.forward_chunk, nn.grads_for}
+    stack, seen = [], []
+
+    def traced(fn):
+        name = fn.__name__
+
+        def wrapper(*args, **kwargs):
+            seen.append((name, stack[-1] if stack else None))
+            stack.append(name)
+            try:
+                out = fn(*args, **kwargs)
+            finally:
+                stack.pop()
+            if fn.__module__ == layers.__name__ and out._backward is not None:
+                closure = out._backward
+
+                def backward(g):
+                    seen.append((name + ".bwd", stack[-1] if stack else None))
+                    stack.append(name + ".bwd")
+                    try:
+                        return closure(g)
+                    finally:
+                        stack.pop()
+
+                out._backward = backward
+            return out
+
+        return wrapper
+
+    wrapped = {fn: traced(fn) for fn in targets}
+    for module in [m for n, m in sorted(sys.modules.items())
+                   if m is not None and (n == "rtsn" or n.startswith("rtsn."))]:
+        for key, value in list(vars(module).items()):
+            if inspect.isfunction(value) and value in wrapped:
+                monkeypatch.setattr(module, key, wrapped[value])
+    params = tiny_params(dtype=np.float32)
+    enhance_lps(params, np.random.default_rng(3).standard_normal((700, 9)))
+    assert sum(name == "lstm_cell" for name, _ in seen) == 3
+    chunk = random_chunk(TINY, 2, 8, seed=6)
+    loss = rtsn.model.forward_chunk(params, chunk).loss.total
+    nn.grads_for(loss, list(params.tensors.values()))
+    names = {name for name, _ in seen}
+    assert names == {fn.__name__ for fn in targets} | {
+        fn.__name__ + ".bwd" for fn in targets if fn.__module__ == layers.__name__}
+    for name, parent in seen:
+        if name.endswith(".bwd"):
+            assert parent == "grads_for", (name, parent)
+        elif name not in ("forward_chunk", "grads_for"):
+            assert parent == "forward_chunk", (name, parent)
+
+
 def test_enhance_memory_does_not_grow_with_length():
-    # Traced allocation peaks of enhance_lps at 16 and 64 posterior blocks.
-    # Past the whole-utterance arrays (noisy context, the prior's input
-    # windows, gather indices, prior stacks, the block outputs and their
-    # concatenation) the peak may grow by a fixed slack only; a forward
-    # that keeps a graph grows by every conv activation of every frame.
-    # With blocks of 64 steps the peak is the prior's, while the windows
-    # are alive; with 256-frame blocks a block's convs had set it.
+    # Traced allocation peaks of enhance_lps over 4 and 64 prior segments
+    # (1024 and 16384 frames).  The only whole-utterance arrays left are
+    # the frames in and out: the edge-padded copy of the input that the
+    # chunk views, the block outputs and their concatenation.  Past them
+    # the peak may grow by a fixed slack only.  A forward that held every
+    # stack, prior output or gather index, or kept a graph, grows by more.
     stft_config = StftConfig(frame_len=128, hop=64, fft_size=128)
     cfg = RtsnConfig(lookahead=2, n_bins=65, lstm_layers=1, lstm_units=8,
                      conv_kernel=3, conv_channels=(32, 16, 1))
     params = init_params(cfg, stft_config, unit_stats(65), seed=0)
-    itemsize = np.dtype(params.dtype).itemsize
 
-    def peak_and_budget(frames):
+    def peak(frames):
         values = np.random.default_rng(frames).standard_normal(
             (frames, cfg.n_bins)).astype(params.dtype)
-        whole = (2 * frame_stack(values, cfg.lookahead).nbytes  # context, stacks
-                 + frames * (cfg.lookahead + 1) * cfg.n_bins * itemsize  # windows
-                 + stack_index(np.arange(frames), cfg.lookahead, frames - 1).nbytes
-                 + 2 * frames * cfg.n_bins * itemsize)  # blocks, x_hat
         tracemalloc.start()
         try:
             base = tracemalloc.get_traced_memory()[0]
             enhance_lps(params, values)
-            peak = tracemalloc.get_traced_memory()[1] - base
+            return tracemalloc.get_traced_memory()[1] - base, values.nbytes
         finally:
             tracemalloc.stop()
-        return peak, whole
 
-    short_peak, short_whole = peak_and_budget(4 * BLOCK)
-    long_peak, long_whole = peak_and_budget(16 * BLOCK)
+    short_peak, short_frames = peak(4 * POST_BLOCK_FRAMES)
+    long_peak, long_frames = peak(64 * POST_BLOCK_FRAMES)
     slack = 2 * 2**20
-    assert long_peak - short_peak <= long_whole - short_whole + slack
+    assert long_peak - short_peak <= 3 * (long_frames - short_frames) + slack
 
 
 def test_enhance_blocks_of_64_steps_cut_the_traced_peak(monkeypatch):

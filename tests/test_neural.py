@@ -511,6 +511,66 @@ def test_lstm_cell_float32_batch_gradients_match_oracle():
         _assert_within(grad, fd_gradient(loss, ref[i]), tol, f"gradient {i}")
 
 
+@pytest.mark.parametrize("batch", [1, 2])
+@pytest.mark.parametrize("depth", [1, 2, 3])
+def test_lstm_cell_carried_over_segments_equals_one_call(monkeypatch, use_workers,
+                                                         batch, depth):
+    # A chunk run as consecutive segments of 1, 2 or 3 of its blocks, the
+    # wavefront carried from call to call, against one whole-chunk call at
+    # 2 workers: the concatenated outputs and the final states are
+    # array_equal, every call runs the anti-diagonals the one call runs, and
+    # the last call leaves nothing carried.
+    monkeypatch.setattr(layers, "_LSTM_BLOCK_ROWS", 4)
+    use_workers(2)
+    dispatched = []
+    run_shares = layers._run_shares
+
+    def counted(task, items):
+        items = list(items)
+        dispatched.append(sorted(items))
+        run_shares(task, items)
+
+    monkeypatch.setattr(layers, "_run_shares", counted)
+    rng = np.random.default_rng(depth)
+    d, h = 12, 16
+    weights = [(nn.Tensor(rng.standard_normal((4 * h, d if i == 0 else h)).astype(np.float32)),
+                nn.Tensor(rng.standard_normal((4 * h, h)).astype(np.float32) * 0.3),
+                nn.Tensor(rng.standard_normal(4 * h).astype(np.float32)))
+               for i in range(depth)]
+    for steps in (1, 2, 5, 9, 22, 37):
+        x = rng.standard_normal((batch, steps, d)).astype(np.float32)
+        start = rng.standard_normal((depth, 2, batch, h)).astype(np.float32)
+        whole = start.copy()
+        dispatched.clear()
+        one = nn.lstm_cell(x, [(*w, *s) for w, s in zip(weights, whole)])
+        diagonals = [len(items) for items in dispatched]
+        blocks = layers._lstm_blocks(batch, steps)
+        for per in (1, 2, 3):
+            cuts = [b.start for b in blocks[::per]] + [steps]
+            carried, carry, outs = start.copy(), [None] * depth, []
+            dispatched.clear()
+            for lo, hi in zip(cuts, cuts[1:]):
+                out = nn.lstm_cell(x[:, lo:hi], [(*w, *s) for w, s in zip(weights, carried)],
+                                   carry=carry, last=hi == steps)
+                outs.append(out.data)
+            assert carry == [None] * depth
+            assert [len(items) for items in dispatched] == diagonals
+            assert np.array_equal(np.concatenate(outs, axis=1), one.data), (steps, per)
+            assert np.array_equal(carried, whole)
+
+
+def test_lstm_cell_graph_call_runs_the_whole_chunk():
+    rng = np.random.default_rng(4)
+    x, w_in, w_rec, bias, h0, c0 = _lstm_arrays(rng, b=1, t=3, d=2, hdim=3)
+    carry = [None]
+    nn.lstm_cell(x[:, :2], [(w_in, w_rec, bias, h0, c0)], carry=carry, last=False)
+    stack = [(nn.parameter(w_in, "w_in"), w_rec, bias, h0, c0)]
+    for carry, last in (([None], False), (carry, True)):
+        with pytest.raises(ValueError, match="records a graph runs the whole chunk"):
+            nn.lstm_cell(x, stack, carry=carry, last=last)
+    assert nn.lstm_cell(x, stack, carry=[None], last=True).requires_grad
+
+
 @pytest.mark.parametrize("d, hdim, shared", [(1, 1, True), (3, 3, True), (4, 5, False)])
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
 def test_lstm_cell_leaves_weights_untouched(d, hdim, shared, dtype):
