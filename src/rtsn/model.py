@@ -265,7 +265,7 @@ def chunk_from_frames(noisy: list[np.ndarray], clean: list[np.ndarray] | None,
     Every other chunk holds copies of its stacks."""
     tops = [frames.shape[0] - 1 for frames in noisy]
     valid = np.array([min(steps, top + 1 - start) for start, top in zip(starts, tops)])
-    if clean is None and len(noisy) == 1 and valid[0] == steps:
+    if clean is None and len(noisy) == 1 and valid[0] == steps > 0:
         frames = noisy[0]
         padded = np.concatenate([frames[:1].repeat(lookahead, axis=0), frames,
                                  frames[-1:].repeat(lookahead, axis=0)])

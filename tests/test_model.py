@@ -236,6 +236,10 @@ def test_chunk_from_frames_matches_stacked_layout(frames, starts):
     assert np.array_equal(got.clean_stack, want.clean_stack)
     assert np.array_equal(got.valid, want.valid)
     assert got.valid.dtype == want.valid.dtype
+    # an inference chunk (a view over the frames when no row is clamped)
+    inference = chunk_from_frames(noisy, None, starts, 64, 4)
+    assert np.array_equal(inference.noisy_ctx, want.noisy_ctx)
+    assert np.array_equal(inference.valid, want.valid)
 
 
 def test_gather_mbps_exhaustive_oracle():
@@ -1030,6 +1034,11 @@ def test_enhance_rejects_non_finite_output():
     params.tensors["proj.weight"].data[...] = 1e38
     with pytest.raises(FloatingPointError, match="^non-finite values in the enhanced frames$"):
         enhance_lps(params, np.random.default_rng(0).standard_normal((20, 129)))
+
+
+def test_enhance_rejects_an_empty_utterance():
+    with pytest.raises(ValueError, match="valid must be 1 integer step counts in 1..0"):
+        enhance_lps(tiny_params(), np.zeros((0, 9)))
 
 
 # ---------------------------------------------------------------------------
