@@ -186,8 +186,10 @@ def main(argv: list[str] | None = None) -> int:
         try:
             _worker_count()  # a bad RTSN_THREADS fails before any work starts
             args = build_parser().parse_args(argv)
-            if getattr(args, "seed", 0) < 0:
-                raise ValueError(f"--seed must be >= 0, got {args.seed}")
+            for flag in ("seed", "gla"):
+                value = getattr(args, flag, None)
+                if value is not None and value < 0:
+                    raise ValueError(f"--{flag} must be >= 0, got {value}")
             return args.func(args)
         except (ValueError, OSError, FloatingPointError) as e:
             print(f"error: {e}", file=sys.stderr)

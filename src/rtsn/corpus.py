@@ -358,6 +358,26 @@ def _resolve(base: Path, p: str) -> str:
     return str(q if q.is_absolute() else base / q)
 
 
+def _check_outputs(base: Path, specs: list[MixtureSpec]) -> None:
+    """Reject, before any file is written, a row whose mixture or clean
+    output (resolved against base) is another row's output or clean output,
+    or any row's speech or noise input: the error names both lines."""
+    owner = {}  # real path -> (its role, manifest line)
+    for spec in specs:
+        for role, path in (("speech input", spec.speech_path),
+                           ("noise input", spec.noise_path)):
+            owner.setdefault(os.path.realpath(_resolve(base, path)), (role, spec.line))
+    for spec in specs:
+        for role, path in (("output", spec.output_path),
+                           ("clean output", clean_path_for(spec.output_path))):
+            key = os.path.realpath(_resolve(base, path))
+            if key in owner:
+                other, line = owner[key]
+                raise ValueError(f"manifest line {spec.line}: {role} {path} "
+                                 f"is the {other} of line {line}")
+            owner[key] = (role, spec.line)
+
+
 def split_indices(n: int, seed: int) -> tuple[list[int], list[int]]:
     """Seeded 90/10 train/validation split; validation gets at least one."""
     if n < 2:
@@ -382,6 +402,7 @@ def build_corpus(
     base = manifest_path.parent
     out_dir = Path(out_dir) if out_dir is not None else base
     specs = parse_manifest(manifest_path)
+    _check_outputs(base, specs)
     train_idx, val_idx = split_indices(len(specs), seed)
 
     pairs = []

@@ -17,7 +17,7 @@ plus prior_weight times the stack error, one stack_loss node.
 
 Every per-step input and target comes from one layout, the frame stack:
 frames t-lookahead..t+lookahead of step t, clamped (chunk_from_frames;
-an enhancement chunk views its frames instead of copying every stack).
+a chunk of one whole lane views its frames instead of copying every stack).
 A chunk carries the noisy and clean stacks only.  The prior's input is the
 noisy stack's rows lookahead.. (frames t..t+lookahead), the posterior's
 noisy context is the whole noisy stack, the prior's target is the clean
@@ -26,16 +26,11 @@ stack and the posterior's target its row lookahead (frame t).
 There is one forward, forward_chunk, for training, validation and
 enhancement.  Training runs it over parameters that record an autodiff
 graph; validation and enhancement run it over params.frozen(), constants
-sharing the same arrays, so no graph is kept.  A frozen forward runs the
-prior in segments of POST_BLOCK_FRAMES rows, one lstm_cell call each with
-its layer wavefront carried across them, and each posterior block of at
-most POST_BLOCK_STEPS steps and POST_BLOCK_FRAMES frames as soon as its
-stacks exist, dropping the stacks no later block reads.  So enhancement
-memory stays bounded apart from the frames in and out.  A graph forward
-runs the prior as one segment.  The segments and blocks do the arithmetic
-of the whole chunk's, so no byte depends on them.  A frame's convs read
-only its own image: the blocks change a frame's output only by the
-rounding of the GEMM rows it shares.
+sharing the same arrays, so no graph is kept.  forward_chunk cuts the
+prior into lstm_cell calls, which bounds enhancement memory, and the
+posterior into blocks; no byte depends on the prior's cut.  A frame's
+convs read only its own image: the posterior blocks change a frame's
+output only by the rounding of the GEMM rows it shares.
 
 _expected_shapes is the one table of parameter names and shapes: it fixes
 the initialization draw order, the checkpoint tensor order and the
@@ -78,8 +73,6 @@ CHECKPOINT_VERSION = 1
 # peak, which 64-step blocks cut from 177 to 128 MB on a 20 s file (32 went
 # no lower and ran slower).  A 16-lane training chunk keeps 256-frame
 # blocks: 64-frame blocks trained slower, one 1024-frame block took more.
-# POST_BLOCK_FRAMES rows are also a frozen forward's prior segment, two
-# LSTM blocks: on a 20 s file, segments of four blocks peaked 3 MB higher.
 POST_BLOCK_FRAMES = 256
 POST_BLOCK_STEPS = 64
 
@@ -259,25 +252,22 @@ def chunk_from_frames(noisy: list[np.ndarray], clean: list[np.ndarray] | None,
     stack (stack_index), with valid counting the real rows.  clean None
     leaves clean_stack None, for inference.
 
-    An inference chunk of one lane none of whose rows is clamped is a
-    read-only view of overlapping windows over the frames, edge-padded by
-    lookahead: the stacks stack_index clamps, at one copy of the frames.
-    Every other chunk holds copies of its stacks."""
+    A chunk of one lane none of whose rows is clamped holds read-only
+    windows over one copy of the lane's frames start - lookahead..start +
+    steps + lookahead - 1, clamped: the stacks stack_index clamps.  Every
+    other chunk holds copies of its stacks."""
     tops = [frames.shape[0] - 1 for frames in noisy]
     valid = np.array([min(steps, top + 1 - start) for start, top in zip(starts, tops)])
-    if clean is None and len(noisy) == 1 and valid[0] == steps > 0:
-        frames = noisy[0]
-        padded = np.concatenate([frames[:1].repeat(lookahead, axis=0), frames,
-                                 frames[-1:].repeat(lookahead, axis=0)])
-        windows = np.lib.stride_tricks.sliding_window_view(padded, 2 * lookahead + 1, axis=0)
-        start = starts[0]
-        return ChunkData(windows.swapaxes(1, 2)[None, start : start + steps], None, valid)
-    index = [stack_index(np.minimum(np.arange(start, start + steps), top), lookahead, top)
-             for start, top in zip(starts, tops)]
 
     def stacks(lanes):
+        if len(lanes) == 1 and valid[0] == steps > 0:
+            rows = np.clip(np.arange(-lookahead, steps + lookahead) + starts[0], 0, tops[0])
+            return np.lib.stride_tricks.sliding_window_view(
+                lanes[0][rows], 2 * lookahead + 1, axis=0).swapaxes(1, 2)[None]
         # one lane's gather is the whole chunk: stacking would copy it
-        gathered = [frames[idx] for frames, idx in zip(lanes, index)]
+        gathered = [frames[stack_index(np.minimum(np.arange(start, start + steps), top),
+                                       lookahead, top)]
+                    for frames, start, top in zip(lanes, starts, tops)]
         return gathered[0][None] if len(gathered) == 1 else np.stack(gathered)
 
     return ChunkData(stacks(noisy), None if clean is None else stacks(clean), valid)
@@ -329,18 +319,6 @@ class ChunkResult:
     loss: LossOut | None
 
 
-def _segments(batch: int, steps: int) -> list[slice]:
-    """The steps of a frozen forward's prior segments: runs of lstm_cell's
-    blocks of the whole chunk, one run per POST_BLOCK_FRAMES rows (batch x
-    steps) that the blocks start in; two blocks at the default.  The last
-    segment ends with the chunk's last block, the tail lstm_cell joins."""
-    blocks = _lstm_blocks(batch, steps)
-    starts = [b.start for i, b in enumerate(blocks)
-              if i == 0 or b.start * batch // POST_BLOCK_FRAMES
-              != blocks[i - 1].start * batch // POST_BLOCK_FRAMES]
-    return [slice(lo, hi) for lo, hi in zip(starts, starts[1:] + [steps])]
-
-
 def _prior(params: RtsnParams, windows: np.ndarray, state: tuple[list, list],
            carry: list | None = None, last: bool = True) -> nn.Tensor | None:
     """The stacks (B*n, R*N) of the n steps the LSTM stack finishes on
@@ -384,24 +362,24 @@ def forward_chunk(params: RtsnParams, data: ChunkData,
     same state to the next chunk carries it on (None starts from zero and
     discards it).
 
-    The prior runs in segments (_segments), one lstm_cell call each, its
-    layer wavefront carried from one call to the next, and each call's
-    finished top-layer rows go through the projection.  The posterior (a
-    gather_steps image, then the conv stack) runs over consecutive blocks
-    of at most POST_BLOCK_STEPS steps holding at most POST_BLOCK_FRAMES
-    frames (batch x steps; one step per block when the batch alone is
-    larger), each as soon as the stacks it reads exist: those of its steps
-    and lookahead more, clamped to each lane's last valid step.  The block
-    outputs are concatenated into x_hat.  Only the stacks from the next
-    block's start minus lookahead on are held, unless the loss needs them
-    all, so with params.frozen() the memory beyond the O(steps) frames in
-    and out does not grow with the chunk.
+    A forward that records a graph, whose backward reads every step's
+    gates, or forms a loss, which reads every stack, runs the prior as one
+    lstm_cell call.  A loss-free frozen forward (enhancement) runs one call
+    per LSTM block (_lstm_blocks), its layer wavefront carried from one
+    call to the next.  Each call's finished top-layer rows go through the
+    projection.  The posterior (a gather_steps image, then the conv stack)
+    runs over consecutive blocks of at most POST_BLOCK_STEPS steps holding
+    at most POST_BLOCK_FRAMES frames (batch x steps; one step per block
+    when the batch alone is larger), each as soon as the stacks it reads
+    exist: those of its steps and lookahead more, clamped to each lane's
+    last valid step.  The block outputs are concatenated into x_hat.  Only
+    the stacks from the next block's start minus lookahead on are held for
+    the posterior, so a loss-free frozen forward's memory beyond the
+    O(steps) frames in and out does not grow with the chunk.
 
-    A forward that records a graph runs the prior as one segment, because
-    its backward reads every step's gates; the segments, the blocks and
-    their grid follow from the batch and steps alone, and every segment
-    and block does the arithmetic of the whole chunk's, so a frozen
-    forward and a graph forward give the same bytes.
+    The calls and blocks follow from the batch and steps alone, and each
+    does the arithmetic of the whole chunk's, so every forward of a chunk
+    gives the same bytes.
     """
     dtype, cfg = params.dtype, params.config
     lookahead, n_bins = cfg.lookahead, cfg.n_bins
@@ -409,23 +387,24 @@ def forward_chunk(params: RtsnParams, data: ChunkData,
     batch, steps = _check_chunk(cfg, data)
     if state is None:
         state = zero_state(params, batch)
-    graph = any(t.requires_grad for t in params.tensors.values())
+    one_call = data.clean_stack is not None or any(
+        t.requires_grad for t in params.tensors.values())
     carry = [None] * cfg.lstm_layers
     block = min(POST_BLOCK_STEPS, max(1, POST_BLOCK_FRAMES // batch))
     tops = data.valid - 1
     x_bar, base, start = None, 0, 0  # x_bar holds the stacks of steps base..
-    blocks, stacks = [], []
-    for segment in [slice(0, steps)] if graph else _segments(batch, steps):
+    blocks = []
+    for segment in [slice(0, steps)] if one_call else _lstm_blocks(batch, steps):
         # frames t..t+lookahead of each step, the stacks' last rows, in one
-        # contiguous copy that lstm_cell reads in place at batch 1
+        # contiguous copy that lstm_cell reads in place at batch 1; only a
+        # graph holds it past the call
         windows = np.ascontiguousarray(noisy_ctx[:, segment, lookahead:])
         flat = _prior(params, windows.reshape(batch, segment.stop - segment.start, -1),
                       state, carry, segment.stop == steps)
+        del windows
         if flat is None:
             continue
         new = nn.reshape(flat, (batch, -1, cfg.stack_rows, n_bins))
-        if data.clean_stack is not None:
-            stacks.append(flat)
         x_bar = new if x_bar is None else nn.Tensor(
             np.concatenate([x_bar.data, new.data], axis=1))
         done = base + x_bar.shape[1]
@@ -444,13 +423,10 @@ def forward_chunk(params: RtsnParams, data: ChunkData,
     loss = None
     if data.clean_stack is not None:
         mask = np.arange(steps) < data.valid[:, None]
-        # The loss reads the flat stacks, not x_bar: the blocks' gather
-        # gradients sum in block order into x_bar, and the stack error's
-        # gradient is added to that whole sum at the projection.
-        # A frozen forward's segments are joined lane by lane.
-        pred = stacks[0] if len(stacks) == 1 else nn.Tensor(np.concatenate(
-            [s.data.reshape(batch, -1, s.shape[1]) for s in stacks], axis=1))
-        loss = mol_loss(x_hat, data.clean_stack[:, :, lookahead], pred,
+        # The loss reads the one prior call's flat stacks, not x_bar: the
+        # blocks' gather gradients sum in block order into x_bar, and the
+        # stack error's gradient is added to that whole sum at the projection.
+        loss = mol_loss(x_hat, data.clean_stack[:, :, lookahead], flat,
                         data.clean_stack, cfg.prior_weight, mask)
     return ChunkResult(x_hat, loss)
 
@@ -494,8 +470,8 @@ def enhance_lps(params: RtsnParams, norm_values: np.ndarray) -> np.ndarray:
     """Full-sequence two-stage forward on normalized LPS values.
 
     One forward_chunk call over frozen parameters, on a chunk that views
-    the frames (chunk_from_frames): the prior runs in segments and the
-    posterior in blocks, each holding a few stacks around it, so the
+    the frames (chunk_from_frames): the prior runs one LSTM block at a time
+    and the posterior in blocks, each holding a few stacks around it, so the
     memory beyond the frames in and out does not grow with length.  The
     result alone is checked: a non-finite value raises FloatingPointError.
     """

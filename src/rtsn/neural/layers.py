@@ -358,7 +358,7 @@ def lstm_cell(x, layers, carry: list | None = None, last: bool = True) -> Tensor
     frozen inputs (no graph): carry is then a list with one entry per
     layer, all None before the first segment, and last is True only for
     the chunk's last segment.  A segment is a run of whole blocks of the
-    chunk, so its blocks are the chunk's.  The wavefront carries across
+    chunk (one block, in forward_chunk).  The wavefront carries across
     the calls: each layer i > 0 keeps the hidden states of the last block
     that layer i - 1 ran in carry[i], as its next call's first input
     block, so every call runs the anti-diagonals the one whole-chunk call

@@ -568,6 +568,30 @@ def test_negative_seed_names_the_flag(tmp_path, capsys, command):
     assert not (tmp_path / "m.wav").exists() and not (tmp_path / "stats.txt").exists()
 
 
+def test_negative_gla_names_the_flag(tmp_path, capsys):
+    model, wav = tmp_path / "model.ckpt", tmp_path / "in.wav"
+    save_checkpoint(init_params(RtsnConfig(), StftConfig(), unit_stats(129)), model)
+    write_wav(wav, Waveform(synth_voice(8, 1600)))
+    rc, out, err = run(["enhance", "--model", model, "--in", wav,
+                        "--out", tmp_path / "out.wav", "--gla", "-1"], capsys)
+    assert (rc, out, err) == (1, "", "error: --gla must be >= 0, got -1\n")
+    assert not (tmp_path / "out.wav").exists()
+
+
+def test_build_corpus_overwriting_a_source_fails_cleanly(tmp_path, capsys):
+    # row 3 names row 1's speech input as its output: nothing is written,
+    # so the source keeps its bytes
+    make_inputs(tmp_path)
+    (tmp_path / "manifest.csv").write_text("sp0.wav,noise.wav,5,1,a.wav\n"
+                                           "sp1.wav,noise.wav,0,2,b.wav\n"
+                                           "sp2.wav,noise.wav,5,3,sp0.wav\n")
+    before = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
+    rc, out, err = run(["build-corpus", "--manifest", tmp_path / "manifest.csv"], capsys)
+    assert (rc, out, err) == (
+        1, "", "error: manifest line 3: output sp0.wav is the speech input of line 1\n")
+    assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == before
+
+
 def test_malformed_wav_fails_cleanly(tmp_path, capsys):
     # a fmt chunk that claims 16 + 2**24 bytes (byte 19 set to 1)
     bad = tmp_path / "bad.wav"

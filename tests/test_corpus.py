@@ -631,6 +631,37 @@ def test_build_corpus_short_source_names_line(tmp_path):
         build_corpus(manifest, StftConfig(), seed=0, out_dir=tmp_path)
 
 
+@pytest.mark.parametrize("rows, message", [
+    # row 2 replaces row 1's mixture, row 3 a source that row 4 then reads
+    (["sp0.wav,noise.wav,5,1,a.wav", "sp1.wav,noise.wav,0,2,a.wav",
+      "sp2.wav,noise.wav,5,3,sp0.wav", "sp0.wav,noise.wav,5,4,c.wav"],
+     "manifest line 2: output a.wav is the output of line 1"),
+    (["sp0.wav,noise.wav,5,1,a.wav", "sp2.wav,noise.wav,5,3,sp0.wav",
+      "sp0.wav,noise.wav,5,4,c.wav"],
+     "manifest line 2: output sp0.wav is the speech input of line 1"),
+    # a row's own input, and an input named only on a later line
+    (["sp0.wav,noise.wav,5,1,a.wav", "sp1.wav,noise.wav,0,2,noise.wav"],
+     "manifest line 2: output noise.wav is the noise input of line 1"),
+    (["sp0.wav,noise.wav,5,1,a.wav", "a_clean.wav,noise.wav,0,2,b.wav"],
+     "manifest line 1: clean output a_clean.wav is the speech input of line 2"),
+    # paths are compared resolved against the manifest directory
+    (["sp0.wav,noise.wav,5,1,a.wav", "sp1.wav,noise.wav,0,2,./a_clean.wav"],
+     "manifest line 2: output ./a_clean.wav is the clean output of line 1"),
+    (["sp0.wav,noise.wav,5,1,a_clean.wav", "sp1.wav,noise.wav,0,2,sub/../a.wav"],
+     "manifest line 2: clean output sub/../a_clean.wav is the output of line 1"),
+], ids=["repeated_output", "output_is_speech", "output_is_noise", "clean_is_speech",
+        "output_is_clean", "clean_is_output"])
+def test_build_corpus_rejects_an_output_that_overwrites(tmp_path, rows, message):
+    manifest = _make_corpus_inputs(tmp_path)
+    (tmp_path / "sub").mkdir()
+    manifest.write_text("\n".join(rows) + "\n")
+    before = {p: p.read_bytes() for p in tmp_path.iterdir() if p.is_file()}
+    with pytest.raises(ValueError) as err:
+        build_corpus(manifest, TINY, seed=0, out_dir=tmp_path)
+    assert str(err.value) == message
+    assert {p: p.read_bytes() for p in tmp_path.iterdir() if p.is_file()} == before
+
+
 def test_load_corpus_round_trip(tmp_path):
     manifest = _make_corpus_inputs(tmp_path)
     built = build_corpus(manifest, TINY, seed=5, out_dir=tmp_path)

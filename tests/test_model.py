@@ -240,6 +240,9 @@ def test_chunk_from_frames_matches_stacked_layout(frames, starts):
     inference = chunk_from_frames(noisy, None, starts, 64, 4)
     assert np.array_equal(inference.noisy_ctx, want.noisy_ctx)
     assert np.array_equal(inference.valid, want.valid)
+    if len(frames) == 1 and got.valid[0] == 64:
+        # one unclamped lane: its clean stacks too are read-only windows
+        assert got.clean_stack.base is not None and not got.clean_stack.flags.writeable
 
 
 def test_gather_mbps_exhaustive_oracle():
@@ -893,14 +896,28 @@ def test_frozen_forward_keeps_the_stacks_a_short_lane_reads():
     assert float(got.loss.total.data) == float(want.total.data)
 
 
+def test_loss_free_forward_keeps_the_stacks_a_short_lane_reads():
+    # With no loss the frozen forward runs the prior one LSTM block per
+    # call (nine over 600 steps of two lanes) and holds only a halo of
+    # stacks; a lane valid for 37 steps reads its stack at step 36 in
+    # every later block, so the halo must keep it.
+    params = tiny_params(seed=9, dtype=np.float32)
+    chunk = random_chunk(TINY, 2, 600, seed=10, valid=[600, 37])
+    chunk = ChunkData(chunk.noisy_ctx.astype(np.float32), None, chunk.valid)
+    assert len(layers._lstm_blocks(2, 600)) == 9
+    got = forward_chunk(params.frozen(), chunk)
+    assert got.loss is None
+    assert np.array_equal(got.x_hat.data, whole_chunk_forward(params.frozen(), chunk)[0])
+
+
 def test_layer_spans_nest_directly_under_forward_and_backward(monkeypatch):
     # The bench tracer takes forward_chunk's self time as its span minus
     # the layer forwards, and grads_for's as its span minus the layer
     # backward closures.  Bound the way it binds them (every rtsn module's
     # name for the function), each layer forward must run directly under
     # forward_chunk and each backward closure directly under grads_for:
-    # over a batch-1 enhance_lps of three prior segments, one lstm_cell
-    # call each, and a training step.
+    # over a batch-1 enhance_lps, one lstm_cell call per LSTM block, and a
+    # training step.
     targets = {layers.conv1d_freq, layers.selu, layers.lstm_cell, layers.linear,
                layers.gather_steps, rtsn.model.forward_chunk, nn.grads_for}
     stack, seen = [], []
@@ -939,7 +956,7 @@ def test_layer_spans_nest_directly_under_forward_and_backward(monkeypatch):
                 monkeypatch.setattr(module, key, wrapped[value])
     params = tiny_params(dtype=np.float32)
     enhance_lps(params, np.random.default_rng(3).standard_normal((700, 9)))
-    assert sum(name == "lstm_cell" for name, _ in seen) == 3
+    assert sum(name == "lstm_cell" for name, _ in seen) == len(layers._lstm_blocks(1, 700))
     chunk = random_chunk(TINY, 2, 8, seed=6)
     loss = rtsn.model.forward_chunk(params, chunk).loss.total
     nn.grads_for(loss, list(params.tensors.values()))
@@ -954,9 +971,10 @@ def test_layer_spans_nest_directly_under_forward_and_backward(monkeypatch):
 
 
 def test_enhance_memory_does_not_grow_with_length():
-    # Traced allocation peaks of enhance_lps over 4 and 64 prior segments
-    # (1024 and 16384 frames).  The only whole-utterance arrays left are
-    # the frames in and out: the edge-padded copy of the input that the
+    # Traced allocation peaks of enhance_lps over 8 and 128 LSTM blocks,
+    # one lstm_cell call each (1024 and 16384 frames).  The only
+    # whole-utterance arrays left are the frames in and out: the
+    # edge-padded copy of the input that the
     # chunk views, the block outputs and their concatenation.  Past them
     # the peak may grow by a fixed slack only.  A forward that held every
     # stack, prior output or gather index, or kept a graph, grows by more.

@@ -286,6 +286,7 @@ def test_train_rejects_non_finite_inputs():
     # and grads_for names the op that reads the context
     utts[0].noisy[3, 0] = 0.0
     data = chunk_from_frames([utts[0].noisy], [utts[0].clean], [0], 16, TINY.lookahead)
+    data = replace(data, noisy_ctx=data.noisy_ctx.copy())  # one lane's chunk is a view
     data.noisy_ctx[0, 3, 0, 0] = np.inf  # frame 2 in step 3's context only
     params = tiny_params()
     loss = forward_chunk(params, data).loss.total
@@ -396,6 +397,39 @@ def test_train_step_graph_dies_before_the_next_step():
 
     one, three = epoch_peak(1), epoch_peak(3)
     assert three <= 1.05 * one, f"3-step peak {three} vs 1-step peak {one}"
+
+
+def test_validation_memory_grows_by_the_one_call_forward_per_frame():
+    # Traced peaks of a default-network validation forward at 2048 and 3072
+    # frames, both long enough that the arrays that grow with length set
+    # the peak.  A frozen forward with a loss runs the prior in one call
+    # over a chunk that views the frames, so per frame it holds at most
+    # the stacks the loss reads, the loss's two stack-sized temporaries,
+    # the prior's input windows and the LSTM states (h and c, every layer).
+    # Keeping per-segment stacks and joining them, or copying the noisy
+    # and clean stacks into the chunk, grows by more (about 29 KB a frame).
+    config = RtsnConfig()
+    params = init_params(config, StftConfig(), unit_stats(config.n_bins), seed=0)
+    item = np.dtype(params.dtype).itemsize
+    stack = config.stack_rows * config.n_bins * item
+    budget = (3 * stack + config.pri_input_dim * item
+              + 2 * config.lstm_layers * config.lstm_units * item)
+
+    def peak(frames):
+        rng = np.random.default_rng(frames)
+        noisy, clean = rng.standard_normal((2, frames, config.n_bins)).astype(params.dtype)
+        utt = UtteranceData(noisy, clean)
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            sequence_loss(params, utt)
+            return tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+
+    short, long = 2048, 3072
+    growth = (peak(long) - peak(short)) / (long - short)
+    assert growth <= budget, f"{growth:.0f} B a frame against a budget of {budget}"
 
 
 def test_train_from_corpus(tmp_path):
