@@ -46,7 +46,6 @@ from .model import (
     enhance_utterance,
     init_params,
     load_checkpoint,
-    mol_loss,
     save_checkpoint,
 )
 from .trainer import TrainConfig, TrainResult, train
@@ -84,7 +83,6 @@ __all__ = [
     "lps_from_magnitude",
     "magnitude_from_lps",
     "mix_with_reference",
-    "mol_loss",
     "normalize",
     "parse_manifest",
     "read_wav",

@@ -56,7 +56,17 @@ def load_train_setup(path: str, seed: int) -> tuple[RtsnConfig, StftConfig, Trai
 # ---------------------------------------------------------------------------
 
 
+def check_out(out: str, *inputs: tuple[str, str]) -> None:
+    """Reject an --out that names, resolved by os.path.realpath, the same
+    file as one of the (flag, path) inputs, before anything is written:
+    the error names both flags."""
+    for flag, path in inputs:
+        if os.path.realpath(out) == os.path.realpath(path):
+            raise ValueError(f"--out {out} is the --{flag} input {path}")
+
+
 def cmd_mix(args: argparse.Namespace) -> int:
+    check_out(args.out, ("speech", args.speech), ("noise", args.noise))
     speech = corpus_mod.read_wav(args.speech)
     noise = corpus_mod.read_wav(args.noise)
     mixture, clean = corpus_mod.mix_with_reference(speech, noise, args.snr, args.seed)
@@ -100,6 +110,7 @@ def cmd_train(args: argparse.Namespace) -> int:
 
 
 def cmd_enhance(args: argparse.Namespace) -> int:
+    check_out(args.out, ("in", args.infile), ("model", args.model))
     params = load_checkpoint(args.model)
     noisy = corpus_mod.read_signal(args.infile, params.stft)
     enhanced, _ = enhance_utterance(params, noisy, gla_iters=args.gla)

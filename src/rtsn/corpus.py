@@ -358,24 +358,25 @@ def _resolve(base: Path, p: str) -> str:
     return str(q if q.is_absolute() else base / q)
 
 
-def _check_outputs(base: Path, specs: list[MixtureSpec]) -> None:
+def _check_outputs(base: Path, specs: list[MixtureSpec],
+                   reserved: list[tuple[Path, str]]) -> None:
     """Reject, before any file is written, a row whose mixture or clean
-    output (resolved against base) is another row's output or clean output,
-    or any row's speech or noise input: the error names both lines."""
-    owner = {}  # real path -> (its role, manifest line)
-    for spec in specs:
-        for role, path in (("speech input", spec.speech_path),
-                           ("noise input", spec.noise_path)):
-            owner.setdefault(os.path.realpath(_resolve(base, path)), (role, spec.line))
-    for spec in specs:
-        for role, path in (("output", spec.output_path),
-                           ("clean output", clean_path_for(spec.output_path))):
-            key = os.path.realpath(_resolve(base, path))
-            if key in owner:
-                other, line = owner[key]
-                raise ValueError(f"manifest line {spec.line}: {role} {path} "
-                                 f"is the {other} of line {line}")
-            owner[key] = (role, spec.line)
+    output (resolved against base) is another row's output or clean output
+    or any row's speech or noise input, or any of whose paths is one of the
+    reserved files, given as (path, what it is): the error names the line
+    and what the path already is."""
+    owner = {os.path.realpath(path): what for path, what in reserved}  # real path -> what
+    fixed = set(owner)
+    paths = [(spec, role, path) for spec in specs for role, path in
+             (("speech input", spec.speech_path), ("noise input", spec.noise_path))]
+    paths += [(spec, role, path) for spec in specs for role, path in
+              (("output", spec.output_path),
+               ("clean output", clean_path_for(spec.output_path)))]
+    for spec, role, path in paths:
+        key = os.path.realpath(_resolve(base, path))
+        if key in fixed or key in owner and role.endswith("output"):
+            raise ValueError(f"manifest line {spec.line}: {role} {path} is {owner[key]}")
+        owner.setdefault(key, f"the {role} of line {spec.line}")
 
 
 def split_indices(n: int, seed: int) -> tuple[list[int], list[int]]:
@@ -401,8 +402,11 @@ def build_corpus(
     manifest_path = Path(manifest_path)
     base = manifest_path.parent
     out_dir = Path(out_dir) if out_dir is not None else base
+    stats_path, split_path = out_dir / "stats.txt", out_dir / "split.csv"
     specs = parse_manifest(manifest_path)
-    _check_outputs(base, specs)
+    _check_outputs(base, specs, [(manifest_path, "the manifest"),
+                                 (stats_path, "the statistics file"),
+                                 (split_path, "the split file")])
     train_idx, val_idx = split_indices(len(specs), seed)
 
     pairs = []
@@ -428,13 +432,12 @@ def build_corpus(
             yield lps_from_magnitude(decompose(spec)[0])
 
     stats = compute_norm_stats(train_lps())
-    stats_path = out_dir / "stats.txt"
     _save_norm_stats(stats_path, stats, stft_config, seed, _manifest_digest(specs))
 
     val = set(val_idx)
     split = "".join(f"{spec.output_path},{'val' if i in val else 'train'}\n"
                     for i, spec in enumerate(specs))
-    _atomic_write(out_dir / "split.csv", split.encode("utf-8"))
+    _atomic_write(split_path, split.encode("utf-8"))
     return Corpus([pairs[i] for i in train_idx], [pairs[i] for i in val_idx], stats,
                   str(stats_path), stft_config, seed)
 

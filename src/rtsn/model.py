@@ -13,7 +13,7 @@ One gather_steps node writes that image channel-last, (frames, bins,
 channels), gathered stacks first and noisy context after, so every
 convolution runs as im2col GEMMs over the contiguous channels of each bin
 with no transposes in between.  Training minimizes the posterior error
-plus prior_weight times the stack error, one stack_loss node.
+plus prior_weight times the stack error, formed frame by frame (stack_loss).
 
 Every per-step input and target comes from one layout, the frame stack:
 frames t-lookahead..t+lookahead of step t, clamped (chunk_from_frames;
@@ -26,11 +26,11 @@ stack and the posterior's target its row lookahead (frame t).
 There is one forward, forward_chunk, for training, validation and
 enhancement.  Training runs it over parameters that record an autodiff
 graph; validation and enhancement run it over params.frozen(), constants
-sharing the same arrays, so no graph is kept.  forward_chunk cuts the
-prior into lstm_cell calls, which bounds enhancement memory, and the
-posterior into blocks; no byte depends on the prior's cut.  A frame's
-convs read only its own image: the posterior blocks change a frame's
-output only by the rounding of the GEMM rows it shares.
+sharing the same arrays, so no graph is kept.  A frozen forward cuts the
+prior into lstm_cell calls, which bounds its memory, and every forward
+cuts the posterior into blocks; no byte depends on the prior's cut.  A
+frame's convs read only its own image: the posterior blocks change a
+frame's output only by the rounding of the GEMM rows it shares.
 
 _expected_shapes is the one table of parameter names and shapes: it fixes
 the initialization draw order, the checkpoint tensor order and the
@@ -363,23 +363,25 @@ def forward_chunk(params: RtsnParams, data: ChunkData,
     discards it).
 
     A forward that records a graph, whose backward reads every step's
-    gates, or forms a loss, which reads every stack, runs the prior as one
-    lstm_cell call.  A loss-free frozen forward (enhancement) runs one call
-    per LSTM block (_lstm_blocks), its layer wavefront carried from one
-    call to the next.  Each call's finished top-layer rows go through the
-    projection.  The posterior (a gather_steps image, then the conv stack)
-    runs over consecutive blocks of at most POST_BLOCK_STEPS steps holding
-    at most POST_BLOCK_FRAMES frames (batch x steps; one step per block
-    when the batch alone is larger), each as soon as the stacks it reads
-    exist: those of its steps and lookahead more, clamped to each lane's
-    last valid step.  The block outputs are concatenated into x_hat.  Only
-    the stacks from the next block's start minus lookahead on are held for
-    the posterior, so a loss-free frozen forward's memory beyond the
-    O(steps) frames in and out does not grow with the chunk.
+    gates, runs the prior as one lstm_cell call.  A frozen forward
+    (validation, enhancement) runs one call per LSTM block (_lstm_blocks),
+    its layer wavefront carried from one call to the next.  Each call's
+    finished top-layer rows go through the projection.  The posterior (a
+    gather_steps image, then the conv stack) runs over consecutive blocks
+    of at most POST_BLOCK_STEPS steps holding at most POST_BLOCK_FRAMES
+    frames (batch x steps; one step per block when the batch alone is
+    larger), each as soon as the stacks it reads exist: those of its steps
+    and lookahead more, clamped to each lane's last valid step.  The block
+    outputs are concatenated into x_hat.  Only the stacks from the next
+    block's start minus lookahead on are held, and with clean stacks each
+    call's new stacks and each block's output give their steps' prior and
+    posterior squared errors at once, into the (2, B, U) array stack_loss
+    reduces: a frozen forward's memory beyond the O(steps) frames in and
+    out does not grow with the chunk.
 
-    The calls and blocks follow from the batch and steps alone, and each
-    does the arithmetic of the whole chunk's, so every forward of a chunk
-    gives the same bytes.
+    The blocks follow from the batch and steps alone, and each call and
+    block does the arithmetic of the whole chunk's, so every forward of a
+    chunk gives the same bytes and loss, graph or none.
     """
     dtype, cfg = params.dtype, params.config
     lookahead, n_bins = cfg.lookahead, cfg.n_bins
@@ -387,11 +389,12 @@ def forward_chunk(params: RtsnParams, data: ChunkData,
     batch, steps = _check_chunk(cfg, data)
     if state is None:
         state = zero_state(params, batch)
-    one_call = data.clean_stack is not None or any(
-        t.requires_grad for t in params.tensors.values())
+    one_call = any(t.requires_grad for t in params.tensors.values())
     carry = [None] * cfg.lstm_layers
     block = min(POST_BLOCK_STEPS, max(1, POST_BLOCK_FRAMES // batch))
     tops = data.valid - 1
+    clean = data.clean_stack
+    errors = None if clean is None else np.empty((2, batch, steps), dtype)
     x_bar, base, start = None, 0, 0  # x_bar holds the stacks of steps base..
     blocks = []
     for segment in [slice(0, steps)] if one_call else _lstm_blocks(batch, steps):
@@ -408,11 +411,17 @@ def forward_chunk(params: RtsnParams, data: ChunkData,
         x_bar = new if x_bar is None else nn.Tensor(
             np.concatenate([x_bar.data, new.data], axis=1))
         done = base + x_bar.shape[1]
+        if errors is not None:
+            made = slice(done - new.shape[1], done)
+            errors[1][:, made] = _squared_errors(new.data, clean[:, made])
         while start < steps and min(start + block - 1 + lookahead, steps - 1) < done:
             rows = slice(start, min(steps, start + block))
             idx = stack_index(np.arange(rows.start, rows.stop), lookahead, tops[:, None, None])
             image = nn.gather_steps(x_bar, idx - base, noisy_ctx[:, rows])
             blocks.append(nn.reshape(_conv_stack(params, image), (batch, -1, n_bins)))
+            if errors is not None:
+                errors[0][:, rows] = _squared_errors(blocks[-1].data,
+                                                     clean[:, rows, lookahead])
             start = rows.stop
         # the stacks the next block reads start at its first step minus
         # lookahead, or at a lane's last valid step, whichever is first
@@ -420,15 +429,22 @@ def forward_chunk(params: RtsnParams, data: ChunkData,
         if drop > 0:
             x_bar, base = nn.Tensor(x_bar.data[:, drop:]), base + drop
     x_hat = nn.concat(blocks, axis=1)
-    loss = None
-    if data.clean_stack is not None:
-        mask = np.arange(steps) < data.valid[:, None]
-        # The loss reads the one prior call's flat stacks, not x_bar: the
-        # blocks' gather gradients sum in block order into x_bar, and the
-        # stack error's gradient is added to that whole sum at the projection.
-        loss = mol_loss(x_hat, data.clean_stack[:, :, lookahead], flat,
-                        data.clean_stack, cfg.prior_weight, mask)
-    return ChunkResult(x_hat, loss)
+    if errors is None:
+        return ChunkResult(x_hat, None)
+    # A graph's loss differentiates the one prior call's flat stacks, not
+    # x_bar: the blocks' gather gradients sum in block order into x_bar, and
+    # the stack error's gradient is added to that whole sum at the projection.
+    preds = [(x_hat, clean[:, :, lookahead]), (flat, clean)] if one_call else []
+    total, post_sum, pri_sum, count = nn.stack_loss(
+        errors, cfg.prior_weight, np.arange(steps) < data.valid[:, None], preds)
+    return ChunkResult(x_hat, LossOut(total, post_sum / count, pri_sum / count, count))
+
+
+def _squared_errors(pred: np.ndarray, target: np.ndarray) -> np.ndarray:
+    """Each step's squared error |pred - target|^2 for (B, n, ...) pred and
+    target, summed over the axes after (B, n), in pred's dtype."""
+    diff = pred - np.asarray(target, dtype=pred.dtype)
+    return (diff * diff).sum(axis=tuple(range(2, diff.ndim)))
 
 
 def _check_chunk(config: RtsnConfig, data: ChunkData) -> tuple[int, int]:
@@ -449,21 +465,6 @@ def _check_chunk(config: RtsnConfig, data: ChunkData) -> tuple[int, int]:
         raise ValueError(
             f"valid must be {batch} integer step counts in 1..{steps}, got {valid!r}")
     return batch, steps
-
-
-def mol_loss(pred_frames, target_frames, pred_stacks, target_stacks,
-             prior_weight: float, mask: np.ndarray) -> LossOut:
-    """Mean over frames of posterior error plus weighted stack error.
-
-    Per frame: squared distance between the enhanced and clean frame, plus
-    prior_weight times the squared Frobenius distance between the emitted
-    stack and the clean frame stack.  mask (...) holds each frame's 0/1
-    weight: a zero drops a padded frame from both terms.  The total is one
-    nn.stack_loss node over the two predictions.
-    """
-    total, post_sum, pri_sum, count = nn.stack_loss(
-        pred_frames, target_frames, pred_stacks, target_stacks, prior_weight, mask)
-    return LossOut(total=total, post=post_sum / count, pri=pri_sum / count, frames=count)
 
 
 def enhance_lps(params: RtsnParams, norm_values: np.ndarray) -> np.ndarray:

@@ -827,43 +827,42 @@ def gather_steps(x, idx: np.ndarray, context: np.ndarray) -> Tensor:
     return _node(image.reshape(b * u, n, -1), (x,), backward, "gather_steps")
 
 
-def stack_loss(frames, target_frames, stacks, target_stacks, prior_weight: float,
-               mask: np.ndarray):
-    """The training objective as one node: (total, post_sum, pri_sum, count).
+def stack_loss(errors: np.ndarray, prior_weight: float, mask: np.ndarray, preds=()):
+    """The training objective as one node over per-step squared errors:
+    (total, post_sum, pri_sum, count).
 
-    frames (..., N) and stacks (..., R, N) are the predictions, stacks in
-    any shape of target_stacks' size (read in its shape); the targets and
-    the mask (...) of 0/1 frame weights are constants.
-    With count = sum(mask) and per frame the squared errors
-      post = |frames - target_frames|^2,  pri = |stacks - target_stacks|^2,
-    post_sum and pri_sum are the masked sums of post and pri in the
-    predictions' dtype, and total = (post_sum + prior_weight * pri_sum) /
-    count in float64.  The backward is closed form: frames get
-    2 (frames - target_frames) mask / count and stacks prior_weight times
-    the same of theirs, each scale rounded to the predictions' dtype before
-    it meets the mask.
+    errors (2, ...) holds each step's post = |frame - target frame|^2 and
+    pri = |stack - target stack|^2, mask (...) its 0/1 weight.  With count
+    = sum(mask), post_sum and pri_sum are the masked sums in errors' dtype
+    and total = (post_sum + prior_weight * pri_sum) / count in float64.
+    preds holds the (prediction, constant target) pairs a graph wants
+    gradients for, the frames (..., N) then the stacks in any shape of
+    their target's (..., R, N) size; a frozen forward passes none.  The
+    backward is closed form, over pred - target recomputed from the
+    predictions the graph holds: frames get 2 (frames - target_frames)
+    mask / count and stacks prior_weight times the same of theirs, each
+    scale rounded to errors' dtype before it meets the mask.
     """
-    frames, stacks = as_tensor(frames), as_tensor(stacks)
-    dtype = frames.dtype
+    dtype = errors.dtype
     m = np.asarray(mask, dtype=dtype)
     count = float(m.sum())
     if count <= 0:
         raise ValueError("mask excludes every frame")
-    diff_frames = frames.data - np.asarray(target_frames, dtype=dtype)
-    target_stacks = np.asarray(target_stacks, dtype=dtype)
-    diff_stacks = stacks.data.reshape(target_stacks.shape) - target_stacks
-    post_sum = ((diff_frames * diff_frames).sum(axis=-1) * m).sum()
-    pri_sum = ((diff_stacks * diff_stacks).sum(axis=(-2, -1)) * m).sum()
+    post_sum = (errors[0] * m).sum()
+    pri_sum = (errors[1] * m).sum()
     weight = np.asarray(prior_weight, dtype=np.float64)
     scale = np.asarray(1.0 / count)
     total = (post_sum + pri_sum * weight) * scale
 
     def backward(g):
         g_post = g * scale
-        g_pri = (g_post * weight).astype(dtype)
-        g_post = g_post.astype(dtype)
-        return ((g_post * m)[..., None] * (2.0 * diff_frames),
-                ((g_pri * m)[..., None, None] * (2.0 * diff_stacks)).reshape(stacks.shape))
+        grads = []
+        for (pred, target), s in zip(preds, (g_post, g_post * weight)):
+            target = np.asarray(target, dtype=dtype)
+            s = (s.astype(dtype) * m).reshape(m.shape + (1,) * (target.ndim - m.ndim))
+            diff = pred.data.reshape(target.shape) - target
+            grads.append((s * (2.0 * diff)).reshape(pred.shape))
+        return grads
 
-    return (_node(total, (frames, stacks), backward, "stack_loss"),
+    return (_node(total, [pred for pred, _ in preds], backward, "stack_loss"),
             float(post_sum), float(pri_sum), count)

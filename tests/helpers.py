@@ -10,7 +10,9 @@ node replaced; the posterior image oracle is the gather, transpose and concat
 that gather_steps fuses; frame_stack and stacked_chunk are the layout
 that stored every utterance's stacks, which chunk_from_frames replaced;
 whole_chunk_forward is the forward that ran the prior over the whole chunk
-in one call, which the segmented prior replaced;
+in one call, which the segmented prior replaced, and frame_errors the loss's
+per-frame errors over whole predictions, which forward_chunk forms as they
+finish;
 matmul, mul, weighted_sum and tmean are graph primitives that only the
 tests compose with; byte_edits and mutate make the mutants that the binary
 readers' property tests feed them; run_cli runs the CLI as its own process.
@@ -31,11 +33,11 @@ from rtsn.dsp import LpsSequence
 import rtsn.model
 from rtsn.model import (
     ChunkData,
+    LossOut,
     _conv_stack,
     _prior,
     chunk_from_frames,
     forward_chunk,
-    mol_loss,
     stack_index,
     zero_state,
 )
@@ -512,6 +514,18 @@ def enhance_one_block(params, lps) -> np.ndarray:
     return _posterior_convs(params, v)
 
 
+def frame_errors(frames, target_frames, stacks, target_stacks) -> np.ndarray:
+    """The (2, ...) per-frame squared errors nn.stack_loss reduces, over
+    whole predictions: |frames - target_frames|^2 over the last axis and
+    |stacks - target_stacks|^2 over the last two, stacks in any shape of
+    target_stacks' size, each in the predictions' dtype."""
+    dtype = np.asarray(frames).dtype
+    post = frames - np.asarray(target_frames, dtype=dtype)
+    target_stacks = np.asarray(target_stacks, dtype=dtype)
+    pri = np.asarray(stacks).reshape(target_stacks.shape) - target_stacks
+    return np.stack([(post * post).sum(axis=-1), (pri * pri).sum(axis=(-2, -1))])
+
+
 def whole_chunk_forward(params, data: ChunkData):
     """forward_chunk as it ran before the prior was segmented: one
     lstm_cell call and one projection over the whole chunk, every stack
@@ -535,8 +549,10 @@ def whole_chunk_forward(params, data: ChunkData):
     loss = None
     if data.clean_stack is not None:
         mask = np.arange(steps) < data.valid[:, None]
-        loss = mol_loss(x_hat, data.clean_stack[:, :, lookahead], flat, data.clean_stack,
-                        cfg.prior_weight, mask)
+        errors = frame_errors(x_hat.data, data.clean_stack[:, :, lookahead], flat.data,
+                              data.clean_stack)
+        total, post, pri, count = nn.stack_loss(errors, cfg.prior_weight, mask)
+        loss = LossOut(total, post / count, pri / count, count)
     return x_hat.data, loss
 
 

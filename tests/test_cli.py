@@ -592,6 +592,30 @@ def test_build_corpus_overwriting_a_source_fails_cleanly(tmp_path, capsys):
     assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == before
 
 
+@pytest.mark.parametrize("command, flag, out", [
+    ("mix", "speech", "sp0.wav"), ("mix", "noise", "./noise.wav"),
+    ("enhance", "in", "./sp0.wav"), ("enhance", "model", "tiny.ckpt"),
+])
+def test_out_over_an_input_fails_cleanly(tmp_path, command, flag, out):
+    # --out names an input, as given or spelled through ./: the command
+    # exits 1 with one stderr line naming both flags, before it writes
+    make_inputs(tmp_path)
+    save_checkpoint(init_params(RtsnConfig(lookahead=1, n_bins=9, lstm_units=4,
+                                           conv_kernel=3, conv_channels=(2, 1)),
+                                StftConfig(frame_len=16, hop=8, fft_size=16), unit_stats(9)),
+                    tmp_path / "tiny.ckpt")
+    inputs = {"mix": {"speech": "sp0.wav", "noise": "noise.wav"},
+              "enhance": {"model": "tiny.ckpt", "in": "sp0.wav"}}[command]
+    argv = [command] + [a for f, path in inputs.items() for a in (f"--{f}", tmp_path / path)]
+    argv += ["--snr", "5"] if command == "mix" else []
+    before = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
+    rc, stdout, err = run_cli(argv + ["--out", f"{tmp_path}/{out}"])
+    assert (rc, stdout, err) == (
+        1, "", f"error: --out {tmp_path}/{out} is the --{flag} input "
+               f"{tmp_path / inputs[flag]}\n")
+    assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == before
+
+
 def test_malformed_wav_fails_cleanly(tmp_path, capsys):
     # a fmt chunk that claims 16 + 2**24 bytes (byte 19 set to 1)
     bad = tmp_path / "bad.wav"

@@ -649,8 +649,21 @@ def test_build_corpus_short_source_names_line(tmp_path):
      "manifest line 2: output ./a_clean.wav is the clean output of line 1"),
     (["sp0.wav,noise.wav,5,1,a_clean.wav", "sp1.wav,noise.wav,0,2,sub/../a.wav"],
      "manifest line 2: clean output sub/../a_clean.wav is the output of line 1"),
+    # the files build_corpus reads or writes itself
+    (["sp0.wav,noise.wav,5,1,a.wav", "sp1.wav,noise.wav,0,2,split.csv",
+      "sp2.wav,noise.wav,0,3,c.wav"],
+     "manifest line 2: output split.csv is the split file"),
+    (["sp0.wav,noise.wav,5,1,a.wav", "sp1.wav,noise.wav,0,2,./stats.txt",
+      "sp2.wav,noise.wav,0,3,c.wav"],
+     "manifest line 2: output ./stats.txt is the statistics file"),
+    (["sp0.wav,noise.wav,5,1,a.wav", "sp1.wav,noise.wav,0,2,manifest.csv",
+      "sp2.wav,noise.wav,0,3,c.wav"],
+     "manifest line 2: output manifest.csv is the manifest"),
+    (["sp0.wav,noise.wav,5,1,a.wav", "sp1.wav,split.csv,0,2,b.wav"],
+     "manifest line 2: noise input split.csv is the split file"),
 ], ids=["repeated_output", "output_is_speech", "output_is_noise", "clean_is_speech",
-        "output_is_clean", "clean_is_output"])
+        "output_is_clean", "clean_is_output", "output_is_split", "output_is_stats",
+        "output_is_manifest", "input_is_split"])
 def test_build_corpus_rejects_an_output_that_overwrites(tmp_path, rows, message):
     manifest = _make_corpus_inputs(tmp_path)
     (tmp_path / "sub").mkdir()

@@ -34,7 +34,6 @@ from rtsn.model import (
     forward_chunk,
     init_params,
     load_checkpoint,
-    mol_loss,
     save_checkpoint,
     stack_index,
     zero_state,
@@ -46,6 +45,7 @@ from helpers import (
     byte_edits,
     assemble_pri_input,
     enhance_one_block,
+    frame_errors,
     frame_stack,
     gather_mbps,
     mutate,
@@ -307,15 +307,11 @@ def test_gather_index_clamps_to_valid():
 def test_mol_loss_frozen_single_frame():
     # one frame, two bins: frame error [1, 2] -> 5; stack of ones 3x2 -> 6;
     # weight 10 -> 5 + 60 = 65
-    pred_f = nn.Tensor(np.array([[[1.0, 2.0]]]))
-    tgt_f = np.zeros((1, 1, 2))
-    pred_s = nn.Tensor(np.ones((1, 1, 3, 2)))
-    tgt_s = np.zeros((1, 1, 3, 2))
-    out = mol_loss(pred_f, tgt_f, pred_s, tgt_s, prior_weight=10.0, mask=np.ones((1, 1)))
-    assert float(out.total.data) == 65.0
-    assert out.post == 5.0
-    assert out.pri == 6.0
-    assert out.frames == 1.0
+    errors = frame_errors(np.array([[[1.0, 2.0]]]), np.zeros((1, 1, 2)),
+                          np.ones((1, 1, 3, 2)), np.zeros((1, 1, 3, 2)))
+    total, post, pri, count = nn.stack_loss(errors, 10.0, np.ones((1, 1)))
+    assert float(total.data) == 65.0
+    assert (post, pri, count) == (5.0, 6.0, 1.0)
 
 
 def test_mol_loss_matches_numpy_oracle():
@@ -324,9 +320,9 @@ def test_mol_loss_matches_numpy_oracle():
     pf, tf = rng.standard_normal((2, b, u, n))
     ps, ts = rng.standard_normal((2, b, u, r, n))
     lam = 7.5
-    out = mol_loss(nn.Tensor(pf), tf, nn.Tensor(ps), ts, lam, np.ones((b, u)))
+    total = nn.stack_loss(frame_errors(pf, tf, ps, ts), lam, np.ones((b, u)))[0]
     per_frame = ((pf - tf) ** 2).sum(-1) + lam * ((ps - ts) ** 2).sum((-2, -1))
-    assert_allclose(float(out.total.data), per_frame.mean(), rtol=1e-12, atol=0)
+    assert_allclose(float(total.data), per_frame.mean(), rtol=1e-12, atol=0)
 
 
 def test_mol_loss_mask_drops_padded_frames():
@@ -335,18 +331,18 @@ def test_mol_loss_mask_drops_padded_frames():
     pf, tf = rng.standard_normal((2, b, u, n))
     ps, ts = rng.standard_normal((2, b, u, r, n))
     mask = np.array([[1.0, 1.0, 0.0, 0.0]])
-    out = mol_loss(nn.Tensor(pf), tf, nn.Tensor(ps), ts, 2.0, mask)
+    total = nn.stack_loss(frame_errors(pf, tf, ps, ts), 2.0, mask)[0]
 
     garbage = pf.copy()
     garbage[:, 2:] = 1e6
-    out2 = mol_loss(nn.Tensor(garbage), tf, nn.Tensor(ps), ts, 2.0, mask)
-    assert float(out.total.data) == float(out2.total.data)
+    total2 = nn.stack_loss(frame_errors(garbage, tf, ps, ts), 2.0, mask)[0]
+    assert float(total.data) == float(total2.data)
 
     per_frame = ((pf - tf) ** 2).sum(-1) + 2.0 * ((ps - ts) ** 2).sum((-2, -1))
-    assert_allclose(float(out.total.data), per_frame[0, :2].mean(), rtol=1e-12, atol=0)
+    assert_allclose(float(total.data), per_frame[0, :2].mean(), rtol=1e-12, atol=0)
 
     with pytest.raises(ValueError, match="mask excludes"):
-        mol_loss(nn.Tensor(pf), tf, nn.Tensor(ps), ts, 2.0, np.zeros((b, u)))
+        nn.stack_loss(frame_errors(pf, tf, ps, ts), 2.0, np.zeros((b, u)))
 
 
 # ---------------------------------------------------------------------------
@@ -865,21 +861,30 @@ def test_default_enhance_lps_equals_whole_chunk_forward(use_workers, workers):
                               _one_call_enhance(params, values)), frames
 
 
-@pytest.mark.parametrize("frames", [5, 257, 700])
-def test_validation_loss_equals_whole_chunk_forward(frames):
-    # A frozen forward with a loss keeps every stack for stack_loss: the
-    # loss of an utterance's validation chunk equals the one-call forward's
-    # float for float.
-    params = tiny_params(seed=8, dtype=np.float32)
+# Frame counts at batch 1 whose loss spans one or several lstm_cell calls
+# (128 steps) and posterior blocks (64), the last at the default config.
+@pytest.mark.parametrize("frames", [5, 127, 128, 129, 255, 256, 257, 513, 700, 2001])
+def test_validation_loss_equals_whole_chunk_forward(use_workers, frames):
+    # A frozen forward with a loss runs the prior one LSTM block per call
+    # and forms each frame's errors as its stack and output exist: the loss
+    # of an utterance's validation chunk equals, float for float, that of
+    # the one-call forward with the errors taken over whole predictions, at
+    # every worker count.
+    if frames == 2001:
+        params = init_params(RtsnConfig(), StftConfig(), unit_stats(129), seed=0)
+    else:
+        params = tiny_params(seed=8, dtype=np.float32)
     rng = np.random.default_rng(frames)
-    noisy, clean = rng.standard_normal((2, frames, 9)).astype(np.float32)
-    data = chunk_from_frames([noisy], [clean], [0], frames, TINY.lookahead)
-    got = forward_chunk(params.frozen(), data)
+    noisy, clean = rng.standard_normal((2, frames, params.config.n_bins)).astype(np.float32)
+    data = chunk_from_frames([noisy], [clean], [0], frames, params.config.lookahead)
     x_hat, want = whole_chunk_forward(params.frozen(), data)
-    assert np.array_equal(got.x_hat.data, x_hat)
-    assert float(got.loss.total.data) == float(want.total.data)
-    assert (got.loss.post, got.loss.pri, got.loss.frames) == (want.post, want.pri,
-                                                                 want.frames)
+    for workers in (1, 2, 3):
+        use_workers(workers)
+        got = forward_chunk(params.frozen(), data)
+        assert np.array_equal(got.x_hat.data, x_hat), workers
+        assert float(got.loss.total.data) == float(want.total.data), workers
+        assert (got.loss.post, got.loss.pri, got.loss.frames) == (want.post, want.pri,
+                                                                     want.frames), workers
 
 
 def test_frozen_forward_keeps_the_stacks_a_short_lane_reads():

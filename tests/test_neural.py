@@ -17,6 +17,7 @@ import rtsn.neural.layers as layers
 from helpers import (
     conv1d_einsum,
     fd_gradient,
+    frame_errors,
     gather_steps_grad,
     lstm_backward_oracle,
     lstm_layer,
@@ -1103,7 +1104,9 @@ def test_stack_loss_gradients_with_partial_mask(prior_weight):
     mask = np.array([[1, 1, 0, 1], [0, 1, 0, 0]], dtype=bool)
 
     def loss(f, s):
-        return nn.stack_loss(f, target_frames, s, target_stacks, prior_weight, mask)[0]
+        errors = frame_errors(f.data, target_frames, s.data, target_stacks)
+        return nn.stack_loss(errors, prior_weight, mask,
+                             [(f, target_frames), (s, target_stacks)])[0]
 
     check_grads(loss, [frames, stacks])
     params = [nn.parameter(frames.copy(), "f"), nn.parameter(stacks.copy(), "s")]
@@ -1121,16 +1124,13 @@ def test_stack_loss_gradients_with_partial_mask(prior_weight):
 
 def test_stack_loss_returns_masked_sums_and_count():
     # one masked frame out of three; errors 1 and 4 on the frames kept
-    frames = nn.Tensor(np.array([[[1.0], [2.0], [9.0]]]))
-    stacks = nn.Tensor(np.ones((1, 3, 1, 1)))
-    total, post_sum, pri_sum, count = nn.stack_loss(
-        frames, np.zeros((1, 3, 1)), stacks, np.zeros((1, 3, 1, 1)), 3.0,
-        np.array([[1, 1, 0]]))
+    errors = frame_errors(np.array([[[1.0], [2.0], [9.0]]]), np.zeros((1, 3, 1)),
+                          np.ones((1, 3, 1, 1)), np.zeros((1, 3, 1, 1)))
+    total, post_sum, pri_sum, count = nn.stack_loss(errors, 3.0, np.array([[1, 1, 0]]))
     assert (post_sum, pri_sum, count) == (5.0, 2.0, 2.0)
     assert total.dtype == np.float64 and float(total.data) == (5.0 + 3.0 * 2.0) / 2.0
     with pytest.raises(ValueError, match="mask excludes every frame"):
-        nn.stack_loss(frames, np.zeros((1, 3, 1)), stacks, np.zeros((1, 3, 1, 1)), 3.0,
-                      np.zeros((1, 3)))
+        nn.stack_loss(errors, 3.0, np.zeros((1, 3)))
 
 
 # ---------------------------------------------------------------------------

@@ -3,6 +3,7 @@ import ast
 from pathlib import Path
 
 SRC = Path(__file__).parents[1] / "src"
+BENCH = Path(__file__).parents[1] / "bench"
 
 
 def unused_imports(source: str) -> list[str]:
@@ -255,6 +256,67 @@ def test_no_dead_definitions_in_src():
                for path in sorted(SRC.rglob("*.py"))}
     found = dead_definitions(sources)
     assert not found, "defined but never referenced: " + "; ".join(found)
+
+
+def uncalled_definitions(sources: dict[str, str], others: dict[str, str],
+                         kept: dict[str, list[str]]) -> list[str]:
+    """Top-level functions and classes of the given modules (file name ->
+    source), less those kept names (file name -> names), that no code
+    reads outside the definition itself: not the modules' other
+    statements, leaving out the package __init__ files, whose imports and
+    __all__ only re-export, and not the other modules (file name ->
+    source).  One that only the tests call is dead however it is exported."""
+    nodes = [(name, node) for name, source in sources.items()
+             for node in ast.parse(source).body]
+    reads = [set() if name.endswith("__init__.py") else _reads(node) for name, node in nodes]
+    reads += [_reads(ast.parse(source)) for source in others.values()]
+    return [f"{name} line {node.lineno}: {node.name}"
+            for i, (name, node) in enumerate(nodes)
+            if isinstance(node, _DEFS) and node.name not in kept.get(name, [])
+            and not any(node.name in r for j, r in enumerate(reads) if j != i)]
+
+
+def test_uncalled_definition_check_flags_what_it_should():
+    sources = {
+        "pkg/__init__.py": ("from .ops import caller, exported\n"
+                            "__all__ = ['caller', 'exported']\n"),
+        "pkg/ops.py": (
+            "def used(): ...\n"
+            "def exported(): ...\n"              # only re-exported
+            "def recursive(n):\n"
+            "    return recursive(n - 1)\n"      # only its own body reads it
+            "def caller():\n"
+            "    return used()\n"
+            "class Box: ...\n"
+            "def benched(): ...\n"               # read by another module
+            "def allowed(): ...\n"               # kept
+        ),
+        "pkg/main.py": "from .ops import caller\nRESULT = caller()\n",
+    }
+    others = {"run.py": "import pkg.ops\npkg.ops.benched()\n"}
+    assert uncalled_definitions(sources, others, {"pkg/ops.py": ["allowed"]}) == [
+        "pkg/ops.py line 2: exported", "pkg/ops.py line 3: recursive",
+        "pkg/ops.py line 7: Box",
+    ]
+
+
+# Top-level definitions with no caller in src or the benchmark, with the
+# reason each is kept.
+UNCALLED_DEFINITIONS_KEPT = {
+    # ROADMAP item 1's run report gives it a caller
+    "rtsn/dsp.py": ["consistency_error"],
+}
+
+
+def test_every_definition_in_src_is_called_from_src_or_the_benchmark():
+    # the benchmark's own tests are tests: they call nothing into use
+    sources = {str(path.relative_to(SRC)): path.read_text(encoding="utf-8")
+               for path in sorted(SRC.rglob("*.py"))}
+    bench = {str(path.relative_to(BENCH)): path.read_text(encoding="utf-8")
+             for path in sorted(BENCH.rglob("*.py")) if not path.name.startswith("test_")}
+    assert "run.py" in bench
+    found = uncalled_definitions(sources, bench, UNCALLED_DEFINITIONS_KEPT)
+    assert not found, "defined but called only by tests: " + "; ".join(found)
 
 
 def unread_private_definitions(sources: dict[str, str]) -> list[str]:

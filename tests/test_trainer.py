@@ -1,3 +1,4 @@
+import functools
 import math
 import tracemalloc
 from dataclasses import replace
@@ -399,21 +400,14 @@ def test_train_step_graph_dies_before_the_next_step():
     assert three <= 1.05 * one, f"3-step peak {three} vs 1-step peak {one}"
 
 
-def test_validation_memory_grows_by_the_one_call_forward_per_frame():
-    # Traced peaks of a default-network validation forward at 2048 and 3072
-    # frames, both long enough that the arrays that grow with length set
-    # the peak.  A frozen forward with a loss runs the prior in one call
-    # over a chunk that views the frames, so per frame it holds at most
-    # the stacks the loss reads, the loss's two stack-sized temporaries,
-    # the prior's input windows and the LSTM states (h and c, every layer).
-    # Keeping per-segment stacks and joining them, or copying the noisy
-    # and clean stacks into the chunk, grows by more (about 29 KB a frame).
+@functools.cache
+def validation_growth() -> tuple[RtsnConfig, int, float]:
+    """(config, itemsize, traced bytes a frame) of a default-network
+    validation forward: the growth of its traced peak from 2048 to 3072
+    frames, both long enough that the arrays that grow with length set the
+    peak."""
     config = RtsnConfig()
     params = init_params(config, StftConfig(), unit_stats(config.n_bins), seed=0)
-    item = np.dtype(params.dtype).itemsize
-    stack = config.stack_rows * config.n_bins * item
-    budget = (3 * stack + config.pri_input_dim * item
-              + 2 * config.lstm_layers * config.lstm_units * item)
 
     def peak(frames):
         rng = np.random.default_rng(frames)
@@ -429,6 +423,35 @@ def test_validation_memory_grows_by_the_one_call_forward_per_frame():
 
     short, long = 2048, 3072
     growth = (peak(long) - peak(short)) / (long - short)
+    return config, np.dtype(params.dtype).itemsize, growth
+
+
+def test_validation_memory_grows_by_the_one_call_forward_per_frame():
+    # The budget of a forward that ran the prior in one call over a chunk
+    # that views the frames: per frame at most the stacks the loss read,
+    # the loss's two stack-sized temporaries, the prior's input windows and
+    # the LSTM states (h and c, every layer).  Validation now runs the
+    # prior one LSTM block per call and forms the loss frame by frame, well
+    # inside it (see the test below).  Keeping per-segment stacks and
+    # joining them, or copying the noisy and clean stacks into the chunk,
+    # grows by more (about 29 KB a frame).
+    config, item, growth = validation_growth()
+    stack = config.stack_rows * config.n_bins * item
+    budget = (3 * stack + config.pri_input_dim * item
+              + 2 * config.lstm_layers * config.lstm_units * item)
+    assert growth <= budget, f"{growth:.0f} B a frame against a budget of {budget}"
+
+
+def test_validation_memory_grows_only_by_the_frames_in_and_out():
+    # A frozen forward with a loss runs enhancement's schedule: the prior
+    # one LSTM block per call, the posterior following a halo of stacks,
+    # each frame's squared errors formed as its stack and output exist.
+    # Per frame it holds only the chunk's two frame copies (noisy and
+    # clean), the output's blocks and their concatenation, and the frame's
+    # two errors: about 2 KB.  Keeping every stack for the loss, as the
+    # one-call forward did, grows by about 15.9 KB.
+    config, item, growth = validation_growth()
+    budget = 4 * config.n_bins * item + 2 * item
     assert growth <= budget, f"{growth:.0f} B a frame against a budget of {budget}"
 
 
